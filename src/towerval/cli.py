@@ -136,6 +136,13 @@ def _parse_const(text: str, domain: Domain, ln: int):
         _err(ln, f"bad constant {text!r} for this ring")
 
 
+def _parse_rational(text: str, ln: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        _err(ln, f"bad rational {text!r}")
+
+
 def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
     tokens = _tokens(token_text)
     if not tokens or tokens[0] != "blowup":
@@ -294,7 +301,7 @@ def _factor_args(script, tokens, ln):
     factors = []
     for tok in tokens:
         name, _, etext = tok.partition(":")
-        e = Fraction(etext) if etext else Fraction(1)
+        e = _parse_rational(etext, ln) if etext else Fraction(1)
         factors.append((_ideal(script, name, ln), e))
     return MultiIdeal(factors)
 
@@ -386,9 +393,10 @@ def _cmd_bridge(script, tokens, opt, block, ln):
         elif tok.startswith("e="):
             val = tok[2:]
             if val.startswith("(") and val.endswith(")"):
-                evecs.append(tuple(Fraction(x) for x in _split_top_level(val[1:-1], ",")))
+                parts = _split_top_level(val[1:-1], ",")
+                evecs.append(tuple(_parse_rational(x, ln) for x in parts))
             else:
-                evecs.append((Fraction(val),))
+                evecs.append((_parse_rational(val, ln),))
         else:
             ideal_names.append(tok)
     ideals = [_ideal(script, name, ln) for name in ideal_names]
@@ -453,7 +461,8 @@ def _cmd_suspend(script, tokens, opt, block, ln):
 
 def _cmd_selftest(script, tokens, opt, block, ln):
     failed = []
-    for case in acceptance_corpus():
+    corpus = acceptance_corpus()
+    for case in corpus:
         try:
             t, ideals = build_case(case)
             report = bridge_construct(t, ideals)
@@ -468,7 +477,7 @@ def _cmd_selftest(script, tokens, opt, block, ln):
             ("k_E", report.k_e),
             ("k_F", report.k_f),
         )
-    block.add(("passed", len(acceptance_corpus()) - len(failed)), ("failed", len(failed)))
+    block.add(("passed", len(corpus) - len(failed)), ("failed", len(failed)))
     if failed:
         raise MathCheckFailed(f"selftest failed on: {', '.join(failed)}")
 

@@ -14,6 +14,7 @@ truncation cap can only lower them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,21 +41,24 @@ from .polyring import (
 DEFAULT_GB_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class MonomialOrderSpec:
-    """The one canonical order: total degree, ties broken by x1 > x2 > ..."""
-
-    kind: str = "grlex"
-
-    def key(self, exponents):
-        return grlex_key(exponents)
+def grevlex_key(a):
+    """Sort key of graded reverse lex: total degree first, ties broken in
+    favour of the smaller exponent in the last variable where they differ."""
+    return (sum(a), tuple(-e for e in reversed(a)))
 
 
-GRLEX = MonomialOrderSpec()
+# Monomial orders are sort keys: the larger key is the larger monomial.
+GRLEX = grlex_key
+GREVLEX = grevlex_key
 
 
 class StepBudget:
-    """Counts division steps; raises once the cap is crossed."""
+    """Counts Groebner steps; raises once the cap is crossed.
+
+    A step is one pair taken from the pair queue of ``groebner_basis`` or
+    one reduction step of ``normal_form`` (subtracting a multiple of a
+    basis element to cancel a leading term).
+    """
 
     __slots__ = ("cap", "used")
 
@@ -72,47 +76,67 @@ def _as_budget(budget) -> StepBudget:
     return budget if isinstance(budget, StepBudget) else StepBudget(int(budget))
 
 
-def _times_term(g: Polynomial, mono, c) -> Polynomial:
+def _monic(f: Polynomial, lm) -> Polynomial:
+    return f.scale(f.domain.inv(f.terms[lm]))
+
+
+def _add_multiple(acc: dict, c, q, g: Polynomial, glm):
+    """acc += c * x^q * (g without its leading term glm), in place."""
     dom = g.domain
-    return Polynomial(
-        dom, g.nvars, {mono_mul(m, mono): dom.mul(cc, c) for m, cc in g.terms.items()}
-    )
+    for m, gc in g.terms.items():
+        if m != glm:
+            m = mono_mul(m, q)
+            v = dom.add(acc.get(m, 0), dom.mul(c, gc))
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
 
 
-def normal_form(f: Polynomial, basis, budget: StepBudget) -> Polynomial:
-    """Fully reduce f against a list of monic polynomials."""
-    dom, n = f.domain, f.nvars
-    lms = [g.leading_monomial() for g in basis]
-    work = f
+def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None) -> Polynomial:
+    """Fully reduce f against a list of polynomials monic in ``order``.
+
+    ``lms`` are the basis elements' leading monomials in ``order``; a
+    caller that keeps them passes them in.  The remainder is built in one
+    mutable term map: each step pops the leading term lc * x^lm and
+    subtracts lc * x^q * g from the rest, where x^q * lm(g) = x^lm.
+    """
+    if lms is None:
+        lms = [max(g.terms, key=order) for g in basis]
+    dom = f.domain
+    work = dict(f.terms)
     tail: dict = {}
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
-        hit = next((i for i, blm in enumerate(lms) if mono_divides(blm, lm)), None)
-        if hit is None:
-            tail[lm] = lc
-            rest = dict(work.terms)
-            del rest[lm]
-            work = Polynomial(dom, n, rest)
+    while work:
+        lm = max(work, key=order)
+        lc = work.pop(lm)
+        for g, glm in zip(basis, lms):
+            if mono_divides(glm, lm):
+                break
         else:
-            budget.spend()
-            work = work - _times_term(basis[hit], mono_div(lm, lms[hit]), lc)
-    return Polynomial(dom, n, tail)
+            tail[lm] = lc
+            continue
+        budget.spend()
+        _add_multiple(work, dom.neg(lc), mono_div(lm, glm), g, glm)
+    return Polynomial(dom, f.nvars, tail)
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
+def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
+    """S-polynomial of f and g, monic with leading monomials lf and lg in
+    the order at hand; their leading terms cancel and are skipped."""
+    dom = f.domain
     lcm = mono_lcm(lf, lg)
-    return _times_term(f, mono_div(lcm, lf), f.domain.one()) - _times_term(
-        g, mono_div(lcm, lg), g.domain.one()
-    )
+    acc: dict = {}
+    _add_multiple(acc, dom.one(), mono_div(lcm, lf), f, lf)
+    _add_multiple(acc, dom.neg(dom.one()), mono_div(lcm, lg), g, lg)
+    return Polynomial(dom, f.nvars, acc)
 
 
-def groebner_basis(gens, order: MonomialOrderSpec = GRLEX, budget=DEFAULT_GB_BUDGET):
+def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
     """Buchberger with normal pair selection and a hard step budget.
 
-    Deterministic: pairs are processed by (lcm order, indices), and the
-    returned basis is reduced, monic and sorted, hence unique for the ideal.
+    ``order`` is a monomial sort key, GRLEX or GREVLEX.  Deterministic:
+    pairs leave a heap by (lcm order, indices), and the returned basis is
+    reduced, monic and sorted, hence unique for the ideal and the order.
     """
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
@@ -125,65 +149,67 @@ def groebner_basis(gens, order: MonomialOrderSpec = GRLEX, budget=DEFAULT_GB_BUD
         if g.domain != dom or g.nvars != gens[0].nvars:
             raise RingMismatch("generators live in different rings")
 
-    basis = []
+    basis, lms = [], []  # lms[k] is the leading monomial of basis[k]
     for g in gens:
-        m = g.monic()
+        lm = max(g.terms, key=order)
+        m = _monic(g, lm)
         if m not in basis:
             basis.append(m)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+            lms.append(lm)
+    pairs: list = []
 
-    def pair_key(p):
-        i, j = p
-        lcm = mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-        return (order.key(lcm), i, j)
+    def add_pairs(new):
+        for k in range(new):
+            heapq.heappush(pairs, (order(mono_lcm(lms[k], lms[new])), k, new))
 
+    for new in range(1, len(basis)):
+        add_pairs(new)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
+        _, i, j = heapq.heappop(pairs)
         budget.spend()
-        li, lj = basis[i].leading_monomial(), basis[j].leading_monomial()
+        li, lj = lms[i], lms[j]
         if mono_lcm(li, lj) == mono_mul(li, lj):
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        nf = normal_form(_spoly(basis[i], basis[j]), basis, budget)
+        nf = normal_form(_spoly(basis[i], basis[j], li, lj), basis, budget, order, lms)
         if not nf.is_zero():
-            basis.append(nf.monic())
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    return _reduce_basis(basis, budget)
+            lm = max(nf.terms, key=order)
+            basis.append(_monic(nf, lm))
+            lms.append(lm)
+            add_pairs(len(basis) - 1)
+    return _reduce_basis(basis, lms, order, budget)
 
 
-def _reduce_basis(basis, budget: StepBudget):
+def _reduce_basis(basis, lms, order, budget: StepBudget):
     # minimal: drop anything whose leading monomial another one divides
-    basis = sorted(basis, key=lambda g: grlex_key(g.leading_monomial()))
-    minimal = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if any(mono_divides(h.leading_monomial(), lm) for h in minimal):
-            continue
-        minimal.append(g)
-    # interreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
+    ranked = sorted(zip(basis, lms), key=lambda gl: order(gl[1]))
+    minimal, mlms = [], []
+    for g, lm in ranked:
+        if not any(mono_divides(h, lm) for h in mlms):
+            minimal.append(g)
+            mlms.append(lm)
+    # Reduce each tail against the others.  Whether a term is reducible
+    # depends only on the leading monomials, which never change, so one
+    # pass leaves every tail reduced.
+    if len(minimal) > 1:
         for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1 :]
-            nf = normal_form(g, others, budget) if others else g
-            if nf != g:
-                minimal[i] = nf.monic()
-                changed = True
-    return sorted(minimal, key=lambda g: grlex_key(g.leading_monomial()))
+            others, olms = minimal[:i] + minimal[i + 1 :], mlms[:i] + mlms[i + 1 :]
+            minimal[i] = normal_form(g, others, budget, order, olms)
+    return minimal
 
 
 def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
-    """Check the defining property: all S-polynomials reduce to zero, and
-    optionally that the original generators do too."""
+    """Check the defining property of a monic grlex basis: all
+    S-polynomials reduce to zero, and optionally the original generators
+    do too."""
     budget = _as_budget(budget)
+    lms = [g.leading_monomial() for g in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not normal_form(_spoly(basis[i], basis[j]), basis, budget).is_zero():
+            s = _spoly(basis[i], basis[j], lms[i], lms[j])
+            if not normal_form(s, basis, budget, GRLEX, lms).is_zero():
                 return False
     for g in gens or ():
-        if not normal_form(g, basis, budget).is_zero():
+        if not normal_form(g, basis, budget, GRLEX, lms).is_zero():
             return False
     return True
 
@@ -218,13 +244,15 @@ def _min_hitting_set_size(supports) -> int:
     return best[0]
 
 
-def ideal_dimension(gens, order: MonomialOrderSpec = GRLEX, budget=DEFAULT_GB_BUDGET) -> int:
+def ideal_dimension(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
     """Krull dimension of the quotient by the ideal the generators span.
 
     Computed from the leading-term ideal of a Groebner basis as the largest
     number of variables no leading monomial lives entirely inside (via the
     complement, a minimum hitting set).  The zero ideal has the dimension
-    of the whole space; the unit ideal is rejected distinctly.
+    of the whole space; the unit ideal is rejected distinctly.  The answer
+    does not depend on the monomial order; grevlex is the default because
+    its bases of jet ideals are far smaller than grlex ones.
     """
     gens = list(gens)
     if not gens:
@@ -236,11 +264,11 @@ def ideal_dimension(gens, order: MonomialOrderSpec = GRLEX, budget=DEFAULT_GB_BU
     gb = groebner_basis(nonzero, order=order, budget=budget)
     if any(g.is_constant() for g in gb):
         raise UnitIdeal("the generators span the whole ring")
-    supports = _minimal_supports([g.leading_monomial() for g in gb])
+    supports = _minimal_supports([max(g.terms, key=order) for g in gb])
     return nvars - _min_hitting_set_size(supports)
 
 
-def height_of_ideal(gens, order: MonomialOrderSpec = GRLEX, budget=DEFAULT_GB_BUDGET) -> int:
+def height_of_ideal(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
     """Codimension: number of variables minus the dimension."""
     if isinstance(gens, Ideal):
         gens.require_nonzero()

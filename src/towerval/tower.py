@@ -433,7 +433,8 @@ def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:
 
 
 def describe(t: Tower) -> dict:
-    """Deterministic plain-data view used by the CLI and serialization."""
+    """Deterministic plain-data view of a tower, for comparing towers and
+    serializing them; the CLI does not print it."""
     names = default_names(t.n)
 
     def const_text(c):

@@ -175,6 +175,17 @@ def test_exit_code_two_for_input_errors(tmp_path, capsys):
     assert code == 2 and "command 1 (zeval)" in err
 
 
+def test_zero_denominator_exponent_is_an_input_error(tmp_path, capsys):
+    text = "ring N=2 p=7\nideal a: x1^2 + x2^3\nmld a:1/0\n"
+    code, _, err = run_main(tmp_path, capsys, text)
+    assert code == 2 and err.startswith("error:") and "1/0" in err
+
+
+def test_zero_denominator_bridge_vector_is_an_input_error(tmp_path, capsys):
+    code, _, err = run_main(tmp_path, capsys, BASIC + "bridge T a e=(1/0)\n")
+    assert code == 2 and err.startswith("error:") and "1/0" in err
+
+
 def test_exit_code_one_for_failed_identities(tmp_path, capsys):
     code, _, err = run_main(tmp_path, capsys, BASIC + "bridge T a tamper\n")
     assert code == 1 and "BridgeIdentityFailed" in err
@@ -221,3 +232,4 @@ def test_json_format_is_sorted_and_parseable(tmp_path, capsys):
     payload = json.loads(out)
     assert payload[0]["command"] == "keval T"
     assert payload[0]["lines"] == [{"divisor": "1", "k": "1"}]
+

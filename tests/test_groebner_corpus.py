@@ -1,0 +1,161 @@
+"""Differential corpus for the Groebner engine.
+
+The reduced grlex bases, step counts and contact codims below were recorded
+from the engine before its heap-queue rewrite.  The reduced basis is unique
+for the ideal and the order, and pair selection and reduction follow the
+same rules, so the engine must reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from towerval import errors
+from towerval.jets import (
+    GREVLEX,
+    GRLEX,
+    StepBudget,
+    contact_codim_at_origin,
+    groebner_basis,
+    ideal_dimension,
+)
+from towerval.polyring import GF, QQ, Ideal, parse_polynomial
+
+# (p, nvars, generators, reduced grlex basis, StepBudget.used); p = 0 is Q.
+# The last four are contact systems of jet ideals at the origin:
+# x1^2 + x2^3 at L5 over Q, x1^3 + x2^2 at L5 over F_3, x1*x2 + x3^2 at L4
+# over F_5, and (x1^2 + x2*x3, x2^2 + x1*x3) at L3 over Q.
+CORPUS = (
+    (0, 2, ("x1^2", "x1*x2 + x2^2"), ("x1*x2 + x2^2", "x1^2", "x2^3"), 5),
+    (0, 2, ("x1^2 + x2", "x1*x2 + x1"), ("x2^2 + x2", "x1*x2 + x1", "x1^2 + x2"), 4),
+    (0, 2, ("x1^3 - 2*x1*x2", "x1^2*x2 - 2*x2^2 + x1"), ("x2^2 - 1/2*x1", "x1*x2", "x1^2"), 17),
+    (
+        0, 3, ("x1 + x2 + x3", "x1*x2 + x2*x3 + x1*x3", "x1*x2*x3"),
+        ("x1 + x2 + x3", "x2^2 + x2*x3 + x3^2", "x3^3"), 20,
+    ),
+    (
+        0, 3, ("x1^2 + x2*x3", "x2^2 + x1*x3"),
+        ("x1*x3 + x2^2", "x1^2 + x2*x3", "x1*x2^2 - x2*x3^2", "x2^4 + x2*x3^3"), 8,
+    ),
+    (0, 2, ("x1 + 1", "x1"), ("1",), 3),
+    (
+        5, 2, ("x1^2 + x2^3", "x1*x2 + 2*x2^2"),
+        ("x1*x2 + 2*x2^2", "x2^3 + x1^2", "x1^3 + 2*x1^2"), 13,
+    ),
+    (
+        7, 3, ("x1*x2 - x3^2", "x2*x3 - x1^2", "x1*x3 - x2^2"),
+        ("x1*x3 + 6*x2^2", "x1*x2 + 6*x3^2", "x1^2 + 6*x2*x3", "x2^3 + 6*x3^3"), 9,
+    ),
+    (
+        2, 3, ("x1^2 + x2^2 + x3^2", "x1*x2 + x3"),
+        ("x1*x2 + x3", "x1^2 + x2^2 + x3^2", "x2^3 + x2*x3^2 + x1*x3"), 5,
+    ),
+    (
+        5, 3, ("x1*x2 + x3^2", "x1^2 - x2^2 + 3*x3"),
+        (
+            "x1*x2 + x3^2", "x1^2 + 4*x2^2 + 3*x3", "x1*x3^2 + x2^3 + 2*x2*x3",
+            "x2^4 + 4*x3^4 + 2*x2^2*x3",
+        ),
+        10,
+    ),
+    (
+        0, 10, ("x1", "x6", "x2^2", "x7^3 + 2*x2*x3", "3*x7^2*x8 + 2*x2*x4 + x3^2"),
+        (
+            "x6", "x1", "x2^2", "x7^2*x8 + 2/3*x2*x4 + 1/3*x3^2", "x7^3 + 2*x2*x3",
+            "x2*x3*x8 - 1/3*x2*x4*x7 - 1/6*x3^2*x7", "x2*x3^2*x7",
+            "x2*x3*x4*x7^2 + 1/2*x3^3*x7^2", "x2*x3^3*x4 + 1/4*x3^5", "x2*x3^4",
+            "x3^4*x7^2", "x3^5*x8 + 2/3*x3^4*x4*x7", "x3^5*x7", "x3^6",
+        ),
+        153,
+    ),
+    (
+        3, 10, ("x1", "x6", "x7^2", "x2^3 + 2*x7*x8", "2*x7*x9 + x8^2"),
+        ("x6", "x1", "x7*x9 + 2*x8^2", "x7^2", "x7*x8^2", "x2^3 + 2*x7*x8", "x8^4"), 21,
+    ),
+    (
+        5, 12, ("x1", "x5", "x9", "x2*x6 + x10^2", "x2*x7 + x3*x6 + 2*x10*x11"),
+        (
+            "x9", "x5", "x1", "x2*x7 + x3*x6 + 2*x10*x11", "x2*x6 + x10^2",
+            "x3*x6^2 + 2*x6*x10*x11 + 4*x7*x10^2",
+        ),
+        17,
+    ),
+    (
+        0, 9, ("x1", "x4", "x7", "x2^2 + x5*x8", "x2*x8 + x5^2"),
+        (
+            "x7", "x4", "x1", "x2*x8 + x5^2", "x2^2 + x5*x8", "x2*x5^2 - x5*x8^2",
+            "x5^4 + x5*x8^3",
+        ),
+        23,
+    ),
+)
+
+# (generators over Q, ambient N, level, codim at the origin): every
+# contact-ladder cell of the benchmark plus two harder ones, recorded from
+# the earlier engine, then two cells too slow for it to run in a test.
+CELLS = (
+    (("x1^2 + x2^3",), 2, 4, 4),
+    (("x1^2 + x2^3",), 2, 5, 5),
+    (("x1^2 + x2^3",), 2, 6, 5),
+    (("x1*x2 + x3^2",), 3, 4, 5),
+    (("x1*x2 + x3^2",), 3, 5, 6),
+    (("x1*x2 + x3^2",), 3, 6, 7),
+    (("x1^2 + x2^5",), 2, 5, 4),
+    (("x1^2 + x2^5",), 2, 6, 5),
+    (("x1^3 + x2^3",), 2, 5, 4),
+    (("x1^3 + x2^3",), 2, 6, 4),
+    (("x1^2 + x2^2 + x3^2",), 3, 3, 4),
+    (("x1^2 + x2^2 + x3^2",), 3, 4, 5),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 5),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 6),
+    (("x1^2 + x2^3",), 2, 7, 6),
+    (("x1^2 + x2^2 + x3^2",), 3, 5, 6),
+)
+
+
+def _gens(p, n, texts):
+    dom = GF(p) if p else QQ
+    return [parse_polynomial(t, dom, n) for t in texts]
+
+
+def _ideal(texts, n):
+    return Ideal(QQ, n, _gens(0, n, texts))
+
+
+@pytest.mark.parametrize("p, n, gens, basis, steps", CORPUS)
+def test_grlex_basis_and_steps_match_the_recorded_engine(p, n, gens, basis, steps):
+    budget = StepBudget(10**6)
+    gb = groebner_basis(_gens(p, n, gens), budget=budget)
+    assert tuple(g.text() for g in gb) == basis
+    assert budget.used == steps
+
+
+@pytest.mark.parametrize("p, n, gens", [c[:3] for c in CORPUS])
+def test_dimension_does_not_depend_on_the_order(p, n, gens):
+    def dim(order):
+        try:
+            return ideal_dimension(_gens(p, n, gens), order=order)
+        except errors.UnitIdeal:
+            return "unit"
+
+    assert dim(GREVLEX) == dim(GRLEX)
+
+
+@pytest.mark.parametrize("gens, n, level, codim", CELLS)
+def test_contact_codims_match_the_recorded_engine(gens, n, level, codim):
+    assert contact_codim_at_origin([(_ideal(gens, n), level)]) == codim
+
+
+# The dimension path's step counts pin the grevlex engine's work: losing the
+# gain (grlex in the dimension path, another pair rule) moves them.
+@pytest.mark.parametrize(
+    "gens, n, level, steps",
+    [
+        (("x1^3 + x2^3",), 2, 6, 113),
+        (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178),
+    ],
+)
+def test_dimension_path_step_counts_are_pinned(gens, n, level, steps):
+    budget = StepBudget(10**6)
+    contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget)
+    assert budget.used == steps
