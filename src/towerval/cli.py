@@ -205,6 +205,8 @@ def parse_script(text: str) -> SessionScript:
             if not m:
                 _err(ln, "ring wants the form 'ring N=<int> p=<prime or 0>'")
             n, p = int(m.group(1)), int(m.group(2))
+            if n < 2:
+                _err(ln, f"ring needs N >= 2 variables, got N={n}")
             domain = QQ if p == 0 else GF(p)
             script = SessionScript(n, p, domain, {}, {}, [])
             continue

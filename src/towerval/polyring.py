@@ -12,12 +12,19 @@ plain as possible:
   coefficient}.  Two polynomials are equal iff their term maps are equal,
   which makes canonical forms trivial and hashing cheap.
 
+Arithmetic runs on plain term dicts through two private helpers:
+``_mul_terms`` is the one product loop (``*``, ``**`` and ``substitute``)
+and ``_add_into`` the one in-place accumulation (``+``, ``-`` and the sum
+of substituted terms).  A ``Polynomial`` is built only at the API
+boundary, once per result, never for intermediate factors.
+
 No floating point appears anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -242,13 +249,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, domain: Domain, nvars: int, c) -> "Polynomial":
-        return cls.from_terms(domain, nvars, [((0,) * nvars, c)])
+        c = domain.coerce(c)
+        return cls(domain, nvars, {(0,) * nvars: c} if c != 0 else {})
 
     @classmethod
     def variable(cls, domain: Domain, nvars: int, i: int) -> "Polynomial":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
+        exps = (0,) * i + (1,) + (0,) * (nvars - i - 1)
         return cls(domain, nvars, {exps: domain.one()})
 
     # -- basic structure ---------------------------------------------------
@@ -301,53 +309,38 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        dom = self.domain
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in acc:
-                s = dom.add(acc[m], c)
-                if s == 0:
-                    del acc[m]
-                else:
-                    acc[m] = s
-            else:
-                acc[m] = c
-        return Polynomial(dom, self.nvars, acc)
+        _add_into(self.domain, acc, other.terms, 1)
+        return Polynomial(self.domain, self.nvars, acc)
 
     def __neg__(self) -> "Polynomial":
         dom = self.domain
         return Polynomial(dom, self.nvars, {m: dom.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check_ring(other)
+        acc = dict(self.terms)
+        _add_into(self.domain, acc, other.terms, -1)
+        return Polynomial(self.domain, self.nvars, acc)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        dom = self.domain
-        acc: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                c = dom.mul(ca, cb)
-                if m in acc:
-                    c = dom.add(acc[m], c)
-                if c == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = c
-        return Polynomial(dom, self.nvars, acc)
+        terms = _mul_terms(self.domain, self.terms, other.terms)
+        return Polynomial(self.domain, self.nvars, terms)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.domain, self.nvars, 1)
-        base = self
-        while n:
+        if n == 0:
+            return Polynomial.constant(self.domain, self.nvars, 1)
+        dom, base, result = self.domain, self.terms, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else _mul_terms(dom, result, base)
             n >>= 1
-        return result
+            if not n:
+                return Polynomial(dom, self.nvars, result)
+            base = _mul_terms(dom, base, base)
 
     def scale(self, c) -> "Polynomial":
         dom = self.domain
@@ -373,23 +366,23 @@ class Polynomial:
         for g in images[1:]:
             if g.domain != tdom or g.nvars != tn:
                 raise RingMismatch("substitution images live in different rings")
-        one = Polynomial.constant(tdom, tn, 1)
-        power_cache: dict = {}
-
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        out = Polynomial.zero(tdom, tn)
+        src, unit = self.domain, (0,) * tn
+        powers: dict = {}  # (i, e) -> term map of images[i] ** e, for this call only
+        out: dict = {}
         for m, c in self.terms.items():
-            piece = one.scale(_convert_coeff(c, self.domain, tdom))
+            c = _convert_coeff(c, src, tdom)
+            if c == 0:
+                continue
+            piece = None if c == 1 else {unit: c}  # a unit coefficient scales nothing
             for i, e in enumerate(m):
                 if e:
-                    piece = piece * power(i, e)
-            out = out + piece
-        return out
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = images[i].terms if e == 1 else (images[i] ** e).terms
+                        powers[i, e] = pw
+                    piece = pw if piece is None else _mul_terms(tdom, piece, pw)
+            _add_into(tdom, out, {unit: c} if piece is None else piece, 1)
+        return Polynomial(tdom, tn, out)
 
     def evaluate(self, point: Sequence):
         """Exact evaluation at a tuple of constants; returns a coefficient."""
@@ -512,6 +505,54 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self.domain!r}[{self.nvars}] {self.text()}>"
+
+
+def _mul_terms(dom: Domain, a: dict, b: dict) -> dict:
+    """The product of two term maps: the one multiplication loop.
+
+    Coefficients are inlined (one ``% p`` per product-and-add over GF(p))
+    and a monomial whose coefficient cancels leaves the map at once.  Both
+    maps are canonical, so a product of two coefficients is never zero and
+    only a monomial already in the map can cancel.
+    """
+    p = dom.p
+    acc: dict = {}
+    get = acc.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(_add, ma, mb))
+            c = ca * cb
+            old = get(m)
+            if old is not None:
+                c += old
+            if p:
+                c %= p
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+    return acc
+
+
+def _add_into(dom: Domain, acc: dict, terms: dict, sign: int) -> None:
+    """acc += sign * terms, in place; the one accumulation loop.
+
+    ``terms`` is canonical, so only a monomial already in ``acc`` can cancel.
+    """
+    p = dom.p
+    get = acc.get
+    for m, c in terms.items():
+        if sign < 0:
+            c = -c
+        old = get(m)
+        if old is not None:
+            c += old
+        if p:
+            c %= p
+        if c:
+            acc[m] = c
+        else:
+            del acc[m]
 
 
 def _convert_coeff(c, src: Domain, dst: Domain):

@@ -186,6 +186,13 @@ def test_zero_denominator_bridge_vector_is_an_input_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and "1/0" in err
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_ring_with_fewer_than_two_variables_is_an_input_error(tmp_path, capsys, n):
+    code, out, err = run_main(tmp_path, capsys, f"# header\nring N={n} p=5\nlct x1\n")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "line 2" in err and f"N={n}" in err
+
+
 def test_exit_code_one_for_failed_identities(tmp_path, capsys):
     code, _, err = run_main(tmp_path, capsys, BASIC + "bridge T a tamper\n")
     assert code == 1 and "BridgeIdentityFailed" in err
