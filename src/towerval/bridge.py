@@ -17,7 +17,6 @@ run in which every identity held.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,18 +29,16 @@ from .errors import (
     FirstStepNotOrigin,
     IdealNotAtOrigin,
     RingMismatch,
-    UnitIdeal,
 )
 from .invariants import log_discrepancy
-from .jets import DEFAULT_GB_BUDGET, contact_codim_at_origin
+from .jets import DEFAULT_GB_BUDGET, contact_cells, contact_codim_at_origin
 from .polyring import (
     QQ,
     Domain,
     Ideal,
     MultiIdeal,
     Polynomial,
-    ideal_change_domain,
-    lift_ideal,
+    lift_to_q,
 )
 from .tower import (
     CenterSpec,
@@ -52,11 +49,6 @@ from .tower import (
     valuation,
     weak_transform,
 )
-
-
-def _lift_to_q(a: Ideal) -> Ideal:
-    """Coefficient-wise lift, read in the rationals so tower ops apply."""
-    return ideal_change_domain(lift_ideal(a), QQ)
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
         )
 
     tq = lift_tower(t3)
-    lifted = tuple(_lift_to_q(a) for a in ideals)
+    lifted = tuple(lift_to_q(a) for a in ideals)
     if tamper:
         bent = lifted[0].gens[0] + Polynomial.constant(QQ, n, p)
         lifted = (Ideal(QQ, n, (bent,) + lifted[0].gens[1:]),) + lifted[1:]
@@ -307,47 +299,30 @@ def cross_characteristic_suite(ma, caps, budget: int = DEFAULT_GB_BUDGET) -> Cro
     dom = ma.factors[0][0].domain
     if dom.kind != Domain.GF_KIND:
         raise RingMismatch("the comparison starts from a prime field")
-    if isinstance(caps, int):
-        caps = (caps,) * r
-    caps = tuple(caps)
+    caps = tuple(caps) if isinstance(caps, (tuple, list)) else (caps,) * r
     if len(caps) != r:
         raise DimensionMismatch(f"{len(caps)} caps for {r} factors")
     n = ma.factors[0][0].nvars
-    lifted = [(_lift_to_q(a), e) for a, e in ma.factors]
+    lifts = {a: lift_to_q(a) for a, _ in ma.factors}
 
     cells = []
     mld_p, mld_q = Fraction(n), Fraction(n)
     lct_p = lct_q = None
-    grid = sorted(
-        itertools.product(*(range(c + 1) for c in caps)),
-        key=lambda m: (sum(m), m),
-    )
-    for mvec in grid:
-        if sum(mvec) == 0:
-            continue
-
-        def codim_of(factors):
-            chosen = [(a, m) for (a, _), m in zip(factors, mvec) if m > 0]
-            return contact_codim_at_origin(chosen, budget=budget)
-
-        note = None
-        cp = cq = None
+    for mvec, active, weight in contact_cells(ma.factors, caps):
+        cp = cq = note = None
         try:
-            cp = codim_of(ma.factors)
-            cq = codim_of(lifted)
+            cp = contact_codim_at_origin(active, budget=budget)
+            cq = contact_codim_at_origin([(lifts[a], m) for a, m in active], budget=budget)
         except BudgetExceeded:
             note = "budget"
-        except UnitIdeal:
-            continue
-        cells.append(CrossCharCell(tuple(mvec), cp, cq, note))
-        if cp is None or cq is None:
+        cells.append(CrossCharCell(mvec, cp, cq, note))
+        if note:
             continue
         if cp > cq:
             raise BridgeIdentityFailed(
                 f"contact codimension dropped under lifting at depth {mvec}: "
                 f"{cp} over F_{dom.p} vs {cq} over Q"
             )
-        weight = sum(e * m for (_, e), m in zip(ma.factors, mvec))
         mld_p = min(mld_p, cp - weight)
         mld_q = min(mld_q, cq - weight)
         if r == 1:

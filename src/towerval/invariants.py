@@ -27,9 +27,8 @@ from .errors import (
     IdealNotAtOrigin,
     MathCheckFailed,
     NonMonomialIdeal,
-    UnitIdeal,
 )
-from .jets import DEFAULT_GB_BUDGET, contact_codim_at_origin
+from .jets import DEFAULT_GB_BUDGET, contact_cells, contact_codim_at_origin
 from .polyring import Domain, Ideal, MultiIdeal, Polynomial
 from .tower import CenterSpec, Tower, blow_up, new_tower, valuation, valuation_of_poly
 
@@ -191,22 +190,8 @@ def certify_not_log_canonical(
     """
     if not isinstance(cap, int) or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    r = len(ma.factors)
-    if r == 0:
-        return None
-    grid = sorted(
-        itertools.product(range(cap + 1), repeat=r),
-        key=lambda m: (sum(m), m),
-    )
-    for mvec in grid:
-        if sum(mvec) == 0:
-            continue
-        factors = [(ideal, m) for (ideal, _), m in zip(ma.factors, mvec) if m > 0]
-        try:
-            codim = contact_codim_at_origin(factors, budget=budget)
-        except UnitIdeal:
-            continue
-        value = codim - sum(e * m for (_, e), m in zip(ma.factors, mvec))
-        if value < 0:
-            return NotLogCanonicalCertificate(tuple(mvec), codim, Fraction(value))
+    for mvec, active, weight in contact_cells(ma.factors, cap):
+        codim = contact_codim_at_origin(active, budget=budget)
+        if codim < weight:
+            return NotLogCanonicalCertificate(mvec, codim, Fraction(codim - weight))
     return None

@@ -32,6 +32,7 @@ from .polyring import (
     Ideal,
     Polynomial,
     grlex_key,
+    lift_to_q,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -285,10 +286,8 @@ def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
     Returns (ht_p, ht_q) and insists on ht_p <= ht_q: lifting can only
     grow the height, so a drop means a bug somewhere and raises.
     """
-    from .polyring import QQ, ideal_change_domain, lift_ideal
-
     a.require_nonzero()
-    lifted = ideal_change_domain(lift_ideal(a), QQ)
+    lifted = lift_to_q(a)
     ht_p = height_of_ideal(a, budget=budget)
     ht_q = height_of_ideal(lifted, budget=budget)
     if ht_p > ht_q:
@@ -477,13 +476,38 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
 # -- estimators ------------------------------------------------------------------------
 
 
+def contact_cells(factors, caps):
+    """The depth grid every contact-locus estimator folds over.
+
+    ``factors`` are (ideal, exponent) pairs and ``caps`` is one depth cap
+    for all of them or a sequence with one cap per factor.  Yields
+    (mvec, active, weight) for every nonzero depth vector m within the
+    caps, by total depth and then lexicographically: ``active`` holds the
+    (ideal, m_i) pairs with m_i >= 1 and ``weight`` is sum(e_i * m_i).
+    Cells where an active ideal misses the origin are skipped: their
+    contact locus through the origin is empty, and exactly there
+    ``contact_codim_at_origin`` would raise UnitIdeal.
+    """
+    per_factor = isinstance(caps, (tuple, list))
+    if any(not isinstance(c, int) or c < 0 for c in (caps if per_factor else [caps])):
+        raise ValueError(f"depth caps must be nonnegative integers, got {caps!r}")
+    if not per_factor:
+        caps = [caps] * len(factors)
+    grid = sorted(itertools.product(*(range(c + 1) for c in caps)), key=lambda m: (sum(m), m))
+    for mvec in grid[1:]:  # grid[0] is the zero vector
+        active = [(a, m) for (a, _), m in zip(factors, mvec) if m]
+        if all(a.vanishes_at_origin() for a, _ in active):
+            yield mvec, active, sum(e * m for (_, e), m in zip(factors, mvec))
+
+
 def mld_estimate(ma, cap: int, budget=DEFAULT_GB_BUDGET, nvars: int | None = None):
     """Truncated minimal log discrepancy bound at the origin.
 
     Minimizes codim - sum(e_i * m_i) over contact level vectors m in
     {0..cap}^r; the all-zero vector contributes the ambient dimension N.
     The result is an upper bound, non-increasing in cap.  Cells whose
-    contact locus is empty are skipped.  Returns (value, minimizing m).
+    contact locus is empty are skipped.  Returns (value, minimizing m),
+    the lexicographically smallest m on a tie.
 
     An empty product has no ring attached, so ``nvars`` must be passed for
     that degenerate case (the answer is then just N).
@@ -497,20 +521,13 @@ def mld_estimate(ma, cap: int, budget=DEFAULT_GB_BUDGET, nvars: int | None = Non
         n = nvars
     else:
         raise ValueError("an empty product needs an explicit nvars")
-    best = None
-    for mvec in itertools.product(range(cap + 1), repeat=len(factors)):
-        active = [(a, m) for (a, _), m in zip(factors, mvec) if m >= 1]
-        if not active:
-            value = Fraction(n)
-        else:
-            try:
-                codim = contact_codim_at_origin(active, budget=budget)
-            except UnitIdeal:
-                continue
-            value = Fraction(codim) - sum(e * m for (_, e), m in zip(factors, mvec))
-        if best is None or value < best[0]:
-            best = (value, mvec)
-    return best
+    return min(
+        [(Fraction(n), (0,) * len(factors))]
+        + [
+            (Fraction(contact_codim_at_origin(active, budget=budget) - weight), mvec)
+            for mvec, active, weight in contact_cells(factors, cap)
+        ]
+    )
 
 
 def lct_estimate_at_origin(a: Ideal, cap: int, budget=DEFAULT_GB_BUDGET):
@@ -518,16 +535,14 @@ def lct_estimate_at_origin(a: Ideal, cap: int, budget=DEFAULT_GB_BUDGET):
 
     min over 1 <= m <= cap of codim(contact >= m through origin) / m.
     Exact in the limit over the rationals; an upper bound in char p.
-    Returns (value, minimizing level).
+    Returns (value, minimizing level), the smallest level on a tie.
     """
     a.require_nonzero()
     if not a.vanishes_at_origin():
         raise IdealNotAtOrigin("the ideal's locus must pass through the origin")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    best = None
-    for m in range(1, cap + 1):
-        value = Fraction(contact_codim_at_origin([(a, m)], budget=budget), m)
-        if best is None or value < best[0]:
-            best = (value, m)
-    return best
+    return min(
+        (Fraction(contact_codim_at_origin(active, budget=budget), m), m)
+        for (m,), active, _ in contact_cells([(a, 1)], cap)
+    )

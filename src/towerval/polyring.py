@@ -141,11 +141,6 @@ class Domain:
             return (a + b) % self.p
         return a + b
 
-    def sub(self, a, b):
-        if self.kind == self.GF_KIND:
-            return (a - b) % self.p
-        return a - b
-
     def neg(self, a):
         if self.kind == self.GF_KIND:
             return (-a) % self.p
@@ -269,10 +264,6 @@ class Polynomial:
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.domain.zero())
-
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.terms), default=-1)
 
     def order_at_origin(self) -> int:
         """Min total degree among terms (the vanishing order at 0)."""
@@ -665,6 +656,12 @@ def lift_ideal(a: Ideal) -> Ideal:
 
 def ideal_change_domain(a: Ideal, dst: Domain) -> Ideal:
     return Ideal(dst, a.nvars, [change_domain(g, dst) for g in a.gens])
+
+
+def lift_to_q(a: Ideal) -> Ideal:
+    """Coefficient-wise lift of a GF(p) ideal, read in the rationals so
+    tower and jet operations apply."""
+    return ideal_change_domain(lift_ideal(a), QQ)
 
 
 class MultiIdeal:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towerval import errors
 from towerval.cli import main, parse_script, run
@@ -193,6 +199,13 @@ def test_ring_with_fewer_than_two_variables_is_an_input_error(tmp_path, capsys, 
     assert err.startswith("error:") and "line 2" in err and f"N={n}" in err
 
 
+@pytest.mark.parametrize("command", ["mld a:1", "crosschar a:1"])
+def test_negative_cap_is_an_input_error(tmp_path, capsys, command):
+    code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n", "--cap", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "-1" in err
+
+
 def test_exit_code_one_for_failed_identities(tmp_path, capsys):
     code, _, err = run_main(tmp_path, capsys, BASIC + "bridge T a tamper\n")
     assert code == 1 and "BridgeIdentityFailed" in err
@@ -240,3 +253,45 @@ def test_json_format_is_sorted_and_parseable(tmp_path, capsys):
     assert payload[0]["command"] == "keval T"
     assert payload[0]["lines"] == [{"divisor": "1", "k": "1"}]
 
+
+# -- fuzzing the estimator commands ------------------------------------------------
+
+FUZZ_IDEALS = "ideal a: x1^2 + x2^3\nideal b: x1*x2\nideal c: x1 + 1"  # c misses the origin
+# well-formed choices are listed more than once so that most scripts get past parsing
+NAMES = ["a", "a", "b", "b", "c", "undeclared"]
+EXPONENTS = ["", "", "", ":1", ":2", ":1/2", ":0", ":-1", ":x", ":1/0"]
+
+
+@st.composite
+def estimator_scripts(draw):
+    lines = [f"ring N=2 p={draw(st.sampled_from([0, 2, 3, 5, 7]))}", FUZZ_IDEALS]
+    for _ in range(draw(st.integers(1, 2))):
+        tokens = [
+            draw(st.sampled_from(NAMES)) + draw(st.sampled_from(EXPONENTS))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        command = draw(st.sampled_from(["lct", "mld", "notlc", "crosschar"]))
+        lines.append(" ".join([command] + tokens))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(
+    script=estimator_scripts(),
+    cap=st.integers(-2, 3),
+    budget=st.one_of(st.integers(-1, 8), st.integers(-1, 100_000)),
+)
+def test_estimator_commands_exit_with_a_contract_code(script, cap, budget):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "script.tv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(script)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--script", path, "--cap", str(cap), "--gb-budget", str(budget)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
