@@ -92,7 +92,7 @@ def lct_witness(t: Tower, did: int, a: Ideal) -> LctWitness:
 
 # -- toric weight search ------------------------------------------------------
 
-def realize_toric_weight(domain: Domain, w: tuple) -> tuple:
+def realize_toric_weight(domain: Domain, w: tuple, *, _built=None) -> tuple:
     """Build a tower whose last divisor is the monomial valuation of weight w.
 
     The walk keeps the coordinates of w in the basis of the current
@@ -101,21 +101,28 @@ def realize_toric_weight(domain: Domain, w: tuple) -> tuple:
     coordinate, leaves the coordinate vector nonnegative while strictly
     dropping its sum, so the loop stops, and it can only stop when the
     newest ray is w itself.  Returns (tower, divisor id).
+
+    Walks sharing a ``_built`` map (center sequence -> blow-up result)
+    build each common prefix once.
     """
     n = len(w)
     if any(not isinstance(c, int) or c < 1 for c in w):
         raise ValueError(f"weights must be positive integers, got {w!r}")
     if math.gcd(*w) != 1:
         raise ValueError(f"weight vector {w!r} is not primitive")
+    built = {} if _built is None else _built
     t = new_tower(n, domain)
     cid = 0
     lam = list(w)
     did = None
+    centers = ()
     while sorted(lam) != [0] * (n - 1) + [1]:
         support = [i for i in range(n) if lam[i] > 0]
         pivot = min(i for i in support if lam[i] == min(lam[j] for j in support))
-        center = CenterSpec.make(cid, {i: 0 for i in support}, domain)
-        t, did = blow_up(t, center)
+        centers += (CenterSpec.make(cid, {i: 0 for i in support}, domain),)
+        if centers not in built:
+            built[centers] = blow_up(t, centers[-1])
+        t, did = built[centers]
         step = t.steps[-1]
         cid = step.chart_ids[sorted(support).index(pivot)]
         for i in support:
@@ -158,11 +165,12 @@ def toric_weight_search(a: Ideal, weight_bound: int) -> LctWitness:
         raise ValueError(f"weight bound must be a positive integer, got {weight_bound!r}")
 
     best = None
+    built = {}  # center sequence -> (tower, divisor id), shared by the walks below
     for w in itertools.product(range(1, weight_bound + 1), repeat=a.nvars):
         if math.gcd(*w) != 1:
             continue
         v_grid = min(sum(wj * mj for wj, mj in zip(w, m)) for m in exponents)
-        t, did = realize_toric_weight(a.domain, w)
+        t, did = realize_toric_weight(a.domain, w, _built=built)
         v_tower = valuation(t, did, a)
         if v_tower != v_grid:
             raise MathCheckFailed(

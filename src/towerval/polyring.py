@@ -92,7 +92,7 @@ class Domain:
         return self.p if self.kind == self.GF_KIND else 0
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Domain)
             and self.kind == other.kind
             and self.p == other.p

@@ -10,9 +10,13 @@ appends |S| affine charts, one per pivot index l in S, glued by
 
 and the new divisor is {u_l = 0} in each of them.
 
-Per chart we keep the composite map down to the base (the "frame": every
+Per chart we know the composite map down to the base (the "frame": every
 base coordinate as a polynomial in chart coordinates) and a local defining
-equation for the proper transform of every divisor born so far.  The frame
+equation for the proper transform of every divisor born so far.  A blow-up
+records only each new chart's pullback; the frame and the equations are
+derived from the parent chart the first time they are read, and then kept.
+Towers are immutable and share their charts with every tower extended from
+them, so a chart's frame is computed at most once.  The frame
 makes divisorial valuations a substitution followed by reading off the
 pivot-adic order; the local equations make containment of a center in an
 earlier divisor an exact substitution test, which drives the discrepancy
@@ -61,18 +65,62 @@ class CenterSpec:
         return dict(self.constraints)
 
 
-@dataclass(frozen=True)
 class Chart:
-    cid: int
-    parent: int | None
-    pivot: int | None
-    step: int
-    pullback: tuple | None   # parent coordinates as polynomials here
-    frame: tuple             # base coordinates as polynomials here
-    divisor_eqs: dict        # divisor id -> local equation of its proper transform
+    """One affine chart, read-only.  ``pullback``: parent coordinates as
+    polynomials here; ``frame``: base coordinates; ``divisor_eqs``: divisor
+    id -> local equation of its proper transform (both derived on first read).
+    """
 
-    def __hash__(self):
-        return hash(self.cid)
+    __slots__ = ("cid", "pivot", "step", "pullback", "_up", "_frame", "_eqs")
+
+    def __init__(self, cid, up, pivot, step, pullback, frame=None, divisor_eqs=None):
+        for key, value in (("cid", cid), ("_up", up), ("pivot", pivot), ("step", step),
+                           ("pullback", pullback), ("_frame", frame), ("_eqs", divisor_eqs)):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Chart is immutable")
+
+    @property
+    def parent(self) -> int | None:
+        return None if self._up is None else self._up.cid
+
+    @property
+    def frame(self) -> tuple:
+        return self._frame if self._frame is not None else self._derive("_frame", _pull_frame)
+
+    @property
+    def divisor_eqs(self) -> dict:
+        return self._eqs if self._eqs is not None else self._derive("_eqs", _pull_divisor_eqs)
+
+    def _derive(self, slot, pull):
+        """Walk up to the nearest chart that has the slot, then fill it downward."""
+        path, chart = [], self
+        while getattr(chart, slot) is None:
+            path.append(chart)
+            chart = chart._up
+        value = getattr(chart, slot)
+        for chart in reversed(path):
+            value = pull(chart, value)
+            object.__setattr__(chart, slot, value)
+        return value
+
+
+def _pull_frame(chart: Chart, frame: tuple) -> tuple:
+    return tuple(f.substitute(chart.pullback) for f in frame)
+
+
+def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
+    """Pull the parent's equations back, strip the pivot power, add the new divisor."""
+    pivot = chart.pivot
+    out = {}
+    for did, eq in eqs.items():
+        g = eq.substitute(chart.pullback)
+        drop = g.var_min_exponent(pivot)
+        out[did] = g.divide_var_power(pivot, drop) if drop else g
+    u = chart.pullback[pivot]
+    out[chart.step] = Polynomial.variable(u.domain, u.nvars, pivot)
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +191,7 @@ def new_tower(n: int, domain: Domain) -> Tower:
     if not isinstance(n, int) or n < 2:
         raise BadDimension(f"towers need ambient dimension >= 2, got {n!r}")
     frame = tuple(Polynomial.variable(domain, n, i) for i in range(n))
-    root = Chart(cid=0, parent=None, pivot=None, step=0, pullback=None, frame=frame, divisor_eqs={})
+    root = Chart(0, None, None, 0, None, frame=frame, divisor_eqs={})
     return Tower(domain, n, (root,), ())
 
 
@@ -173,41 +221,20 @@ def blow_up(t: Tower, center: CenterSpec):
     step_no = len(t.steps) + 1
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
+    u = [Polynomial.variable(dom, n, j) for j in range(n)]
+    consts = {i: Polynomial.constant(dom, n, c) for i, c in cmap.items()}
     new_charts = []
     base_cid = len(t.charts)
     for pivot in S:
         pullback = []
-        u_pivot = Polynomial.variable(dom, n, pivot)
         for j in range(n):
-            u_j = Polynomial.variable(dom, n, j)
-            cj = Polynomial.constant(dom, n, cmap[j]) if j in cmap else None
             if j == pivot:
-                pullback.append(cj + u_pivot)
+                pullback.append(consts[j] + u[pivot])
             elif j in cmap:
-                pullback.append(cj + u_pivot * u_j)
+                pullback.append(consts[j] + u[pivot] * u[j])
             else:
-                pullback.append(u_j)
-        pullback = tuple(pullback)
-        frame = tuple(f.substitute(pullback) for f in chart.frame)
-        eqs = {}
-        for did, eq in chart.divisor_eqs.items():
-            g = eq.substitute(pullback)
-            drop = g.var_min_exponent(pivot)
-            if drop:
-                g = g.divide_var_power(pivot, drop)
-            eqs[did] = g
-        eqs[step_no] = u_pivot
-        new_charts.append(
-            Chart(
-                cid=base_cid + len(new_charts),
-                parent=chart.cid,
-                pivot=pivot,
-                step=step_no,
-                pullback=pullback,
-                frame=frame,
-                divisor_eqs=eqs,
-            )
-        )
+                pullback.append(u[j])
+        new_charts.append(Chart(base_cid + len(new_charts), chart, pivot, step_no, tuple(pullback)))
 
     record = DivisorRecord(step_no, k, new_charts[0].cid, contained)
     step = Step(CenterSpec(center.chart, tuple(sorted(cmap.items()))), tuple(c.cid for c in new_charts), record)

@@ -261,3 +261,11 @@ def test_change_domain_embeds_integers_into_rationals():
     f = P("2*x1 - 3", ZZ)
     g = change_domain(f, QQ)
     assert g.domain == QQ and g.terms[(1, 0)] == Fraction(2)
+
+
+def test_domain_equality_and_hash():
+    assert GF(5) == GF(5) and GF(5) is not GF(5)
+    assert hash(GF(5)) == hash(GF(5))
+    assert GF(5) != GF(7)
+    assert QQ != GF(5) and GF(5) != QQ
+    assert QQ == QQ and hash(QQ) == hash(QQ)
