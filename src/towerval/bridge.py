@@ -96,7 +96,7 @@ def lift_tower(t: Tower) -> Tower:
     for step in t.steps:
         center = CenterSpec.make(
             step.center.chart,
-            {i: Fraction(c) for i, c in step.center.constraints},
+            step.center.as_dict(),
             QQ,
         )
         out, did = blow_up(out, center)
@@ -232,7 +232,7 @@ def shifted_log_discrepancy_check(report: BridgeReport, exponent_vectors) -> Bri
         evec = tuple(Fraction(e) for e in evec)
         if len(evec) != len(report.ideals):
             raise DimensionMismatch(
-                f"exponent vector {evec} has {len(evec)} entries for "
+                f"exponent vector {_evec_text(evec)} has {len(evec)} entries for "
                 f"{len(report.ideals)} ideals"
             )
         a_p = log_discrepancy(
@@ -243,11 +243,17 @@ def shifted_log_discrepancy_check(report: BridgeReport, exponent_vectors) -> Bri
         ).a
         if a_q != 2 * (report.n - 1) + a_p:
             raise BridgeIdentityFailed(
-                f"shift failed for exponents {evec}: a over F_{report.p} is {a_p}, "
+                f"shift failed for exponents {_evec_text(evec)}: "
+                f"a over F_{report.p} is {a_p}, "
                 f"a over Q is {a_q}, expected {2 * (report.n - 1) + a_p}"
             )
         shifted.append((evec, a_p, a_q))
     return replace(report, shifted=tuple(shifted))
+
+
+def _evec_text(evec) -> str:
+    """An exponent vector as the CLI prints it: ``(1/1,1/2)``."""
+    return "(" + ",".join(f"{e.numerator}/{e.denominator}" for e in evec) + ")"
 
 
 # -- cross-characteristic inequalities ----------------------------------------

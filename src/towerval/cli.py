@@ -90,9 +90,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_center(cs: CenterSpec) -> str:
+def _fmt_center(cs: CenterSpec, rational: bool = False) -> str:
+    """A center as text; ``rational`` prints its constants as num/den,
+    integral ones included (QQ keeps those as ints)."""
     parts = [f"chart={cs.chart}"]
-    parts += [f"x{i + 1}={_fmt(c)}" for i, c in cs.constraints]
+    parts += [f"x{i + 1}={_fmt(Fraction(c) if rational else c)}" for i, c in cs.constraints]
     return "(" + ",".join(parts) + ")"
 
 
@@ -416,8 +418,8 @@ def _cmd_bridge(script, tokens, opt, block, ln):
     block.add(("E", report.input_divisor), ("F1", report.middle_divisor), ("F", report.final_divisor))
     block.add(("P1", _fmt_center(report.point_1)), ("P2", _fmt_center(report.point_2)))
     block.add(
-        ("lifted_P1", _fmt_center(report.lifted_point_1)),
-        ("lifted_P2", _fmt_center(report.lifted_point_2)),
+        ("lifted_P1", _fmt_center(report.lifted_point_1, rational=True)),
+        ("lifted_P2", _fmt_center(report.lifted_point_2, rational=True)),
     )
     for i, (ve, vp, vq) in enumerate(report.valuations):
         block.add((f"v_E_{i}", ve), (f"v_Fp_{i}", vp), (f"v_Fq_{i}", vq))

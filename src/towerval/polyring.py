@@ -5,8 +5,10 @@ reduces to arithmetic in this module, so the representation is kept as
 plain as possible:
 
 * a coefficient domain is one of ``GF(p)`` (p prime, elements the ints
-  ``0..p-1``), ``QQ`` (elements ``fractions.Fraction``) and ``ZZ``
-  (arbitrary-precision ints);
+  ``0..p-1``), ``QQ`` (elements ints and ``fractions.Fraction`` values:
+  ``QQ.coerce`` and ``QQ.inv`` return an int for an integral value, and
+  a sum or product may still hold an integral ``Fraction``, which equals
+  and hashes like its int) and ``ZZ`` (arbitrary-precision ints);
 * a monomial is a dense exponent tuple of length ``nvars``;
 * a polynomial is an immutable term map {exponent tuple: nonzero
   coefficient}.  Two polynomials are equal iff their term maps are equal,
@@ -111,8 +113,9 @@ class Domain:
     def coerce(self, c):
         """Return the canonical representative of ``c``, or raise.
 
-        GF(p) accepts ints (reduced mod p); QQ accepts ints and Fractions;
-        ZZ accepts ints only.
+        GF(p) accepts ints (reduced mod p); QQ accepts ints and Fractions
+        and returns an int exactly when the value is integral; ZZ accepts
+        ints only.
         """
         if self.kind == self.GF_KIND:
             if isinstance(c, bool) or not isinstance(c, int):
@@ -122,9 +125,9 @@ class Domain:
             if isinstance(c, bool):
                 raise ConstantNotInField(f"{c!r} is not a rational")
             if isinstance(c, int):
-                return Fraction(c)
-            if isinstance(c, Fraction):
                 return c
+            if isinstance(c, Fraction):
+                return c.numerator if c.denominator == 1 else c
             raise ConstantNotInField(f"{c!r} is not a rational")
         if isinstance(c, bool) or not isinstance(c, int):
             raise ConstantNotInField(f"{c!r} is not an integer")
@@ -157,7 +160,8 @@ class Domain:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.p - 2, self.p)
         if self.kind == self.Q_KIND:
-            return Fraction(1) / a
+            a = Fraction(1) / a
+            return a.numerator if a.denominator == 1 else a
         raise RingMismatch("ZZ is not a field")
 
     def pow(self, a, e: int):
@@ -213,11 +217,11 @@ class Polynomial:
     __slots__ = ("domain", "nvars", "terms", "_hash")
 
     def __init__(self, domain: Domain, nvars: int, terms: dict):
-        """``terms`` must already be canonical; prefer the classmethods."""
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        """``terms`` must already be canonical; prefer the classmethods.
+        ``_hash`` stays unset until ``__hash__`` first fills it."""
+        _set_domain(self, domain)
+        _set_nvars(self, nvars)
+        _set_terms(self, terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -290,11 +294,12 @@ class Polynomial:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.domain, self.nvars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set_hash(self, h)
+            return h
 
     # -- arithmetic --------------------------------------------------------
 
@@ -496,6 +501,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self.domain!r}[{self.nvars}] {self.text()}>"
+
+
+# The slot descriptors' setters, bound once: ``__setattr__`` raises, and these
+# are the only writers of a Polynomial's fields.
+_set_domain = Polynomial.domain.__set__
+_set_nvars = Polynomial.nvars.__set__
+_set_terms = Polynomial.terms.__set__
+_set_hash = Polynomial._hash.__set__
 
 
 def _mul_terms(dom: Domain, a: dict, b: dict) -> dict:

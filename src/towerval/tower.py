@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadDimension,
@@ -296,10 +295,9 @@ def _value_stream(domain: Domain, radius: int):
     if domain.kind == Domain.GF_KIND:
         return list(range(domain.p))
     if domain.kind == Domain.Q_KIND:
-        out = [Fraction(0)]
+        out = [0]
         for v in range(1, radius + 1):
-            out.append(Fraction(v))
-            out.append(Fraction(-v))
+            out += (v, -v)
         return out
     raise RingMismatch("point search needs a field")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,17 @@ def test_shift_rejects_wrong_arity():
     report = bridge_construct(t, [coordinate_ideal(GF(5), 2)])
     with pytest.raises(errors.DimensionMismatch):
         shifted_log_discrepancy_check(report, [(1, 2)])
+
+
+def test_shift_failure_prints_the_vector_as_num_den():
+    t = origin_tower(GF(5))
+    report = bridge_construct(t, [coordinate_ideal(GF(5), 2)])
+    bent = replace(report, n=3)  # now expects a shift of 4; the towers give 2
+    with pytest.raises(errors.BridgeIdentityFailed) as info:
+        shifted_log_discrepancy_check(bent, [Fraction(1, 2)])
+    assert str(info.value) == (
+        "shift failed for exponents (1/2): a over F_5 is 3/2, a over Q is 7/2, expected 11/2"
+    )
 
 
 # -- cross-characteristic comparisons ---------------------------------------------

@@ -192,6 +192,38 @@ def test_zero_denominator_bridge_vector_is_an_input_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and "1/0" in err
 
 
+def test_bridge_vector_of_the_wrong_length_prints_num_den(tmp_path, capsys):
+    code, out, err = run_main(tmp_path, capsys, BASIC + "bridge T a e=(1,2)\n")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: DimensionMismatch: command 1 (bridge): exponent vector (1/1,2/1)"
+        " has 2 entries for 1 ideals\n"
+    )
+
+
+BRIDGE_SESSION = """\
+ring N=2 p=7
+ideal m: x1, x2
+ideal c: x1^2 + x2^3
+tower T: blowup chart=root point=(0,0); blowup chart=1 point=(0,0); blowup chart=3 point=(0,0)
+bridge T m c e=(1,1/2)
+"""
+
+
+def test_bridge_prints_lifted_centers_as_rationals(tmp_path, capsys):
+    """The rationals keep integral constants as ints; the lifted centers
+    still print them as num/den, in text and in json."""
+    code, out, _ = run_main(tmp_path, capsys, BRIDGE_SESSION)
+    assert code == 0
+    assert "P1=(chart=5,x1=0,x2=0) P2=(chart=7,x1=0,x2=0)\n" in out
+    assert "\nlifted_P1=(chart=5,x1=0/1,x2=0/1) lifted_P2=(chart=7,x1=0/1,x2=0/1)\n" in out
+    code, out, _ = run_main(tmp_path, capsys, BRIDGE_SESSION, "--format", "json")
+    lines = json.loads(out)[0]["lines"]
+    assert {"lifted_P1": "(chart=5,x1=0/1,x2=0/1)",
+            "lifted_P2": "(chart=7,x1=0/1,x2=0/1)"} in lines
+    assert {"P1": "(chart=5,x1=0,x2=0)", "P2": "(chart=7,x1=0,x2=0)"} in lines
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_ring_with_fewer_than_two_variables_is_an_input_error(tmp_path, capsys, n):
     code, out, err = run_main(tmp_path, capsys, f"# header\nring N={n} p=5\nlct x1\n")
