@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -580,7 +581,15 @@ def main(argv=None) -> int:
     except ResourceExhausted as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so the flush at
+        # interpreter shutdown cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -18,6 +18,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .errors import (
     BudgetExceeded,
@@ -45,7 +46,7 @@ DEFAULT_GB_BUDGET = 100_000
 def grevlex_key(a):
     """Sort key of graded reverse lex: total degree first, ties broken in
     favour of the smaller exponent in the last variable where they differ."""
-    return (sum(a), tuple(-e for e in reversed(a)))
+    return (sum(a), tuple(map(neg, reversed(a))))
 
 
 # Monomial orders are sort keys: the larger key is the larger monomial.
@@ -302,7 +303,8 @@ def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
 class JetSystem:
     """Truncated jet data of an ideal: level m, variables x_l^(q) for
     0 <= q <= m, and per generator the coefficients F^(0), ..., F^(m) of
-    its expansion along x_l -> sum_q x_l^(q) t^q."""
+    its expansion along x_l -> sum_q x_l^(q) t^q (over q >= 1 only for
+    arcs through the origin, see ``jet_equations``)."""
 
     n: int
     level: int
@@ -320,8 +322,13 @@ class JetSystem:
         return [f"x{l + 1}_{q}" for l in range(self.n) for q in range(self.level + 1)]
 
 
-def jet_equations(a: Ideal, m: int) -> JetSystem:
-    """Expand each generator along truncated jets and split off t-powers."""
+def jet_equations(a: Ideal, m: int, *, at_origin: bool = False) -> JetSystem:
+    """Expand each generator along truncated jets and split off t-powers.
+
+    With ``at_origin`` the expansion runs along arcs through the origin,
+    x_l(t) = sum_{q>=1} x_l^(q) t^q: the q = 0 slot is zero, so no
+    x_l^(0) occurs in any coefficient, though the ring still has them.
+    """
     a.require_nonzero()
     if m < 0:
         raise ValueError("jet level must be >= 0")
@@ -330,7 +337,10 @@ def jet_equations(a: Ideal, m: int) -> JetSystem:
     jet_nvars = n * width
     zero = Polynomial.zero(dom, jet_nvars)
     var_series = [
-        [Polynomial.variable(dom, jet_nvars, l * width + q) for q in range(width)]
+        [
+            zero if at_origin and q == 0 else Polynomial.variable(dom, jet_nvars, l * width + q)
+            for q in range(width)
+        ]
         for l in range(n)
     ]
 
@@ -434,36 +444,30 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
 
     The defining ideal lives in the N*L jet variables with q < L: all
     x_l^(0), plus for factor i the coefficients F^(j), j < m_i, of each
-    generator.  Monomial inputs use the combinatorial fast path unless
-    ``force_groebner`` asks for the slow route (the tests compare the two).
+    generator expanded along arcs through the origin (``at_origin``), so
+    no x_l^(0) occurs in them.  The x_l^(0) stay in the ring as linear
+    generators: dropping them would change the Groebner input, and with
+    it the step counts and the point where a budget runs out.  Monomial
+    inputs use the combinatorial fast path unless ``force_groebner`` asks
+    for the slow route (the tests compare the two).
     """
     (dom, n) = _check_factors(factors)
     if not force_groebner and all(a.is_monomial() for a, _ in factors):
         return monomial_contact_codim(factors)
 
-    L = max(m for _, m in factors)
-    width = L  # jet variables x_l^(q), 0 <= q <= L-1
+    L = max(m for _, m in factors)  # jet variables x_l^(q), 0 <= q <= L-1
     js_cache: dict = {}
 
     def system(a: Ideal) -> JetSystem:
         if a not in js_cache:
-            js_cache[a] = jet_equations(a, L - 1)
+            js_cache[a] = jet_equations(a, L - 1, at_origin=True)
         return js_cache[a]
 
-    jet_nvars = n * width
-    gens = [Polynomial.variable(dom, jet_nvars, l * width) for l in range(n)]
-    kill_origin = [
-        Polynomial.zero(dom, jet_nvars)
-        if q == 0
-        else Polynomial.variable(dom, jet_nvars, l * width + q)
-        for l in range(n)
-        for q in range(width)
-    ]
+    jet_nvars = n * L
+    gens = [Polynomial.variable(dom, jet_nvars, l * L) for l in range(n)]
     for a, m in factors:
-        js = system(a)
-        for coeffs in js.coefficients:
-            for j in range(m):
-                g = coeffs[j].substitute(kill_origin)
+        for coeffs in system(a).coefficients:
+            for g in coeffs[:m]:
                 if g.is_constant():
                     if g.is_zero():
                         continue

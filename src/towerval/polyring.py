@@ -26,7 +26,7 @@ No floating point appears anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -181,7 +181,7 @@ ZZ = Domain(Domain.Z_KIND)
 # -- monomial helpers ---------------------------------------------------------
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def mono_deg(a: Mono) -> int:
@@ -190,15 +190,15 @@ def mono_deg(a: Mono) -> int:
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """Whether x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(_le, a, b))
 
 
 def mono_div(b: Mono, a: Mono) -> Mono:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(_sub, b, a))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grlex_key(a: Mono):

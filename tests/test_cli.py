@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import towerval
 from towerval import errors
 from towerval.cli import main, parse_script, run
 
@@ -264,6 +268,22 @@ def test_missing_script_file(tmp_path, capsys):
     code = main(["--script", str(tmp_path / "absent.tv")])
     captured = capsys.readouterr()
     assert code == 2 and "error" in captured.err
+
+
+def test_closed_stdout_exits_zero_without_a_traceback(tmp_path):
+    path = tmp_path / "script.tv"
+    path.write_text(BASIC + "keval T\njets a 3\n")
+    src = str(Path(towerval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)  # towerval needs nothing beyond the stdlib
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "towerval.cli", "--script", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before any output arrives
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # -- determinism -------------------------------------------------------------------

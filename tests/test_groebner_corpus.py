@@ -147,14 +147,35 @@ def test_contact_codims_match_the_recorded_engine(gens, n, level, codim):
 
 
 # The dimension path's step counts pin the grevlex engine's work: losing the
-# gain (grlex in the dimension path, another pair rule) moves them.
-@pytest.mark.parametrize(
-    "gens, n, level, steps",
-    [
-        (("x1^3 + x2^3",), 2, 6, 113),
-        (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178),
-    ],
+# gain (grlex in the dimension path, another pair rule) moves them, and so
+# does any change to the Groebner input of a contact cell.  The first two
+# were pinned first; the rest cover every other cell of CELLS.
+DIMENSION_STEPS = (
+    (("x1^3 + x2^3",), 2, 6, 113),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178),
+    (("x1^2 + x2^3",), 2, 4, 6),
+    (("x1^2 + x2^3",), 2, 5, 60),
+    (("x1^2 + x2^3",), 2, 6, 724),
+    (("x1*x2 + x3^2",), 3, 4, 17),
+    (("x1*x2 + x3^2",), 3, 5, 84),
+    (("x1*x2 + x3^2",), 3, 6, 603),
+    (("x1^2 + x2^5",), 2, 5, 11),
+    (("x1^2 + x2^5",), 2, 6, 16),
+    (("x1^3 + x2^3",), 2, 5, 11),
+    (("x1^2 + x2^2 + x3^2",), 3, 3, 6),
+    (("x1^2 + x2^2 + x3^2",), 3, 4, 18),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10),
+    (("x1^2 + x2^3",), 2, 7, 5663),
+    (("x1^2 + x2^2 + x3^2",), 3, 5, 44),
 )
+
+
+def test_every_contact_cell_has_a_step_pin():
+    pinned = sorted(pin[:3] for pin in DIMENSION_STEPS)
+    assert pinned == sorted(cell[:3] for cell in CELLS)
+
+
+@pytest.mark.parametrize("gens, n, level, steps", DIMENSION_STEPS)
 def test_dimension_path_step_counts_are_pinned(gens, n, level, steps):
     budget = StepBudget(10**6)
     contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget)

@@ -17,7 +17,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from towerval import acceptance_corpus, build_case, errors
-from towerval.polyring import GF, QQ, ZZ, Polynomial, parse_polynomial
+from towerval.jets import grevlex_key
+from towerval.polyring import (
+    GF,
+    QQ,
+    ZZ,
+    Polynomial,
+    grlex_key,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_polynomial,
+)
 
 DOMAINS = {"GF2": GF(2), "GF7": GF(7), "GF101": GF(101), "QQ": QQ, "ZZ": ZZ}
 
@@ -350,3 +362,39 @@ def test_constant_coerces_into_the_domain():
         Polynomial.constant(QQ, 2, True)
     with pytest.raises(errors.ConstantNotInField):
         Polynomial.constant(ZZ, 2, Fraction(1, 2))
+
+
+# -- monomial kernels ------------------------------------------------------------------
+
+# Reference definitions written over zip, as the kernels were before they
+# moved onto map and operator functions.
+REFERENCE_PAIR_OPS = (
+    (mono_mul, lambda a, b: tuple(x + y for x, y in zip(a, b))),
+    (mono_div, lambda b, a: tuple(y - x for x, y in zip(a, b))),
+    (mono_divides, lambda a, b: all(x <= y for x, y in zip(a, b))),
+    (mono_lcm, lambda a, b: tuple(max(x, y) for x, y in zip(a, b))),
+)
+REFERENCE_KEYS = (
+    (grlex_key, lambda a: (sum(a), a)),
+    (grevlex_key, lambda a: (sum(a), tuple(-e for e in reversed(a)))),
+)
+
+
+def exponents(n):
+    return st.tuples(*[st.integers(0, 9)] * n)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(exponents(n), exponents(n))))
+def test_monomial_kernels_match_zip_references(pair):
+    a, b = pair
+    for kernel, reference in REFERENCE_PAIR_OPS:
+        assert kernel(a, b) == reference(a, b)
+        assert kernel(b, a) == reference(b, a)
+    for key, reference in REFERENCE_KEYS:
+        assert key(a) == reference(a)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(exponents(n), max_size=12)))
+def test_monomial_keys_sort_like_zip_references(monos):
+    for key, reference in REFERENCE_KEYS:
+        assert sorted(monos, key=key) == sorted(monos, key=reference)
