@@ -553,6 +553,9 @@ def main(argv=None) -> int:
     ap.add_argument("--weight-bound", type=int, default=8, help="toric weight search bound")
     ap.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     ns = ap.parse_args(argv)
+    if ns.gb_budget < 0:
+        print(f"error: --gb-budget must be >= 0, got {ns.gb_budget}", file=sys.stderr)
+        return 2
 
     try:
         if not ns.script or ns.script == "-":

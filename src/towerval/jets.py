@@ -32,12 +32,13 @@ from .polyring import (
     Domain,
     Ideal,
     Polynomial,
+    _add_multiple,
+    _mul_terms,
     grlex_key,
     lift_to_q,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_GB_BUDGET = 100_000
@@ -82,19 +83,6 @@ def _monic(f: Polynomial, lm) -> Polynomial:
     return f.scale(f.domain.inv(f.terms[lm]))
 
 
-def _add_multiple(acc: dict, c, q, g: Polynomial, glm):
-    """acc += c * x^q * (g without its leading term glm), in place."""
-    dom = g.domain
-    for m, gc in g.terms.items():
-        if m != glm:
-            m = mono_mul(m, q)
-            v = dom.add(acc.get(m, 0), dom.mul(c, gc))
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
-
-
 def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None) -> Polynomial:
     """Fully reduce f against a list of polynomials monic in ``order``.
 
@@ -118,7 +106,7 @@ def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None)
             tail[lm] = lc
             continue
         budget.spend()
-        _add_multiple(work, dom.neg(lc), mono_div(lm, glm), g, glm)
+        _add_multiple(dom, work, -lc, mono_div(lm, glm), g.terms, glm)
     return Polynomial(dom, f.nvars, tail)
 
 
@@ -128,8 +116,8 @@ def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
     dom = f.domain
     lcm = mono_lcm(lf, lg)
     acc: dict = {}
-    _add_multiple(acc, dom.one(), mono_div(lcm, lf), f, lf)
-    _add_multiple(acc, dom.neg(dom.one()), mono_div(lcm, lg), g, lg)
+    _add_multiple(dom, acc, 1, mono_div(lcm, lf), f.terms, lf)
+    _add_multiple(dom, acc, -1, mono_div(lcm, lg), g.terms, lg)
     return Polynomial(dom, f.nvars, acc)
 
 
@@ -170,7 +158,7 @@ def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
         _, i, j = heapq.heappop(pairs)
         budget.spend()
         li, lj = lms[i], lms[j]
-        if mono_lcm(li, lj) == mono_mul(li, lj):
+        if not any(map(min, li, lj)):
             continue  # coprime leading monomials: S-polynomial reduces to zero
         nf = normal_form(_spoly(basis[i], basis[j], li, lj), basis, budget, order, lms)
         if not nf.is_zero():
@@ -335,56 +323,49 @@ def jet_equations(a: Ideal, m: int, *, at_origin: bool = False) -> JetSystem:
     n, dom = a.nvars, a.domain
     width = m + 1
     jet_nvars = n * width
-    zero = Polynomial.zero(dom, jet_nvars)
-    var_series = [
-        [
-            zero if at_origin and q == 0 else Polynomial.variable(dom, jet_nvars, l * width + q)
-            for q in range(width)
-        ]
-        for l in range(n)
-    ]
+    unit = (0,) * jet_nvars
 
-    def series_mul(A, B):
-        out = [zero] * width
+    # A series is a list of ``width`` term maps, the coefficients of t^0..t^m.
+    def series(c=None):
+        return [{} if c is None else {unit: c}] + [{} for _ in range(m)]
+
+    def series_mul(A, B, out):
+        """out += A * B truncated after t^m, in place; returns out."""
         for i, ai in enumerate(A):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(B):
-                if i + j >= width:
-                    break
-                if bj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ai * bj
+            if ai:
+                for j, bj in enumerate(B[: width - i]):
+                    if bj:
+                        _mul_terms(dom, ai, bj, out[i + j])
         return out
 
+    var_series = [
+        [Polynomial.variable(dom, jet_nvars, l * width + q).terms for q in range(width)]
+        for l in range(n)
+    ]
+    if at_origin:
+        for xl in var_series:
+            xl[0] = {}
     power_cache: dict = {}
 
     def series_power(l, e):
-        if e == 0:
-            return None
+        if e == 1:
+            return var_series[l]
         key = (l, e)
         if key not in power_cache:
-            if e == 1:
-                power_cache[key] = var_series[l]
-            else:
-                power_cache[key] = series_mul(series_power(l, e - 1), var_series[l])
+            power_cache[key] = series_mul(series_power(l, e - 1), var_series[l], series())
         return power_cache[key]
 
+    one = series(1)
     out = []
     for g in a.gens:
-        acc = [zero] * width
+        acc = series()
         for mono, c in g.terms.items():
-            piece = None
-            for l, e in enumerate(mono):
-                if not e:
-                    continue
-                s = series_power(l, e)
-                piece = s if piece is None else series_mul(piece, s)
-            if piece is None:  # constant term
-                piece = [Polynomial.constant(dom, jet_nvars, 1)] + [zero] * m
-            scaled = [p.scale(c) for p in piece]
-            acc = [x + y for x, y in zip(acc, scaled)]
-        out.append(tuple(acc))
+            factors = [series_power(l, e) for l, e in enumerate(mono) if e] or [one]
+            piece = series(c)
+            for f in factors[:-1]:
+                piece = series_mul(piece, f, series())
+            series_mul(piece, factors[-1], acc)
+        out.append(tuple(Polynomial(dom, jet_nvars, terms) for terms in acc))
     return JetSystem(n=n, level=m, domain=dom, coefficients=tuple(out))
 
 

@@ -14,11 +14,16 @@ plain as possible:
   coefficient}.  Two polynomials are equal iff their term maps are equal,
   which makes canonical forms trivial and hashing cheap.
 
-Arithmetic runs on plain term dicts through two private helpers:
-``_mul_terms`` is the one product loop (``*``, ``**`` and ``substitute``)
-and ``_add_into`` the one in-place accumulation (``+``, ``-`` and the sum
-of substituted terms).  A ``Polynomial`` is built only at the API
-boundary, once per result, never for intermediate factors.
+All coefficient arithmetic on term maps runs in three private kernels:
+``_mul_terms`` adds a product into a map (``*``, ``**``, ``scale``,
+``substitute`` and the jet expansion in ``jets``), ``_add_into`` adds a
+map with a sign (``+``, ``-``, negation and the sum of substituted
+terms), and ``_add_multiple`` adds a monomial multiple of a map without
+its leading term (the reduction step of ``jets``).  ``Domain`` keeps only
+``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
+``evaluate`` end with it), and ``inv``.  Nothing outside this module
+reduces mod p.  A ``Polynomial`` is built only at the API boundary, once
+per result, never for intermediate factors.
 
 No floating point appears anywhere in the package.
 """
@@ -133,27 +138,6 @@ class Domain:
             raise ConstantNotInField(f"{c!r} is not an integer")
         return c
 
-    def zero(self):
-        return self.coerce(0)
-
-    def one(self):
-        return self.coerce(1)
-
-    def add(self, a, b):
-        if self.kind == self.GF_KIND:
-            return (a + b) % self.p
-        return a + b
-
-    def neg(self, a):
-        if self.kind == self.GF_KIND:
-            return (-a) % self.p
-        return -a
-
-    def mul(self, a, b):
-        if self.kind == self.GF_KIND:
-            return (a * b) % self.p
-        return a * b
-
     def inv(self, a):
         if self.kind == self.GF_KIND:
             if a % self.p == 0:
@@ -163,11 +147,6 @@ class Domain:
             a = Fraction(1) / a
             return a.numerator if a.denominator == 1 else a
         raise RingMismatch("ZZ is not a field")
-
-    def pow(self, a, e: int):
-        if self.kind == self.GF_KIND:
-            return pow(a, e, self.p)
-        return a ** e
 
 
 def GF(p: int) -> Domain:
@@ -237,9 +216,7 @@ class Polynomial:
             if len(exps) != nvars or any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r} for {nvars} variables")
             c = domain.coerce(c)
-            if exps in acc:
-                c = domain.add(acc[exps], c)
-            acc[exps] = c
+            acc[exps] = domain.coerce(acc[exps] + c) if exps in acc else c
         return cls(domain, nvars, {m: c for m, c in acc.items() if c != 0})
 
     @classmethod
@@ -256,7 +233,7 @@ class Polynomial:
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
         exps = (0,) * i + (1,) + (0,) * (nvars - i - 1)
-        return cls(domain, nvars, {exps: domain.one()})
+        return cls(domain, nvars, {exps: 1})
 
     # -- basic structure ---------------------------------------------------
 
@@ -267,7 +244,7 @@ class Polynomial:
         return all(mono_deg(m) == 0 for m in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.domain.zero())
+        return self.terms.get((0,) * self.nvars, 0)
 
     def order_at_origin(self) -> int:
         """Min total degree among terms (the vanishing order at 0)."""
@@ -310,8 +287,9 @@ class Polynomial:
         return Polynomial(self.domain, self.nvars, acc)
 
     def __neg__(self) -> "Polynomial":
-        dom = self.domain
-        return Polynomial(dom, self.nvars, {m: dom.neg(c) for m, c in self.terms.items()})
+        acc: dict = {}
+        _add_into(self.domain, acc, self.terms, -1)
+        return Polynomial(self.domain, self.nvars, acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
@@ -321,7 +299,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        terms = _mul_terms(self.domain, self.terms, other.terms)
+        terms = _mul_terms(self.domain, self.terms, other.terms, {})
         return Polynomial(self.domain, self.nvars, terms)
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -332,18 +310,16 @@ class Polynomial:
         dom, base, result = self.domain, self.terms, None
         while True:
             if n & 1:
-                result = base if result is None else _mul_terms(dom, result, base)
+                result = base if result is None else _mul_terms(dom, result, base, {})
             n >>= 1
             if not n:
                 return Polynomial(dom, self.nvars, result)
-            base = _mul_terms(dom, base, base)
+            base = _mul_terms(dom, base, base, {})
 
     def scale(self, c) -> "Polynomial":
-        dom = self.domain
+        dom, n = self.domain, self.nvars
         c = dom.coerce(c)
-        if c == 0:
-            return Polynomial.zero(dom, self.nvars)
-        return Polynomial(dom, self.nvars, {m: dom.mul(v, c) for m, v in self.terms.items()})
+        return Polynomial(dom, n, _mul_terms(dom, self.terms, {(0,) * n: c} if c else {}, {}))
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -376,7 +352,7 @@ class Polynomial:
                     if pw is None:
                         pw = images[i].terms if e == 1 else (images[i] ** e).terms
                         powers[i, e] = pw
-                    piece = pw if piece is None else _mul_terms(tdom, piece, pw)
+                    piece = pw if piece is None else _mul_terms(tdom, piece, pw, {})
             _add_into(tdom, out, {unit: c} if piece is None else piece, 1)
         return Polynomial(tdom, tn, out)
 
@@ -385,15 +361,15 @@ class Polynomial:
         if len(point) != self.nvars:
             raise RingMismatch(f"expected {self.nvars} coordinates, got {len(point)}")
         dom = self.domain
+        p = dom.p  # None outside GF(p), where pow(x, e, None) is x ** e
         vals = [dom.coerce(c) for c in point]
-        total = dom.zero()
+        total = 0
         for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
+            for x, e in zip(vals, m):
                 if e:
-                    v = dom.mul(v, dom.pow(vals[i], e))
-            total = dom.add(total, v)
-        return total
+                    c *= pow(x, e, p)
+            total += c
+        return dom.coerce(total)
 
     def substitute_constants(self, assignment: dict) -> "Polynomial":
         """Plug constants into some variables, keeping the rest symbolic."""
@@ -447,7 +423,7 @@ class Polynomial:
             e = m[i]
             if e == 0:
                 continue
-            cc = dom.mul(c, dom.coerce(e))
+            cc = dom.coerce(c * e)
             if cc == 0:
                 continue
             mm = list(m)
@@ -511,16 +487,15 @@ _set_terms = Polynomial.terms.__set__
 _set_hash = Polynomial._hash.__set__
 
 
-def _mul_terms(dom: Domain, a: dict, b: dict) -> dict:
-    """The product of two term maps: the one multiplication loop.
+def _mul_terms(dom: Domain, a: dict, b: dict, acc: dict) -> dict:
+    """acc += a * b, in place, and return acc: the one multiplication loop.
 
     Coefficients are inlined (one ``% p`` per product-and-add over GF(p))
     and a monomial whose coefficient cancels leaves the map at once.  Both
-    maps are canonical, so a product of two coefficients is never zero and
-    only a monomial already in the map can cancel.
+    factors are canonical, so a product of two coefficients is never zero
+    and only a monomial already in the map can cancel.
     """
     p = dom.p
-    acc: dict = {}
     get = acc.get
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -559,6 +534,29 @@ def _add_into(dom: Domain, acc: dict, terms: dict, sign: int) -> None:
             del acc[m]
 
 
+def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> None:
+    """acc += c * x^q * (terms without the term at lm), in place.
+
+    The caller cancels the skipped term itself.  ``c`` is any representative
+    of a nonzero coefficient; each sum is reduced as in ``_add_into``.
+    """
+    p = dom.p
+    get = acc.get
+    for m, v in terms.items():
+        if m != lm:
+            m = tuple(map(_add, m, q))
+            v = c * v
+            old = get(m)
+            if old is not None:
+                v += old
+            if p:
+                v %= p
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+
+
 def _convert_coeff(c, src: Domain, dst: Domain):
     """Move a coefficient between domains along the canonical maps.
 
@@ -571,8 +569,6 @@ def _convert_coeff(c, src: Domain, dst: Domain):
         return dst.coerce(c)
     if src.kind == Domain.GF_KIND and dst.kind in (Domain.Z_KIND, Domain.Q_KIND):
         return dst.coerce(c)
-    if src.kind == Domain.Q_KIND and dst.kind == Domain.Q_KIND:
-        return c
     raise RingMismatch(f"no canonical coefficient map {src!r} -> {dst!r}")
 
 

@@ -177,7 +177,7 @@ class Tower:
         return (
             c.chart == 0
             and len(c.constraints) == self.n
-            and all(v == self.domain.zero() for _, v in c.constraints)
+            and all(v == 0 for _, v in c.constraints)
         )
 
     def _check_base_ideal(self, a: Ideal):
@@ -340,9 +340,8 @@ def point_on_divisor_avoiding(
 
     stream = _value_stream(dom, radius)
     free = [i for i in range(n) if i != pivot]
-    zero = dom.zero()
     for combo in itertools.product(stream, repeat=len(free)):
-        pt = [zero] * n
+        pt = [0] * n
         for i, v in zip(free, combo):
             pt[i] = v
         if any(eq.evaluate(pt) == 0 for eq in eqs):
@@ -440,17 +439,17 @@ def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:
     for sibling_cid in parent_step.chart_ids:
         sib = t.chart(sibling_cid)
         j = sib.pivot
-        if j == piv or cmap[j] == dom.zero():
+        if j == piv or cmap[j] == 0:
             continue
         inv = dom.inv(cmap[j])
         coords = {}
         for i in range(t.n):
             if i == j:
-                coords[i] = dom.mul(cmap[piv], cmap[j])
+                coords[i] = cmap[piv] * cmap[j]
             elif i == piv:
                 coords[i] = inv
             elif i in prev_S:
-                coords[i] = dom.mul(cmap[i], inv)
+                coords[i] = cmap[i] * inv
             else:
                 coords[i] = cmap[i]
         out.append(CenterSpec.make(sibling_cid, coords, dom))

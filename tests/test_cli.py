@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towerval
+import towerval.cli
 from towerval import errors
 from towerval.cli import main, parse_script, run
 
@@ -175,6 +177,38 @@ def test_selftest_reports_every_case(tmp_path, capsys):
     assert out.count("ok=true") == 20
 
 
+def test_veval_reports_the_valuation(tmp_path, capsys):
+    text = BASIC + "ideal c: x1^2 + x2^3\nveval T a\nveval T c\n"
+    code, out, _ = run_main(tmp_path, capsys, text)
+    assert code == 0
+    assert out == "# command 1: veval T a\ndivisor=1 v=1\n\n# command 2: veval T c\ndivisor=1 v=2\n"
+
+
+def test_bridge_reads_a_bare_exponent_as_a_one_entry_vector(tmp_path, capsys):
+    code, bare, _ = run_main(tmp_path, capsys, BASIC + "bridge T a e=1/2\n")
+    assert code == 0
+    assert "shift_0_e=(1/2) shift_0_a_p=3/2 shift_0_a_q=7/2" in bare
+    _, vector, _ = run_main(tmp_path, capsys, BASIC + "bridge T a e=(1/2)\n")
+    assert bare.replace("e=1/2", "e=(1/2)") == vector
+
+
+@pytest.mark.parametrize("flags", [[], ["--script", "-"]])
+def test_script_is_read_from_stdin(monkeypatch, capsys, flags):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(BASIC + "keval T\n"))
+    code = main(flags)
+    assert code == 0
+    assert capsys.readouterr().out == "# command 1: keval T\ndivisor=1 k=1\n"
+
+
+def test_failing_selftest_exits_one_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    good = towerval.acceptance_corpus()[0]
+    broken = dataclasses.replace(good, name="broken", exponent_vectors=((1, 2, 3),))
+    monkeypatch.setattr(towerval.cli, "acceptance_corpus", lambda: [good, broken])
+    code, out, err = run_main(tmp_path, capsys, "ring N=2 p=5\nselftest\n")
+    assert code == 1 and out == ""
+    assert err == "error: MathCheckFailed: selftest failed on: broken\n"
+
+
 # -- exit codes --------------------------------------------------------------------
 
 
@@ -262,6 +296,15 @@ def test_exit_code_three_for_budget_exhaustion(tmp_path, capsys):
     text = "ring N=2 p=0\nideal c: x1^2 + x2^3\nlct c\n"
     code, _, err = run_main(tmp_path, capsys, text, "--cap", "4", "--gb-budget", "1")
     assert code == 3 and "BudgetExceeded" in err
+
+
+@pytest.mark.parametrize("ideal", ["x1^2 + x2^3", "x1^2, x2"])
+def test_negative_gb_budget_is_an_input_error(tmp_path, capsys, ideal):
+    """Refused up front, whether or not the command would run Buchberger."""
+    text = f"ring N=2 p=0\nideal c: {ideal}\nlct c\n"
+    code, out, err = run_main(tmp_path, capsys, text, "--gb-budget", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--gb-budget" in err and "-1" in err
 
 
 def test_missing_script_file(tmp_path, capsys):

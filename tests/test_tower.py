@@ -230,6 +230,33 @@ def test_point_search_exhaustion_over_f2():
         point_on_divisor_avoiding(t, 1, avoid_loci=[wt])
 
 
+def _avoiding_roots(roots):
+    """An ideal of the A^2 chart vanishing exactly where x2 is one of the roots."""
+    g = Polynomial.constant(QQ, 2, 1)
+    for r in roots:
+        g = g * (P("x2", QQ) - Polynomial.constant(QQ, 2, r))
+    return Ideal(QQ, 2, [g])
+
+
+def test_point_search_over_q_runs_zero_then_plus_and_minus():
+    t = chain_tower(QQ, 2, 1)
+    home = t.divisor(1).home_chart
+    assert t.chart(home).pivot == 0
+    order = [0, 1, -1, 2, -2, 3]
+    for k, expected in enumerate(order):
+        spec = point_on_divisor_avoiding(t, 1, avoid_loci=[_avoiding_roots(order[:k])])
+        assert spec.chart == home
+        assert spec.as_dict() == {0: 0, 1: expected}
+
+
+def test_point_search_over_q_stops_at_the_radius():
+    t = chain_tower(QQ, 2, 1)
+    blocked = _avoiding_roots([0, 1, -1])
+    with pytest.raises(errors.GeneralPointNotFound):
+        point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=1)
+    assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=2).as_dict() == {0: 0, 1: 2}
+
+
 # -- suspension ---------------------------------------------------------------------------
 
 
