@@ -42,6 +42,7 @@ from .invariants import (
     toric_weight_search,
 )
 from .jets import (
+    DEFAULT_GB_BUDGET,
     compare_heights,
     height_of_ideal,
     jet_equations,
@@ -50,12 +51,6 @@ from .jets import (
 )
 from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, parse_polynomial
 from .tower import CenterSpec, blow_up, new_tower, suspend, valuation
-
-COMMANDS = (
-    "keval", "veval", "logdisc", "zeval", "lct", "mld", "notlc",
-    "heights", "jets", "bridge", "crosschar", "suspend", "selftest",
-)
-
 
 @dataclass
 class SessionScript:
@@ -248,7 +243,7 @@ def parse_script(text: str) -> SessionScript:
             names.add(name)
             continue
 
-        if head in COMMANDS:
+        if head in _HANDLERS:
             tokens = _tokens(line)[1:]
             _check_references(script, head, tokens, ln)
             script.commands.append((ln, head, tokens, line))
@@ -504,7 +499,9 @@ _HANDLERS = {
 }
 
 
-def run(script: SessionScript, *, cap=4, gb_budget=100000, weight_bound=8, fmt="text") -> str:
+def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bound=8, fmt="text") -> str:
+    if gb_budget < 0:
+        raise ValueError(f"gb_budget must be >= 0, got {gb_budget}")
     opt = {"cap": cap, "gb_budget": gb_budget, "weight_bound": weight_bound}
     blocks = []
     for index, (ln, name, tokens, raw) in enumerate(script.commands, start=1):
@@ -517,7 +514,7 @@ def run(script: SessionScript, *, cap=4, gb_budget=100000, weight_bound=8, fmt="
             if name == "selftest":
                 raise
             raise type(e)(f"command {index} ({name}): {e}") from None
-        except (InputError, ResourceExhausted, ValueError) as e:
+        except (InputError, ResourceExhausted, ValueError, OverflowError) as e:
             raise type(e)(f"command {index} ({name}): {e}") from None
         blocks.append(block)
 
@@ -546,39 +543,37 @@ def main(argv=None) -> int:
         prog="towerval",
         description="exact singularity invariants on blow-up towers, with "
         "characteristic p to 0 lifting checks",
+        argument_default=argparse.SUPPRESS,  # the defaults are run's
     )
     ap.add_argument("--script", help="script file; omit or use '-' for stdin")
-    ap.add_argument("--cap", type=int, default=4, help="estimator depth cap")
-    ap.add_argument("--gb-budget", type=int, default=100000, help="Groebner step budget")
-    ap.add_argument("--weight-bound", type=int, default=8, help="toric weight search bound")
-    ap.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    ns = ap.parse_args(argv)
-    if ns.gb_budget < 0:
-        print(f"error: --gb-budget must be >= 0, got {ns.gb_budget}", file=sys.stderr)
+    ap.add_argument("--cap", type=int, help="estimator depth cap")
+    ap.add_argument("--gb-budget", type=int, help="Groebner step budget")
+    ap.add_argument("--weight-bound", type=int, help="toric weight search bound")
+    ap.add_argument("--format", choices=("text", "json"), dest="fmt")
+    opts = vars(ap.parse_args(argv))
+    path = opts.pop("script", None)
+    if opts.get("gb_budget", 0) < 0:
+        print(f"error: --gb-budget must be >= 0, got {opts['gb_budget']}", file=sys.stderr)
         return 2
 
     try:
-        if not ns.script or ns.script == "-":
+        if not path or path == "-":
             text = sys.stdin.read()
         else:
-            with open(ns.script, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
     try:
-        out = run(
-            parse_script(text),
-            cap=ns.cap,
-            gb_budget=ns.gb_budget,
-            weight_bound=ns.weight_bound,
-            fmt=ns.fmt,
-        )
+        out = run(parse_script(text), **opts)
     except MathCheckFailed as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (InputError, ValueError) as e:
+    except (InputError, ValueError, OverflowError) as e:
+        # An OverflowError is an input number too large for a machine-sized
+        # index (a ring dimension or a jet level): the package has no floats.
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except ResourceExhausted as e:

@@ -66,6 +66,8 @@ class StepBudget:
     __slots__ = ("cap", "used")
 
     def __init__(self, cap: int):
+        if cap < 0:
+            raise ValueError(f"step budget must be >= 0, got {cap}")
         self.cap = cap
         self.used = 0
 
@@ -258,7 +260,7 @@ def ideal_dimension(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
     return nvars - _min_hitting_set_size(supports)
 
 
-def height_of_ideal(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
+def height_of_ideal(gens, budget=DEFAULT_GB_BUDGET) -> int:
     """Codimension: number of variables minus the dimension."""
     if isinstance(gens, Ideal):
         gens.require_nonzero()
@@ -266,7 +268,7 @@ def height_of_ideal(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
     gens = list(gens)
     if not gens or all(g.is_zero() for g in gens):
         raise ZeroIdeal("height of the zero ideal is undefined here")
-    return gens[0].nvars - ideal_dimension(gens, order=order, budget=budget)
+    return gens[0].nvars - ideal_dimension(gens, budget=budget)
 
 
 def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
@@ -437,17 +439,10 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
         return monomial_contact_codim(factors)
 
     L = max(m for _, m in factors)  # jet variables x_l^(q), 0 <= q <= L-1
-    js_cache: dict = {}
-
-    def system(a: Ideal) -> JetSystem:
-        if a not in js_cache:
-            js_cache[a] = jet_equations(a, L - 1, at_origin=True)
-        return js_cache[a]
-
     jet_nvars = n * L
     gens = [Polynomial.variable(dom, jet_nvars, l * L) for l in range(n)]
     for a, m in factors:
-        for coeffs in system(a).coefficients:
+        for coeffs in jet_equations(a, L - 1, at_origin=True).coefficients:
             for g in coeffs[:m]:
                 if g.is_constant():
                     if g.is_zero():

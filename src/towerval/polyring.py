@@ -21,9 +21,12 @@ map with a sign (``+``, ``-``, negation and the sum of substituted
 terms), and ``_add_multiple`` adds a monomial multiple of a map without
 its leading term (the reduction step of ``jets``).  ``Domain`` keeps only
 ``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
-``evaluate`` end with it), and ``inv``.  Nothing outside this module
-reduces mod p.  A ``Polynomial`` is built only at the API boundary, once
-per result, never for intermediate factors.
+``evaluate`` end with it), and ``inv``.  ``change_domain`` is the one
+coefficient map between domains (every lift and reduction goes through
+it), and ``substitute`` works inside the one domain of its images.
+Nothing outside this module reduces mod p.  A ``Polynomial`` is built
+only at the API boundary, once per result, never for intermediate
+factors.
 
 No floating point appears anywhere in the package.
 """
@@ -36,6 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ConstantNotInField,
+    InputError,
     NonPrimeModulus,
     RingMismatch,
     ScriptSyntaxError,
@@ -46,18 +50,33 @@ from .errors import (
 Mono = tuple  # exponent tuple, one entry per variable
 
 
+# Miller-Rabin over the twelve prime bases up to 37 decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson &
+# Webster 2017; OEIS A014233); larger moduli are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TEST_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
+    """Exact for n < _PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -76,6 +95,11 @@ class Domain:
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == self.GF_KIND:
+            if isinstance(p, int) and p >= _PRIME_TEST_BOUND:
+                raise InputError(
+                    f"modulus {p} is beyond the certified primality range "
+                    f"(below {_PRIME_TEST_BOUND})"
+                )
             if not isinstance(p, int) or not _is_prime(p):
                 raise NonPrimeModulus(f"modulus {p!r} is not a prime")
         elif kind in (self.Q_KIND, self.Z_KIND):
@@ -327,8 +351,9 @@ class Polynomial:
         """Apply the ring map x_i -> images[i].
 
         All images must live in one common ring, which becomes the ring of
-        the result; coefficients are coerced into it (so a ZZ polynomial can
-        be substituted into a QQ or GF(p) context).
+        the result.  The substitution itself runs inside that ring's domain:
+        when ``self`` lives elsewhere, ``change_domain`` moves it there first
+        (so a ZZ polynomial can be substituted into a QQ or GF(p) context).
         """
         if len(images) != self.nvars:
             raise RingMismatch(f"expected {self.nvars} images, got {len(images)}")
@@ -338,13 +363,11 @@ class Polynomial:
         for g in images[1:]:
             if g.domain != tdom or g.nvars != tn:
                 raise RingMismatch("substitution images live in different rings")
-        src, unit = self.domain, (0,) * tn
+        terms = self.terms if self.domain == tdom else change_domain(self, tdom).terms
+        unit = (0,) * tn
         powers: dict = {}  # (i, e) -> term map of images[i] ** e, for this call only
         out: dict = {}
-        for m, c in self.terms.items():
-            c = _convert_coeff(c, src, tdom)
-            if c == 0:
-                continue
+        for m, c in terms.items():
             piece = None if c == 1 else {unit: c}  # a unit coefficient scales nothing
             for i, e in enumerate(m):
                 if e:
@@ -370,31 +393,6 @@ class Polynomial:
                     c *= pow(x, e, p)
             total += c
         return dom.coerce(total)
-
-    def substitute_constants(self, assignment: dict) -> "Polynomial":
-        """Plug constants into some variables, keeping the rest symbolic."""
-        dom, n = self.domain, self.nvars
-        images = []
-        for i in range(n):
-            if i in assignment:
-                images.append(Polynomial.constant(dom, n, dom.coerce(assignment[i])))
-            else:
-                images.append(Polynomial.variable(dom, n, i))
-        return self.substitute(images)
-
-    def order_at_point(self, point: Sequence) -> int:
-        """Vanishing order at a point: translate the point to the origin by
-        the exact substitution x -> x + q and take the minimal term degree."""
-        if self.is_zero():
-            raise ZeroPolynomial("order of the zero polynomial")
-        dom, n = self.domain, self.nvars
-        if len(point) != n:
-            raise RingMismatch(f"expected {n} coordinates, got {len(point)}")
-        images = [
-            Polynomial.variable(dom, n, i) + Polynomial.constant(dom, n, dom.coerce(q))
-            for i, q in enumerate(point)
-        ]
-        return self.substitute(images).order_at_origin()
 
     # -- per-variable structure ----------------------------------------------
 
@@ -557,26 +555,20 @@ def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> 
                 del acc[m]
 
 
-def _convert_coeff(c, src: Domain, dst: Domain):
-    """Move a coefficient between domains along the canonical maps.
-
-    Identity on matching domains; ZZ embeds into QQ and reduces into GF(p);
-    GF(p) representatives lift to ZZ/QQ as the integers 0..p-1.
-    """
-    if src == dst:
-        return c
-    if src.kind == Domain.Z_KIND:
-        return dst.coerce(c)
-    if src.kind == Domain.GF_KIND and dst.kind in (Domain.Z_KIND, Domain.Q_KIND):
-        return dst.coerce(c)
-    raise RingMismatch(f"no canonical coefficient map {src!r} -> {dst!r}")
-
-
 def change_domain(f: Polynomial, dst: Domain) -> Polynomial:
-    """Apply the canonical coefficient map to every term."""
-    return Polynomial.from_terms(
-        dst, f.nvars, ((m, _convert_coeff(c, f.domain, dst)) for m, c in f.terms.items())
+    """Apply the canonical coefficient map to every term: the one path by
+    which a coefficient changes domain.
+
+    The maps are the identity, ZZ into QQ or GF(p), and GF(p) into ZZ or QQ
+    (representatives 0..p-1); ``dst.coerce`` is each of them.
+    """
+    src = f.domain
+    canonical = src == dst or src.kind == Domain.Z_KIND or (
+        src.kind == Domain.GF_KIND and dst.kind != Domain.GF_KIND
     )
+    if not canonical:
+        raise RingMismatch(f"no canonical coefficient map {src!r} -> {dst!r}")
+    return Polynomial.from_terms(dst, f.nvars, f.terms.items())
 
 
 # -- reduction and lifting -----------------------------------------------------
@@ -668,9 +660,12 @@ def ideal_change_domain(a: Ideal, dst: Domain) -> Ideal:
 
 
 def lift_to_q(a: Ideal) -> Ideal:
-    """Coefficient-wise lift of a GF(p) ideal, read in the rationals so
-    tower and jet operations apply."""
-    return ideal_change_domain(lift_ideal(a), QQ)
+    """Coefficient-wise lift of a nonzero GF(p) ideal, read in the rationals
+    so tower and jet operations apply."""
+    a.require_nonzero()
+    if a.domain.kind != Domain.GF_KIND:
+        raise RingMismatch("lift_to_q expects a GF(p) ideal")
+    return ideal_change_domain(a, QQ)
 
 
 class MultiIdeal:

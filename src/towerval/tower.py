@@ -212,25 +212,27 @@ def blow_up(t: Tower, center: CenterSpec):
             "produce an exceptional divisor"
         )
 
+    u = [Polynomial.variable(dom, n, j) for j in range(n)]
+    # The center as a ring map: x_j -> c_j on the constrained coordinates.
+    # It decides containment and gives the pullbacks their constant parts.
+    center_img = [Polynomial.constant(dom, n, cmap[j]) if j in cmap else u[j] for j in range(n)]
     contained = tuple(
         did
         for did, eq in sorted(chart.divisor_eqs.items())
-        if eq.substitute_constants(cmap).is_zero()
+        if eq.substitute(center_img).is_zero()
     )
     step_no = len(t.steps) + 1
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
-    u = [Polynomial.variable(dom, n, j) for j in range(n)]
-    consts = {i: Polynomial.constant(dom, n, c) for i, c in cmap.items()}
     new_charts = []
     base_cid = len(t.charts)
     for pivot in S:
         pullback = []
         for j in range(n):
             if j == pivot:
-                pullback.append(consts[j] + u[pivot])
+                pullback.append(center_img[j] + u[pivot])
             elif j in cmap:
-                pullback.append(consts[j] + u[pivot] * u[j])
+                pullback.append(center_img[j] + u[pivot] * u[j])
             else:
                 pullback.append(u[j])
         new_charts.append(Chart(base_cid + len(new_charts), chart, pivot, step_no, tuple(pullback)))

@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import towerval
@@ -307,6 +308,41 @@ def test_negative_gb_budget_is_an_input_error(tmp_path, capsys, ideal):
     assert err.startswith("error:") and "--gb-budget" in err and "-1" in err
 
 
+@pytest.mark.parametrize("ideal", ["x1^2 + x2^3", "x1^2, x2"])
+def test_run_refuses_a_negative_gb_budget(ideal):
+    """The library entry refuses it before any command runs, like the CLI."""
+    script = parse_script(f"ring N=2 p=0\nideal c: {ideal}\nlct c")
+    with pytest.raises(ValueError, match="gb_budget must be >= 0"):
+        run(script, gb_budget=-1)
+
+
+@pytest.mark.parametrize("text", [
+    "ring N=99999999999999999999 p=0\nideal a: x1\n",
+    "ring N=2 p=0\nideal a: x1\njets a 99999999999999999999\n",
+])
+def test_numbers_too_large_for_an_index_are_input_errors(tmp_path, capsys, text):
+    code, out, err = run_main(tmp_path, capsys, text)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_large_prime_modulus_parses_quickly():
+    start = time.process_time()
+    script = parse_script("ring N=2 p=1000000000000000003\nideal a: x1")
+    assert time.process_time() - start < 1.0
+    assert script.domain.p == 1000000000000000003
+
+
+def test_modulus_beyond_the_certified_primality_range_exits_two(tmp_path, capsys):
+    # 318665857834031151167461 is composite, yet passes Miller-Rabin to every
+    # prime base up to 37: the least modulus the test cannot certify.
+    for p in (318665857834031151167461, 10**30 + 57):
+        code, out, err = run_main(tmp_path, capsys, f"ring N=2 p={p}\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "beyond the certified" in err
+        assert "not a prime" not in err
+
+
 def test_missing_script_file(tmp_path, capsys):
     code = main(["--script", str(tmp_path / "absent.tv")])
     captured = capsys.readouterr()
@@ -390,3 +426,71 @@ def test_estimator_commands_exit_with_a_contract_code(script, cap, budget):
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+# -- fuzzing the tower, jet and bridge commands --------------------------------------
+
+FUZZ_TOWERS = [
+    "blowup chart=root point=(0,0)",
+    "blowup chart=root point=(1,1)",
+    "blowup chart=root point=(0,0); blowup chart=2 point=(0,0)",
+    "blowup chart=root point=(0,0); blowup chart=1 point=(1,0)",
+    "blowup chart=root point=(0,0); blowup chart=2 point=(1,1); blowup chart=3 point=(4,0)",
+]
+# first tokens: a tower for the tower commands, an ideal for heights and jets
+TOWER_FIRST = ["T", "T", "T", "a"]
+IDEAL_FIRST = ["a", "b", "c", "d", "T"]
+OTHER_COMMANDS = {
+    "keval": TOWER_FIRST, "veval": TOWER_FIRST, "logdisc": TOWER_FIRST,
+    "zeval": TOWER_FIRST, "bridge": TOWER_FIRST, "suspend": TOWER_FIRST,
+    "heights": IDEAL_FIRST, "jets": IDEAL_FIRST, "selftest": [],
+}
+REST_TOKENS = [
+    "a", "b", "c", "d", "d", "T", "undeclared", "a:1/2", "b:2", "d:1", "a:1/0",
+    "divisor=1", "divisor=2", "divisor=3", "divisor=0", "divisor=x",
+    "0", "2", "-1", "99999999999999999999",
+    "e=(1/2)", "e=1", "e=(1,1)", "e=1/0", "tamper",
+]
+
+
+@st.composite
+def tower_command_scripts(draw):
+    lines = [
+        f"ring N=2 p={draw(st.sampled_from([0, 2, 3, 5, 7]))}",
+        FUZZ_IDEALS,
+        "ideal d: 4*x2 + x1^2*x2^2 + x2^2",
+        f"tower T: {draw(st.sampled_from(FUZZ_TOWERS))}",
+    ]
+    for _ in range(draw(st.integers(1, 2))):
+        command = draw(st.sampled_from(sorted(OTHER_COMMANDS)))
+        tokens = [draw(st.sampled_from(OTHER_COMMANDS[command]))] if OTHER_COMMANDS[command] else []
+        tokens += [draw(st.sampled_from(REST_TOKENS)) for _ in range(draw(st.integers(0, 3)))]
+        lines.append(" ".join([command] + tokens))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=tower_command_scripts(), budget=st.sampled_from([0, 1, 8, 100_000]))
+@example(script=BASIC + "jets a 99999999999999999999\n", budget=100_000)
+@example(  # a lift outside the class it covers: a failed identity, exit 1
+    script="ring N=2 p=5\nideal d: 4*x2 + x1^2*x2^2 + x2^2\ntower T: " + FUZZ_TOWERS[-1]
+    + "\nbridge T d\n",
+    budget=100_000,
+)
+def test_other_commands_exit_with_a_contract_code(script, budget):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "script.tv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(script)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--script", path, "--cap", "2", "--gb-budget", str(budget)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+    if code == 1:
+        name = err.getvalue().split(":", 2)[1].strip()
+        assert issubclass(getattr(errors, name), errors.MathCheckFailed)

@@ -165,6 +165,11 @@ def test_budget_exceeded_is_raised():
         groebner_basis([P("x1^2 + x2", QQ), P("x1*x2 + x1", QQ)], budget=1)
 
 
+def test_negative_step_budget_is_refused():
+    with pytest.raises(ValueError, match="-1"):
+        StepBudget(-1)
+
+
 def test_groebner_matches_sympy_over_q_and_gf():
     rng = random.Random(422)
     syms = sympy.symbols("x y z")

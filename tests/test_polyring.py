@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from towerval import errors
 from towerval.polyring import (
     GF,
+    _is_prime,
     QQ,
     ZZ,
     Ideal,
@@ -20,6 +22,17 @@ from towerval.polyring import (
     parse_polynomial,
     reduce_mod_p,
 )
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(20000))
+    for carmichael in (561, 41041, 825265):
+        assert not _is_prime(carmichael)
+        with pytest.raises(errors.NonPrimeModulus):
+            GF(carmichael)
 
 
 def P(text, domain, nvars=2):
@@ -145,15 +158,26 @@ def test_lift_ideal_preserves_generator_supports():
 
 # -- orders ----------------------------------------------------------------------
 
+def order_at_point(f, point):
+    """Vanishing order at a point: translate the point to the origin by the
+    exact substitution x -> x + q and take the minimal term degree."""
+    dom, n = f.domain, f.nvars
+    images = [
+        Polynomial.variable(dom, n, i) + Polynomial.constant(dom, n, q)
+        for i, q in enumerate(point)
+    ]
+    return f.substitute(images).order_at_origin()
+
+
 def test_order_at_point_examples():
     f = P("x1^2*x2 + x1^3", QQ)
-    assert f.order_at_point((0, 0)) == 3
-    assert P("5", QQ).order_at_point((0, 0)) == 0
+    assert order_at_point(f, (0, 0)) == 3
+    assert order_at_point(P("5", QQ), (0, 0)) == 0
     g = P("x1^2 + x2^3", QQ)
-    assert g.order_at_point((1, 0)) == 0
-    assert g.order_at_point((0, 0)) == 2
+    assert order_at_point(g, (1, 0)) == 0
+    assert order_at_point(g, (0, 0)) == 2
     with pytest.raises(errors.ZeroPolynomial):
-        Polynomial.zero(QQ, 2).order_at_point((0, 0))
+        order_at_point(Polynomial.zero(QQ, 2), (0, 0))
 
 
 def test_order_is_additive_over_a_field():
@@ -163,8 +187,8 @@ def test_order_is_additive_over_a_field():
         g = random_poly(rng, QQ, 2)
         if f.is_zero() or g.is_zero():
             continue
-        assert (f * g).order_at_point((0, 0)) == (
-            f.order_at_point((0, 0)) + g.order_at_point((0, 0))
+        assert order_at_point(f * g, (0, 0)) == (
+            order_at_point(f, (0, 0)) + order_at_point(g, (0, 0))
         )
 
 
