@@ -16,9 +16,10 @@ equation for the proper transform of every divisor born so far.  A blow-up
 records only each new chart's pullback; the frame and the equations are
 derived from the parent chart the first time they are read, and then kept.
 Towers are immutable and share their charts with every tower extended from
-them, so a chart's frame is computed at most once.  The frame
-makes divisorial valuations a substitution followed by reading off the
-pivot-adic order; the local equations make containment of a center in an
+them, so a chart's frame is computed at most once.  The pivot orders of
+the frame's coordinates give a divisorial valuation term by term: a unique
+lowest term order is the answer, and only on a tie is the total transform
+expanded.  The local equations make containment of a center in an
 earlier divisor an exact substitution test, which drives the discrepancy
 recursion
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     BadDimension,
@@ -246,13 +248,25 @@ def blow_up(t: Tower, center: CenterSpec):
 
 
 def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
-    """Order of the total transform of f along the divisor, in its home chart."""
+    """Order of the total transform of f along the divisor, in its home chart.
+
+    The pivot order is a valuation on the chart's ring (an integral domain),
+    so a term c*x^m pulls back to order <m, o>, where o_i is the pivot order
+    of the frame's i-th coordinate.  A unique lowest term order is the
+    answer; on a tie the lowest terms may cancel, so the total transform is
+    expanded and read instead (as it is for the zero polynomial, which raises).
+    """
     rec = t.divisor(did)
     if f.domain != t.domain or f.nvars != t.n:
         raise RingMismatch("polynomial does not live in the tower's base ring")
     chart = t.chart(rec.home_chart)
-    total = f.substitute(list(chart.frame))
-    return total.var_min_exponent(chart.pivot)
+    frame, pivot = chart.frame, chart.pivot
+    o = [g.var_min_exponent(pivot) for g in frame]
+    orders = [sum(map(mul, m, o)) for m in f.terms]
+    low = min(orders, default=None)
+    if low is not None and orders.count(low) == 1:
+        return low
+    return f.substitute(list(frame)).var_min_exponent(pivot)
 
 
 def valuation(t: Tower, did: int, a: Ideal) -> int:
@@ -295,7 +309,7 @@ def weak_transform(t: Tower, a: Ideal, chart_id: int):
 
 def _value_stream(domain: Domain, radius: int):
     if domain.kind == Domain.GF_KIND:
-        return list(range(domain.p))
+        return range(min(domain.p, 2 * radius + 1))
     if domain.kind == Domain.Q_KIND:
         out = [0]
         for v in range(1, radius + 1):
@@ -314,12 +328,13 @@ def point_on_divisor_avoiding(
     """First point on the divisor passing all avoidance predicates.
 
     The point lives in the divisor's home chart with the pivot coordinate
-    pinned to 0; the free coordinates run through a fixed enumeration
-    (0..p-1 over F_p; 0, 1, -1, 2, -2, ... over Q), first coordinate
-    slowest.  A point is accepted when every avoided divisor's local
-    equation is nonzero there and every avoided locus has some generator
-    nonzero there.  Exhaustion raises GeneralPointNotFound, which over a
-    small prime field is a real possibility the caller must handle.
+    pinned to 0; the free coordinates run through a fixed enumeration of
+    2*radius + 1 values (0, 1, 2, ... over F_p, at most p of them; 0, 1,
+    -1, 2, -2, ... over Q), first coordinate slowest.  A point is accepted
+    when every avoided divisor's local equation is nonzero there and every
+    avoided locus has some generator nonzero there.  Exhaustion raises
+    GeneralPointNotFound, which over a small prime field is a real
+    possibility the caller must handle.
     """
     rec = t.divisor(did)
     chart = t.chart(rec.home_chart)

@@ -333,6 +333,13 @@ def test_large_prime_modulus_parses_quickly():
     assert script.domain.p == 1000000000000000003
 
 
+def test_bridge_over_a_large_prime_field_searches_a_bounded_stream(tmp_path, capsys):
+    text = BASIC.replace("p=5", "p=1000000000000000003") + "bridge T a\n"
+    code, out, _ = run_main(tmp_path, capsys, text)
+    assert code == 0
+    assert "k_E=1 k_F=3 shift_ok=true v_ok=true" in out
+
+
 def test_modulus_beyond_the_certified_primality_range_exits_two(tmp_path, capsys):
     # 318665857834031151167461 is composite, yet passes Miller-Rabin to every
     # prime base up to 37: the least modulus the test cannot certify.

@@ -156,6 +156,28 @@ def test_valuation_is_additive_on_products():
                 )
 
 
+@pytest.mark.parametrize("dom", [QQ, GF(5)])
+def test_tied_lowest_terms_can_cancel(dom):
+    # On divisor 2 the frame is (w1, w1 + w1^2*w2): both of x1 and x2 have
+    # pivot order 1, and their lowest terms cancel in x2 - x1.
+    t = new_tower(2, dom)
+    t, _ = blow_up(t, CenterSpec.make(0, {0: 0, 1: 0}, dom))
+    t, did = blow_up(t, CenterSpec.make(1, {0: 0, 1: 1}, dom))
+    assert valuation_of_poly(t, did, P("x1", dom)) == valuation_of_poly(t, did, P("x2", dom)) == 1
+    assert valuation_of_poly(t, did, P("x2 - x1", dom)) == 2
+    assert valuation_of_poly(t, did, P("x2 + x1", dom)) == 1
+
+
+def test_unique_lowest_term_expands_nothing(monkeypatch):
+    t = chain_tower(QQ, 2, 4)
+    t.chart(t.divisor(4).home_chart).frame  # build the frame first
+    calls = []
+    real = Polynomial.substitute
+    monkeypatch.setattr(Polynomial, "substitute", lambda f, images: calls.append(f) or real(f, images))
+    assert valuation_of_poly(t, 4, P("x1^2 + x2^3", QQ)) == 2
+    assert calls == []
+
+
 def _random_poly(rng, domain, nvars, max_deg=3, max_terms=4):
     items = []
     for _ in range(rng.randint(1, max_terms)):
@@ -230,12 +252,12 @@ def test_point_search_exhaustion_over_f2():
         point_on_divisor_avoiding(t, 1, avoid_loci=[wt])
 
 
-def _avoiding_roots(roots):
+def _avoiding_roots(roots, domain=QQ):
     """An ideal of the A^2 chart vanishing exactly where x2 is one of the roots."""
-    g = Polynomial.constant(QQ, 2, 1)
+    g = Polynomial.constant(domain, 2, 1)
     for r in roots:
-        g = g * (P("x2", QQ) - Polynomial.constant(QQ, 2, r))
-    return Ideal(QQ, 2, [g])
+        g = g * (P("x2", domain) - Polynomial.constant(domain, 2, r))
+    return Ideal(domain, 2, [g])
 
 
 def test_point_search_over_q_runs_zero_then_plus_and_minus():
@@ -255,6 +277,15 @@ def test_point_search_over_q_stops_at_the_radius():
     with pytest.raises(errors.GeneralPointNotFound):
         point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=1)
     assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=2).as_dict() == {0: 0, 1: 2}
+
+
+def test_point_search_over_a_prime_field_stops_at_the_radius():
+    dom = GF(103)
+    t = chain_tower(dom, 2, 1)
+    blocked = _avoiding_roots([0, 1, 2], dom)
+    with pytest.raises(errors.GeneralPointNotFound):
+        point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=1)
+    assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=2).as_dict() == {0: 0, 1: 3}
 
 
 # -- suspension ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from towerval import invariants
 from towerval.invariants import LctWitness, realize_toric_weight, toric_weight_search
 from towerval.polyring import GF, QQ, Ideal, Polynomial, parse_polynomial
-from towerval.tower import CenterSpec, blow_up, new_tower, valuation
+from towerval.tower import CenterSpec, blow_up, new_tower, suspend, valuation, valuation_of_poly
 
 DOMAINS = (GF(2), GF(3), GF(5), QQ)
 
@@ -88,6 +88,35 @@ def test_lazy_frames_and_equations_match_eager_references(data):
             assert chart.frame == composite_frame(t, cid, origins)
         else:
             assert chart.divisor_eqs == eqs[cid]
+
+
+def sparse_polys(dom, n):
+    """Nonzero polynomials of a few terms, degree at most 3 in each variable."""
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(-3, 3))
+    return (st.lists(term, min_size=1, max_size=4)
+            .map(lambda items: Polynomial.from_terms(dom, n, items))
+            .filter(lambda f: not f.is_zero()))
+
+
+def expanded_valuation(t, did, f):
+    """The order of the whole total transform along the divisor's pivot."""
+    chart = t.chart(t.divisor(did).home_chart)
+    return f.substitute(list(chart.frame)).var_min_exponent(chart.pivot)
+
+
+@given(st.data())
+def test_valuations_match_the_expanded_total_transform(data):
+    t = data.draw(towers())
+    f = data.draw(sparse_polys(t.domain, t.n))
+    g = data.draw(sparse_polys(t.domain, t.n))
+    s, lifted = suspend(t, Ideal(t.domain, t.n, [f, g]))
+    f_s, g_s = lifted.gens
+    for did in range(1, len(t.steps) + 1):
+        v_f, v_g = valuation_of_poly(t, did, f), valuation_of_poly(t, did, g)
+        assert v_f == expanded_valuation(t, did, f)
+        assert v_g == expanded_valuation(t, did, g)
+        assert valuation_of_poly(t, did, f * g) == v_f + v_g
+        assert (valuation_of_poly(s, did, f_s), valuation_of_poly(s, did, g_s)) == (v_f, v_g)
 
 
 def test_chart_attributes_are_read_only():
