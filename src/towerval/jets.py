@@ -312,13 +312,39 @@ class JetSystem:
         return [f"x{l + 1}_{q}" for l in range(self.n) for q in range(self.level + 1)]
 
 
+# A CLI session folds lct, mld, notlc and crosschar over the same ideals, so
+# jet expansions and contact cells, both pure functions of their inputs, are
+# kept once per process.  Each memo holds at most _MEMO_SIZE entries and drops
+# its oldest one when full, so a long-lived process does not grow without limit.
+_MEMO_SIZE = 256
+_jet_memo: dict = {}  # (ideal, level, at_origin) -> JetSystem
+_cell_memo: dict = {}  # (factors, force_groebner) -> (codim, steps)
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def jet_equations(a: Ideal, m: int, *, at_origin: bool = False) -> JetSystem:
     """Expand each generator along truncated jets and split off t-powers.
 
     With ``at_origin`` the expansion runs along arcs through the origin,
     x_l(t) = sum_{q>=1} x_l^(q) t^q: the q = 0 slot is zero, so no
     x_l^(0) occurs in any coefficient, though the ring still has them.
+
+    Expansions are memoised per process: a repeat returns the system
+    built the first time, equal to a fresh expansion (so callers must not
+    mutate its polynomials), and an input that raises is not stored.
     """
+    key = (a, m, at_origin)
+    hit = _jet_memo.get(key)
+    return hit if hit is not None else _remember(_jet_memo, key, _expand(a, m, at_origin))
+
+
+def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
     a.require_nonzero()
     if m < 0:
         raise ValueError("jet level must be >= 0")
@@ -433,8 +459,34 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
     it the step counts and the point where a budget runs out.  Monomial
     inputs use the combinatorial fast path unless ``force_groebner`` asks
     for the slow route (the tests compare the two).
+
+    Cells are memoised per process, keyed by the factors and the route.
+    A repeat returns the stored codim and spends the steps the cell cost
+    on ``budget``, so the result, ``budget.used`` and the point where a
+    budget runs out are as if the cell were recomputed.  A cell that
+    raises is not stored.
     """
-    (dom, n) = _check_factors(factors)
+    budget = _as_budget(budget)
+    factors = tuple((a, m) for a, m in factors)
+    ring = _check_factors(factors)
+    key = (factors, bool(force_groebner))
+    hit = _cell_memo.get(key)
+    if hit is None:
+        # Run on the steps left and charge them to the caller's budget, so a
+        # cell that runs out raises there, naming the caller's cap.
+        cell_budget = StepBudget(max(0, budget.cap - budget.used))
+        try:
+            codim = _contact_codim(factors, ring, cell_budget, force_groebner)
+        except Exception:
+            budget.spend(cell_budget.used)
+            raise
+        hit = _remember(_cell_memo, key, (codim, cell_budget.used))
+    budget.spend(hit[1])
+    return hit[0]
+
+
+def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
+    dom, n = ring
     if not force_groebner and all(a.is_monomial() for a, _ in factors):
         return monomial_contact_codim(factors)
 

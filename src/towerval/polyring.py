@@ -33,11 +33,13 @@ No floating point appears anywhere in the package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Sequence
 
 from .errors import (
+    BudgetExceeded,
     ConstantNotInField,
     InputError,
     NonPrimeModulus,
@@ -699,6 +701,12 @@ class MultiIdeal:
 
 # -- parsing --------------------------------------------------------------------
 
+# A parsed power of a base with t >= 2 terms may have comb(e + t - 1, t - 1)
+# terms; past this bound, the size of the default Groebner step budget, the
+# parser refuses it rather than expand it.
+_POWER_TERM_BOUND = 100_000
+
+
 def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
     """Parse the canonical text syntax into a polynomial.
 
@@ -745,13 +753,20 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
         return out
 
     def parse_factor() -> Polynomial:
+        start = peek()[2]
         base = parse_atom()
         if peek()[0] == "^":
             take()
             tok = take("num")
             if "/" in tok[1]:
                 raise ScriptSyntaxError(f"exponent must be an integer at column {tok[2] + 1}")
-            return base ** int(tok[1])
+            e, t = int(tok[1]), len(base.terms)
+            if t > 1 and math.comb(e + t - 1, t - 1) > _POWER_TERM_BOUND:
+                power = text[start : tok[2] + len(tok[1])]
+                raise BudgetExceeded(
+                    f"the power {power} may expand to more than {_POWER_TERM_BOUND} terms"
+                )
+            return base ** e
         return base
 
     def parse_atom() -> Polynomial:

@@ -326,6 +326,26 @@ def test_numbers_too_large_for_an_index_are_input_errors(tmp_path, capsys, text)
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_power_too_large_to_expand_exits_three_quickly(tmp_path):
+    path = tmp_path / "script.tv"
+    path.write_text("ring N=2 p=7\nideal a: (x1+x2)^99999999\nlct a\n")
+    src = str(Path(towerval.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerval.cli", "--script", str(path)],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "BudgetExceeded" in proc.stderr and "(x1+x2)^99999999" in proc.stderr
+
+
+def test_the_power_term_bound_sits_at_the_default_step_budget():
+    # (x1+x2+x1*x2)^e may have comb(e + 2, 2) terms: 99 681 at e = 445, 100 128 at 446
+    script = parse_script("ring N=2 p=7\nideal a: (x1+x2)^3000, (x1+x2+x1*x2)^445")
+    assert [len(g.terms) for g in script.ideals["a"].gens] == [240, 270]
+    with pytest.raises(errors.BudgetExceeded, match=r"\(x1\+x2\+x1\*x2\)\^446"):
+        parse_script("ring N=2 p=7\nideal a: (x1+x2+x1*x2)^446")
+
+
 def test_large_prime_modulus_parses_quickly():
     start = time.process_time()
     script = parse_script("ring N=2 p=1000000000000000003\nideal a: x1")
@@ -380,6 +400,19 @@ def test_output_is_byte_identical_across_runs(tmp_path, capsys):
     _, first, _ = run_main(tmp_path, capsys, text, "--cap", "3")
     _, second, _ = run_main(tmp_path, capsys, text, "--cap", "3")
     assert first == second
+
+
+def test_a_warm_session_prints_what_a_cold_one_prints(tmp_path, capsys):
+    # the second run is served by the jet and contact-cell memos of the first
+    text = (
+        "ring N=2 p=7\n"
+        "ideal d: x1^3 + x2^3\n"
+        "ideal m: x1, x2\n"
+        "lct d\nmld d:2/3\nnotlc d:1\ncrosschar d:1\nmld d:1/2 m:1/2\n"
+    )
+    cold = run_main(tmp_path, capsys, text, "--cap", "5")
+    warm = run_main(tmp_path, capsys, text, "--cap", "5")
+    assert cold[0] == 0 and warm == cold
 
 
 def test_json_format_is_sorted_and_parseable(tmp_path, capsys):

@@ -83,7 +83,11 @@ class Captured(Exception):
 
 def captured_generators(factors):
     """The generators ``contact_codim_at_origin`` hands to
-    ``ideal_dimension``, taken before any Groebner work runs."""
+    ``ideal_dimension``, taken before any Groebner work runs.  The memos
+    are emptied first: hypothesis may draw one cell twice in a test, and a
+    memoised cell never reaches ``ideal_dimension``."""
+    jets._jet_memo.clear()
+    jets._cell_memo.clear()
     seen = []
 
     def capture(gens, **_):

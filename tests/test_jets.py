@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from towerval import errors
+from towerval import errors, jets
+from towerval.cli import parse_script, run
 from towerval.jets import (
     GRLEX,
     StepBudget,
@@ -348,3 +349,92 @@ def test_compare_heights_on_canonical_lifts():
     assert compare_heights(I(GF(5), 2, "x2", "x1")) == (2, 2)
     assert compare_heights(I(GF(5), 2, "x1 + x2")) == (1, 1)
     assert compare_heights(I(GF(7), 2, "2*x1 + x2", "x1^2")) == (2, 2)
+
+
+# -- per-process memos -------------------------------------------------------------------
+
+
+def counting_groebner(monkeypatch):
+    calls = []
+    real = jets.groebner_basis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "groebner_basis", counted)
+    return calls
+
+
+def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
+    calls = counting_groebner(monkeypatch)
+    factors = [(I(QQ, 2, "x1^2 + x2^3"), 5)]
+    cold, warm = StepBudget(10**6), StepBudget(10**6)
+    codim = contact_codim_at_origin(factors, budget=cold)
+    assert contact_codim_at_origin(factors, budget=warm) == codim
+    assert warm.used == cold.used > 0
+    assert len(calls) == 1  # the warm call was served by the memo
+
+
+def test_a_memoised_cell_still_runs_out_of_a_smaller_budget():
+    factors = [(I(QQ, 2, "x1^2 + x2^3"), 5)]
+    cold = StepBudget(10**6)
+    contact_codim_at_origin(factors, budget=cold)
+    small = StepBudget(cold.used - 1)
+    with pytest.raises(errors.BudgetExceeded, match=f"budget of {cold.used - 1} exhausted"):
+        contact_codim_at_origin(factors, budget=small)
+    assert small.used == cold.used
+
+
+def test_a_cell_that_runs_out_is_not_stored():
+    factors = [(I(QQ, 2, "x1^2 + x2^3"), 5)]
+    with pytest.raises(errors.BudgetExceeded, match="budget of 10 exhausted"):
+        contact_codim_at_origin(factors, budget=10)
+    assert not jets._cell_memo
+    budget = StepBudget(10**6)
+    contact_codim_at_origin(factors, budget=budget)
+    assert budget.used > 10
+
+
+def test_the_route_is_part_of_a_cells_key(monkeypatch):
+    calls = counting_groebner(monkeypatch)
+    factors = [(I(GF(5), 2, "x1^2", "x2^3"), 3)]
+    fast = contact_codim_at_origin(factors)
+    assert calls == []
+    assert contact_codim_at_origin(factors, force_groebner=True) == fast
+    assert len(calls) == 1
+
+
+def test_a_memo_drops_its_oldest_entry_when_full(monkeypatch):
+    monkeypatch.setattr(jets, "_MEMO_SIZE", 2)
+    a = I(QQ, 2, "x1^2 + x2^3")
+    for m in range(3):
+        jet_equations(a, m)
+    assert list(jets._jet_memo) == [(a, 1, False), (a, 2, False)]
+
+
+MEMO_SESSION = """\
+ring N=2 p=7
+ideal d: x1^3 + x2^3
+ideal m: x1, x2
+lct d
+mld d:2/3
+notlc d:1
+crosschar d:1
+mld d:1/2 m:1/2
+"""
+
+
+def test_memoised_results_equal_fresh_ones_after_a_session():
+    run(parse_script(MEMO_SESSION), cap=4)
+    assert jets._jet_memo and jets._cell_memo
+    # no caller mutated a polynomial of a shared jet system
+    for (a, m, at_origin), system in jets._jet_memo.items():
+        assert system == jets._expand(a, m, at_origin)
+    cells = dict(jets._cell_memo)
+    jets._jet_memo.clear()
+    jets._cell_memo.clear()
+    for (factors, forced), (codim, steps) in cells.items():
+        budget = StepBudget(10**6)
+        assert contact_codim_at_origin(factors, budget=budget, force_groebner=forced) == codim
+        assert budget.used == steps
