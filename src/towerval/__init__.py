@@ -41,30 +41,22 @@ from .jets import (
     lct_estimate_at_origin,
     mld_estimate,
     monomial_contact_codim,
-    verify_groebner,
 )
 from .polyring import (
     GF,
     QQ,
-    ZZ,
     Domain,
     Ideal,
     MultiIdeal,
     Polynomial,
-    change_domain,
     coordinate_ideal,
-    ideal_change_domain,
-    lift_coefficientwise,
-    lift_ideal,
     parse_polynomial,
-    reduce_mod_p,
 )
 from .tower import (
     CenterSpec,
     Step,
     Tower,
     blow_up,
-    equivalent_center_specs,
     new_tower,
     point_on_divisor_avoiding,
     suspend,
@@ -74,62 +66,3 @@ from .tower import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GF",
-    "QQ",
-    "ZZ",
-    "BridgeCase",
-    "BridgeReport",
-    "CenterSpec",
-    "CrossCharCell",
-    "CrossCharReport",
-    "Domain",
-    "Ideal",
-    "JetSystem",
-    "LctWitness",
-    "LogDiscrepancyReport",
-    "MultiIdeal",
-    "NotLogCanonicalCertificate",
-    "Polynomial",
-    "Step",
-    "StepBudget",
-    "Tower",
-    "acceptance_corpus",
-    "blow_up",
-    "bridge_construct",
-    "build_case",
-    "certify_not_log_canonical",
-    "change_domain",
-    "compare_heights",
-    "contact_codim_at_origin",
-    "coordinate_ideal",
-    "cross_characteristic_suite",
-    "equivalent_center_specs",
-    "errors",
-    "groebner_basis",
-    "height_of_ideal",
-    "ideal_change_domain",
-    "ideal_dimension",
-    "jet_equations",
-    "lct_estimate_at_origin",
-    "lct_witness",
-    "lift_coefficientwise",
-    "lift_ideal",
-    "lift_tower",
-    "log_discrepancy",
-    "mld_estimate",
-    "monomial_contact_codim",
-    "new_tower",
-    "parse_polynomial",
-    "point_on_divisor_avoiding",
-    "realize_toric_weight",
-    "reduce_mod_p",
-    "shifted_log_discrepancy_check",
-    "suspend",
-    "toric_weight_search",
-    "valuation",
-    "valuation_of_poly",
-    "verify_groebner",
-    "weak_transform",
-]

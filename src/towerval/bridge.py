@@ -34,7 +34,6 @@ from .invariants import log_discrepancy
 from .jets import DEFAULT_GB_BUDGET, contact_cells, contact_codim_at_origin
 from .polyring import (
     QQ,
-    Domain,
     Ideal,
     MultiIdeal,
     Polynomial,
@@ -85,12 +84,13 @@ def lift_tower(t: Tower) -> Tower:
     """Replay a prime-field tower over the rationals, constant by constant.
 
     Residues lift to their representatives in 0..p-1.  The replay must
-    reproduce the containment pattern and the discrepancy of every step;
-    for centers whose incidences are forced by coordinate zeros this
-    cannot fail, and the guard exists to catch towers outside that class
-    (or bugs) rather than to be survived.
+    reproduce the containment pattern and the discrepancy of every step,
+    and raises ContainmentBroken when it does not.  That happens when a
+    nonzero center constant's representative changes the incidences: the
+    center then meets a different set of lifted divisors than the residue
+    did over F_p (ROADMAP item 5 plans a lift that keeps them).
     """
-    if t.domain.kind != Domain.GF_KIND:
+    if not t.domain.p:
         raise RingMismatch("only towers over a prime field can be lifted")
     out = new_tower(t.n, QQ)
     for step in t.steps:
@@ -146,7 +146,7 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     coefficient-wise one) so that callers can watch the verification
     refuse it.
     """
-    if t.domain.kind != Domain.GF_KIND:
+    if not t.domain.p:
         raise RingMismatch("bridge runs start over a prime field")
     if not t.first_step_at_origin():
         raise FirstStepNotOrigin("the input tower must start by blowing up the origin")
@@ -303,7 +303,7 @@ def cross_characteristic_suite(ma, caps, budget: int = DEFAULT_GB_BUDGET) -> Cro
     if r == 0:
         raise ValueError("nothing to compare for an empty multi-ideal")
     dom = ma.factors[0][0].domain
-    if dom.kind != Domain.GF_KIND:
+    if not dom.p:
         raise RingMismatch("the comparison starts from a prime field")
     caps = tuple(caps) if isinstance(caps, (tuple, list)) else (caps,) * r
     if len(caps) != r:

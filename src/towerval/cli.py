@@ -127,7 +127,7 @@ def _err(ln: int, msg: str):
 def _parse_const(text: str, domain: Domain, ln: int):
     text = text.strip()
     try:
-        if domain.kind == Domain.GF_KIND:
+        if domain.p:
             return domain.coerce(int(text))
         return domain.coerce(Fraction(text))
     except (ValueError, ZeroDivisionError):

@@ -107,7 +107,8 @@ class BridgeIdentityFailed(MathCheckFailed):
 class ContainmentBroken(MathCheckFailed):
     """A lifted center does not lie on exactly the lifted divisors.
 
-    Cannot occur for coordinate-subspace centers; kept as an internal guard.
+    Fires when a nonzero center constant, lifted to its representative in
+    0..p-1, changes which divisors the center lies on (ROADMAP item 5).
     """
 
 

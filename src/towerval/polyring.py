@@ -1,14 +1,14 @@
-"""Exact multivariate polynomial arithmetic over F_p, Q and Z.
+"""Exact multivariate polynomial arithmetic over F_p and Q.
 
 Everything downstream (towers, jets, Groebner bases, the lifting checks)
 reduces to arithmetic in this module, so the representation is kept as
 plain as possible:
 
-* a coefficient domain is one of ``GF(p)`` (p prime, elements the ints
-  ``0..p-1``), ``QQ`` (elements ints and ``fractions.Fraction`` values:
+* a coefficient domain is ``GF(p)`` (p prime, elements the ints
+  ``0..p-1``) or ``QQ`` (elements ints and ``fractions.Fraction`` values:
   ``QQ.coerce`` and ``QQ.inv`` return an int for an integral value, and
   a sum or product may still hold an integral ``Fraction``, which equals
-  and hashes like its int) and ``ZZ`` (arbitrary-precision ints);
+  and hashes like its int);
 * a monomial is a dense exponent tuple of length ``nvars``;
 * a polynomial is an immutable term map {exponent tuple: nonzero
   coefficient}.  Two polynomials are equal iff their term maps are equal,
@@ -21,12 +21,11 @@ map with a sign (``+``, ``-``, negation and the sum of substituted
 terms), and ``_add_multiple`` adds a monomial multiple of a map without
 its leading term (the reduction step of ``jets``).  ``Domain`` keeps only
 ``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
-``evaluate`` end with it), and ``inv``.  ``change_domain`` is the one
-coefficient map between domains (every lift and reduction goes through
-it), and ``substitute`` works inside the one domain of its images.
-Nothing outside this module reduces mod p.  A ``Polynomial`` is built
-only at the API boundary, once per result, never for intermediate
-factors.
+``evaluate`` end with it), and ``inv``.  ``lift_to_q`` is the one map
+between domains (residues 0..p-1 read as rationals), and every other
+operation, ``substitute`` included, stays inside one domain.  Nothing
+outside this module reduces mod p.  A ``Polynomial`` is built only at
+the API boundary, once per result, never for intermediate factors.
 
 No floating point appears anywhere in the package.
 """
@@ -83,32 +82,15 @@ def _is_prime(n: int) -> bool:
 
 
 class Domain:
-    """A coefficient domain: a prime field, the rationals, or the integers.
+    """A coefficient domain: the prime field GF(p), or QQ when ``p`` is None.
 
-    Use the ``GF`` factory and the ``QQ``/``ZZ`` singletons instead of
-    calling the constructor directly.
+    Use the ``GF`` factory and the ``QQ`` singleton instead of calling the
+    constructor directly.
     """
 
-    GF_KIND = "gf"
-    Q_KIND = "rationals"
-    Z_KIND = "integers"
+    __slots__ = ("p",)
 
-    __slots__ = ("kind", "p")
-
-    def __init__(self, kind: str, p: int | None = None):
-        if kind == self.GF_KIND:
-            if isinstance(p, int) and p >= _PRIME_TEST_BOUND:
-                raise InputError(
-                    f"modulus {p} is beyond the certified primality range "
-                    f"(below {_PRIME_TEST_BOUND})"
-                )
-            if not isinstance(p, int) or not _is_prime(p):
-                raise NonPrimeModulus(f"modulus {p!r} is not a prime")
-        elif kind in (self.Q_KIND, self.Z_KIND):
-            p = None
-        else:
-            raise ValueError(f"unknown domain kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, p: int | None = None):
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, *a):
@@ -117,27 +99,17 @@ class Domain:
     # -- structure ------------------------------------------------------
 
     @property
-    def is_field(self) -> bool:
-        return self.kind != self.Z_KIND
-
-    @property
     def characteristic(self) -> int:
-        return self.p if self.kind == self.GF_KIND else 0
+        return self.p or 0
 
     def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Domain)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+        return self is other or (isinstance(other, Domain) and self.p == other.p)
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
-        if self.kind == self.GF_KIND:
-            return f"GF({self.p})"
-        return "QQ" if self.kind == self.Q_KIND else "ZZ"
+        return f"GF({self.p})" if self.p else "QQ"
 
     # -- element arithmetic ----------------------------------------------
 
@@ -145,42 +117,41 @@ class Domain:
         """Return the canonical representative of ``c``, or raise.
 
         GF(p) accepts ints (reduced mod p); QQ accepts ints and Fractions
-        and returns an int exactly when the value is integral; ZZ accepts
-        ints only.
+        and returns an int exactly when the value is integral.
         """
-        if self.kind == self.GF_KIND:
+        if self.p:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise ConstantNotInField(f"{c!r} is not an element of {self!r}")
             return c % self.p
-        if self.kind == self.Q_KIND:
-            if isinstance(c, bool):
-                raise ConstantNotInField(f"{c!r} is not a rational")
-            if isinstance(c, int):
-                return c
-            if isinstance(c, Fraction):
-                return c.numerator if c.denominator == 1 else c
+        if isinstance(c, bool):
             raise ConstantNotInField(f"{c!r} is not a rational")
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise ConstantNotInField(f"{c!r} is not an integer")
-        return c
+        if isinstance(c, int):
+            return c
+        if isinstance(c, Fraction):
+            return c.numerator if c.denominator == 1 else c
+        raise ConstantNotInField(f"{c!r} is not a rational")
 
     def inv(self, a):
-        if self.kind == self.GF_KIND:
+        if self.p:
             if a % self.p == 0:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.p - 2, self.p)
-        if self.kind == self.Q_KIND:
-            a = Fraction(1) / a
-            return a.numerator if a.denominator == 1 else a
-        raise RingMismatch("ZZ is not a field")
+        a = Fraction(1) / a
+        return a.numerator if a.denominator == 1 else a
 
 
 def GF(p: int) -> Domain:
-    return Domain(Domain.GF_KIND, p)
+    if isinstance(p, int) and p >= _PRIME_TEST_BOUND:
+        raise InputError(
+            f"modulus {p} is beyond the certified primality range "
+            f"(below {_PRIME_TEST_BOUND})"
+        )
+    if not isinstance(p, int) or not _is_prime(p):
+        raise NonPrimeModulus(f"modulus {p!r} is not a prime")
+    return Domain(p)
 
 
-QQ = Domain(Domain.Q_KIND)
-ZZ = Domain(Domain.Z_KIND)
+QQ = Domain()
 
 
 # -- monomial helpers ---------------------------------------------------------
@@ -352,24 +323,22 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Apply the ring map x_i -> images[i].
 
-        All images must live in one common ring, which becomes the ring of
-        the result.  The substitution itself runs inside that ring's domain:
-        when ``self`` lives elsewhere, ``change_domain`` moves it there first
-        (so a ZZ polynomial can be substituted into a QQ or GF(p) context).
+        All images must live in one common ring over ``self``'s domain; that
+        ring becomes the ring of the result.  Images over another domain
+        raise ``RingMismatch``, as the arithmetic operators do.
         """
         if len(images) != self.nvars:
             raise RingMismatch(f"expected {self.nvars} images, got {len(images)}")
         if not images:
             raise RingMismatch("cannot substitute in a ring with no variables")
-        tdom, tn = images[0].domain, images[0].nvars
-        for g in images[1:]:
-            if g.domain != tdom or g.nvars != tn:
-                raise RingMismatch("substitution images live in different rings")
-        terms = self.terms if self.domain == tdom else change_domain(self, tdom).terms
+        dom, tn = self.domain, images[0].nvars
+        for g in images:
+            if g.domain != dom or g.nvars != tn:
+                raise RingMismatch(f"substitution images must live in one ring over {dom!r}")
         unit = (0,) * tn
         powers: dict = {}  # (i, e) -> term map of images[i] ** e, for this call only
         out: dict = {}
-        for m, c in terms.items():
+        for m, c in self.terms.items():
             piece = None if c == 1 else {unit: c}  # a unit coefficient scales nothing
             for i, e in enumerate(m):
                 if e:
@@ -377,9 +346,9 @@ class Polynomial:
                     if pw is None:
                         pw = images[i].terms if e == 1 else (images[i] ** e).terms
                         powers[i, e] = pw
-                    piece = pw if piece is None else _mul_terms(tdom, piece, pw, {})
-            _add_into(tdom, out, {unit: c} if piece is None else piece, 1)
-        return Polynomial(tdom, tn, out)
+                    piece = pw if piece is None else _mul_terms(dom, piece, pw, {})
+            _add_into(dom, out, {unit: c} if piece is None else piece, 1)
+        return Polynomial(dom, tn, out)
 
     def evaluate(self, point: Sequence):
         """Exact evaluation at a tuple of constants; returns a coefficient."""
@@ -460,7 +429,7 @@ class Polynomial:
                 for i, e in enumerate(m)
                 if e
             )
-            negative = self.domain.kind != Domain.GF_KIND and c < 0
+            negative = not self.domain.p and c < 0
             mag = -c if negative else c
             if not vars_txt:
                 body = str(mag)
@@ -557,43 +526,6 @@ def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> 
                 del acc[m]
 
 
-def change_domain(f: Polynomial, dst: Domain) -> Polynomial:
-    """Apply the canonical coefficient map to every term: the one path by
-    which a coefficient changes domain.
-
-    The maps are the identity, ZZ into QQ or GF(p), and GF(p) into ZZ or QQ
-    (representatives 0..p-1); ``dst.coerce`` is each of them.
-    """
-    src = f.domain
-    canonical = src == dst or src.kind == Domain.Z_KIND or (
-        src.kind == Domain.GF_KIND and dst.kind != Domain.GF_KIND
-    )
-    if not canonical:
-        raise RingMismatch(f"no canonical coefficient map {src!r} -> {dst!r}")
-    return Polynomial.from_terms(dst, f.nvars, f.terms.items())
-
-
-# -- reduction and lifting -----------------------------------------------------
-
-def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
-    """Reduce an integer polynomial coefficient-wise mod a prime."""
-    if f.domain != ZZ:
-        raise RingMismatch("reduce_mod_p expects a ZZ polynomial")
-    return change_domain(f, GF(p))
-
-
-def lift_coefficientwise(f: Polynomial) -> Polynomial:
-    """Lift a GF(p) polynomial to ZZ using representatives 0..p-1.
-
-    The support is preserved exactly and reduce_mod_p inverts the map.
-    Any other choice of representatives with the same support would do;
-    this one is canonical.
-    """
-    if f.domain.kind != Domain.GF_KIND:
-        raise RingMismatch("lift_coefficientwise expects a GF(p) polynomial")
-    return change_domain(f, ZZ)
-
-
 class Ideal:
     """A finite generator list in a fixed ring.
 
@@ -649,25 +581,14 @@ def coordinate_ideal(domain: Domain, nvars: int) -> Ideal:
     return Ideal(domain, nvars, [Polynomial.variable(domain, nvars, i) for i in range(nvars)])
 
 
-def lift_ideal(a: Ideal) -> Ideal:
-    """Generator-wise coefficient lift of a nonzero GF(p) ideal to ZZ."""
-    a.require_nonzero()
-    if a.domain.kind != Domain.GF_KIND:
-        raise RingMismatch("lift_ideal expects a GF(p) ideal")
-    return Ideal(ZZ, a.nvars, [lift_coefficientwise(g) for g in a.gens])
-
-
-def ideal_change_domain(a: Ideal, dst: Domain) -> Ideal:
-    return Ideal(dst, a.nvars, [change_domain(g, dst) for g in a.gens])
-
-
 def lift_to_q(a: Ideal) -> Ideal:
     """Coefficient-wise lift of a nonzero GF(p) ideal, read in the rationals
     so tower and jet operations apply."""
     a.require_nonzero()
-    if a.domain.kind != Domain.GF_KIND:
+    if not a.domain.p:
         raise RingMismatch("lift_to_q expects a GF(p) ideal")
-    return ideal_change_domain(a, QQ)
+    # residues 0..p-1 are already canonical rationals
+    return Ideal(QQ, a.nvars, [Polynomial(QQ, a.nvars, dict(g.terms)) for g in a.gens])
 
 
 class MultiIdeal:
@@ -703,8 +624,11 @@ class MultiIdeal:
 
 # A parsed power of a base with t >= 2 terms may have comb(e + t - 1, t - 1)
 # terms; past this bound, the size of the default Groebner step budget, the
-# parser refuses it rather than expand it.
+# parser refuses it rather than expand it.  A power c^e of one term over Q
+# has up to e times as many bits in its numerator and denominator as c has;
+# past the bit bound it is refused too (0, 1 and -1 never grow).
 _POWER_TERM_BOUND = 100_000
+_POWER_BIT_BOUND = 100_000
 
 
 def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
@@ -761,11 +685,17 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
             if "/" in tok[1]:
                 raise ScriptSyntaxError(f"exponent must be an integer at column {tok[2] + 1}")
             e, t = int(tok[1]), len(base.terms)
+            growth = None
             if t > 1 and math.comb(e + t - 1, t - 1) > _POWER_TERM_BOUND:
+                growth = f"expand to more than {_POWER_TERM_BOUND} terms"
+            elif t == 1 and not domain.p:
+                (c,) = base.terms.values()
+                bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                if bits > 1 and e * bits > _POWER_BIT_BOUND:
+                    growth = f"grow a coefficient past {_POWER_BIT_BOUND} bits"
+            if growth:
                 power = text[start : tok[2] + len(tok[1])]
-                raise BudgetExceeded(
-                    f"the power {power} may expand to more than {_POWER_TERM_BOUND} terms"
-                )
+                raise BudgetExceeded(f"the power {power} may {growth}")
             return base ** e
         return base
 
@@ -776,11 +706,11 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
             if "/" in tok[1]:
                 num, den = tok[1].split("/")
                 value = Fraction(int(num), int(den))
-                if value.denominator != 1 and domain.kind != Domain.Q_KIND:
+                if value.denominator != 1 and domain.p:
                     raise ConstantNotInField(
                         f"literal {tok[1]} needs rational coefficients"
                     )
-                c = value if domain.kind == Domain.Q_KIND else int(value)
+                c = int(value) if domain.p else value
             else:
                 c = int(tok[1])
             return Polynomial.constant(domain, nvars, c)

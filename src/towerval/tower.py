@@ -44,7 +44,7 @@ from .errors import (
     UnknownDivisor,
     ZeroIdeal,
 )
-from .polyring import Domain, Ideal, Polynomial, default_names
+from .polyring import Domain, Ideal, Polynomial
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class CenterSpec:
     def make(cls, chart: int, assignment: dict, domain: Domain) -> "CenterSpec":
         items = tuple(sorted((i, domain.coerce(c)) for i, c in assignment.items()))
         return cls(chart, items)
-
-    def indices(self) -> tuple:
-        return tuple(i for i, _ in self.constraints)
 
     def as_dict(self) -> dict:
         return dict(self.constraints)
@@ -308,14 +305,12 @@ def weak_transform(t: Tower, a: Ideal, chart_id: int):
 
 
 def _value_stream(domain: Domain, radius: int):
-    if domain.kind == Domain.GF_KIND:
+    if domain.p:
         return range(min(domain.p, 2 * radius + 1))
-    if domain.kind == Domain.Q_KIND:
-        out = [0]
-        for v in range(1, radius + 1):
-            out += (v, -v)
-        return out
-    raise RingMismatch("point search needs a field")
+    out = [0]
+    for v in range(1, radius + 1):
+        out += (v, -v)
+    return out
 
 
 def point_on_divisor_avoiding(
@@ -433,72 +428,3 @@ def discrepancy_via_jacobian(t: Tower, did: int) -> int:
     matrix = [[chart.frame[i].derivative(j) for j in range(n)] for i in range(n)]
     jac = _det(matrix, t.domain, n)
     return jac.var_min_exponent(chart.pivot)
-
-
-def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:
-    """Other-chart views of a point center, for chart-independence checks.
-
-    A point in a chart created with pivot l is visible in the sibling chart
-    with pivot j exactly when its j-th coordinate is nonzero; the returned
-    specs name the same geometric point there.
-    """
-    chart = t.chart(center.chart)
-    if chart.parent is None:
-        return []
-    cmap = dict(center.constraints)
-    if len(cmap) != t.n:
-        return []
-    dom = t.domain
-    parent_step = t.steps[chart.step - 1]
-    prev_S = set(parent_step.center.indices())
-    piv = chart.pivot
-    out = []
-    for sibling_cid in parent_step.chart_ids:
-        sib = t.chart(sibling_cid)
-        j = sib.pivot
-        if j == piv or cmap[j] == 0:
-            continue
-        inv = dom.inv(cmap[j])
-        coords = {}
-        for i in range(t.n):
-            if i == j:
-                coords[i] = cmap[piv] * cmap[j]
-            elif i == piv:
-                coords[i] = inv
-            elif i in prev_S:
-                coords[i] = cmap[i] * inv
-            else:
-                coords[i] = cmap[i]
-        out.append(CenterSpec.make(sibling_cid, coords, dom))
-    return out
-
-
-def describe(t: Tower) -> dict:
-    """Deterministic plain-data view of a tower, for comparing towers and
-    serializing them; the CLI does not print it."""
-    names = default_names(t.n)
-
-    def const_text(c):
-        return str(c)
-
-    return {
-        "N": t.n,
-        "domain": repr(t.domain),
-        "steps": [
-            {
-                "chart": s.center.chart,
-                "set": [[names[i], const_text(c)] for i, c in s.center.constraints],
-            }
-            for s in t.steps
-        ],
-        "divisors": [
-            {
-                "id": d.did,
-                "k": d.k,
-                "home_chart": d.home_chart,
-                "contained_in": list(d.contained_in),
-            }
-            for d in t.divisors
-        ],
-        "charts": len(t.charts),
-    }

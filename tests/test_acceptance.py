@@ -26,27 +26,23 @@ from towerval import (
     compare_heights,
     coordinate_ideal,
     cross_characteristic_suite,
-    equivalent_center_specs,
     errors,
     groebner_basis,
-    ideal_change_domain,
     ideal_dimension,
     lct_estimate_at_origin,
-    lift_coefficientwise,
-    lift_ideal,
     mld_estimate,
     new_tower,
     parse_polynomial,
-    reduce_mod_p,
     shifted_log_discrepancy_check,
     suspend,
     toric_weight_search,
     valuation,
     valuation_of_poly,
-    verify_groebner,
 )
 from towerval.cli import main
-from towerval.polyring import GF, QQ
+from towerval.polyring import GF, QQ, lift_to_q
+
+from oracles import equivalent_center_specs, verify_groebner
 
 GB_BUDGET = 10**5
 
@@ -141,7 +137,7 @@ def test_criterion_3_jets_golden_values():
             value, depth = lct_estimate_at_origin(coordinate_ideal(dom, n), cap=4)
             assert value == Fraction(n) and depth == 1
     cusp = _ideal(2, 5, ("x1^2", "x2^3"))
-    cusp_q = ideal_change_domain(lift_ideal(cusp), QQ)
+    cusp_q = lift_to_q(cusp)
     for a in (cusp, cusp_q):
         value, depth = lct_estimate_at_origin(a, cap=6)
         assert value == Fraction(5, 6) and depth == 6
@@ -204,7 +200,7 @@ def test_criterion_5_oracle_equivalences():
         _, ideals = build_case(case)
         inputs.extend(ideals)
     for a in inputs:
-        for side in (a, ideal_change_domain(lift_ideal(a), QQ)):
+        for side in (a, lift_to_q(a)):
             basis = groebner_basis(list(side.gens), budget=GB_BUDGET)
             assert verify_groebner(basis, list(side.gens), budget=GB_BUDGET)
 
@@ -212,7 +208,9 @@ def test_criterion_5_oracle_equivalences():
         field = GF(p)
         for _ in range(500):
             f = _random_poly(rng, field, rng.choice([2, 3, 4]), p)
-            assert reduce_mod_p(lift_coefficientwise(f), p) == f
+            (lifted,) = lift_to_q(Ideal(field, f.nvars, [f])).gens
+            assert lifted.domain == QQ
+            assert Polynomial.from_terms(field, f.nvars, lifted.terms.items()) == f
 
 
 def test_criterion_6_structural_invariants(corpus_runs):

@@ -22,7 +22,9 @@ from towerval.polyring import (
     coordinate_ideal,
     parse_polynomial,
 )
-from towerval.tower import CenterSpec, blow_up, describe, new_tower
+from towerval.tower import CenterSpec, blow_up, new_tower
+
+from oracles import describe
 
 
 def I(domain, nvars, *texts):

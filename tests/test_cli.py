@@ -5,10 +5,12 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -344,6 +346,30 @@ def test_the_power_term_bound_sits_at_the_default_step_budget():
     assert [len(g.terms) for g in script.ideals["a"].gens] == [240, 270]
     with pytest.raises(errors.BudgetExceeded, match=r"\(x1\+x2\+x1\*x2\)\^446"):
         parse_script("ring N=2 p=7\nideal a: (x1+x2+x1*x2)^446")
+
+
+def test_a_power_of_one_large_rational_exits_three_quickly(tmp_path):
+    path = tmp_path / "script.tv"
+    path.write_text("ring N=2 p=0\nideal a: x1 + 3^99999999\nheights a\n")
+    src = str(Path(towerval.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerval.cli", "--script", str(path)],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "BudgetExceeded" in proc.stderr and "3^99999999" in proc.stderr
+
+
+def test_the_power_bit_bound_counts_numerator_and_denominator_bits():
+    # 2 and 1/2 each have a 2-bit part, so e * 2 meets the 100 000-bit bound at e = 50 000
+    script = parse_script("ring N=2 p=0\nideal a: x1 + 2^50000, x1 + (1/2)^50000")
+    assert [g.constant_term() for g in script.ideals["a"].gens] == [2**50000, Fraction(1, 2**50000)]
+    for power in ("2^50001", "(1/2)^50001"):
+        with pytest.raises(errors.BudgetExceeded, match=re.escape(power)):
+            parse_script(f"ring N=2 p=0\nideal a: x1 + {power}")
+    # 0, 1 and -1 never grow, a monomial's coefficient is 1, and F_p reduces as it goes
+    parse_script("ring N=2 p=0\nideal a: x1^99999999 + (-1)^99999999 + 1^99999999 + 0^99999999")
+    parse_script("ring N=2 p=7\nideal a: x1 + 3^99999999")
 
 
 def test_large_prime_modulus_parses_quickly():

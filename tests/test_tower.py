@@ -9,9 +9,7 @@ from towerval.polyring import GF, QQ, Ideal, Polynomial, coordinate_ideal, parse
 from towerval.tower import (
     CenterSpec,
     blow_up,
-    describe,
     discrepancy_via_jacobian,
-    equivalent_center_specs,
     new_tower,
     point_on_divisor_avoiding,
     suspend,
@@ -19,6 +17,8 @@ from towerval.tower import (
     valuation_of_poly,
     weak_transform,
 )
+
+from oracles import describe, equivalent_center_specs
 
 
 def P(text, domain, nvars=2):
@@ -182,7 +182,7 @@ def _random_poly(rng, domain, nvars, max_deg=3, max_terms=4):
     items = []
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        c = rng.randint(0, domain.p - 1) if domain.kind == "gf" else rng.randint(-5, 5)
+        c = rng.randint(0, domain.p - 1) if domain.p else rng.randint(-5, 5)
         items.append((exps, c))
     return Polynomial.from_terms(domain, nvars, items)
 

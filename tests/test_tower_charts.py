@@ -40,7 +40,7 @@ def chart_origins(t):
     """cid -> (parent cid, pivot, step), read off the steps, not the charts."""
     out = {}
     for step_no, step in enumerate(t.steps, 1):
-        pivots = sorted(step.center.indices())
+        pivots = sorted(step.center.as_dict())
         for cid, pivot in zip(step.chart_ids, pivots):
             out[cid] = (step.center.chart, pivot, step_no)
     return out
