@@ -14,12 +14,15 @@ plain as possible:
   coefficient}.  Two polynomials are equal iff their term maps are equal,
   which makes canonical forms trivial and hashing cheap.
 
-All coefficient arithmetic on term maps runs in three private kernels:
+All coefficient arithmetic on term maps runs in four private kernels:
 ``_mul_terms`` adds a product into a map (``*``, ``**``, ``scale``,
 ``substitute`` and the jet expansion in ``jets``), ``_add_into`` adds a
 map with a sign (``+``, ``-``, negation and the sum of substituted
-terms), and ``_add_multiple`` adds a monomial multiple of a map without
-its leading term (the reduction step of ``jets``).  ``Domain`` keeps only
+terms), ``_add_multiple`` adds a monomial multiple of a map without
+its leading term (the reduction step of ``jets``), and
+``_chart_pullback`` pulls a map back through one blow-up chart by
+rewriting its exponents (the frames, divisor equations and weak
+transforms of ``tower``).  ``Domain`` keeps only
 ``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
 ``evaluate`` end with it), and ``inv``.  ``lift_to_q`` is the one map
 between domains (residues 0..p-1 read as rationals), and every other
@@ -524,6 +527,72 @@ def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> 
                 acc[m] = v
             else:
                 del acc[m]
+
+
+def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict:
+    """The term map of a blow-up chart's pullback, built without its images.
+
+    ``center`` holds the (index, constant) pairs of the blown-up center,
+    ``pivot`` among them.  The ring map is x_pivot -> c_pivot + u_pivot,
+    x_j -> c_j + u_pivot*u_j for the other constrained j, and x_j -> u_j
+    off the center.  Each term's exponent tuple is rewritten: u_pivot takes
+    the degree over the constrained coordinates whose constant is 0, and
+    only a coordinate with a nonzero constant is expanded, binomially.
+    Sums are reduced as in ``_add_into``.  A binomial coefficient that
+    vanishes mod p (C(p, k) for 0 < k < p) is dropped from its row, so a
+    product of row entries is never zero and never stored.
+    """
+    p = dom.p
+    flat = [j for j, c in center if not c]
+    shifted = [(j, c) for j, c in center if c]
+    acc: dict = {}
+    if not shifted:  # the rewrite is one-to-one on exponents: nothing sums
+        for m, c in terms.items():
+            base = list(m)
+            base[pivot] = sum([m[j] for j in flat])
+            acc[tuple(base)] = c
+        return acc
+    get = acc.get
+    for m, c in terms.items():
+        base = list(m)
+        base[pivot] = sum([m[j] for j in flat])
+        factors = []
+        for j, cj in shifted:
+            e = m[j]
+            if e:
+                if j != pivot:
+                    base[j] = 0
+                factors.append(_binomial_row(p, len(m), pivot, j, cj, e))
+        pieces = [(tuple(base), c)]
+        for row in factors:
+            pieces = [(tuple(map(_add, mono, d)), a * b) for mono, a in pieces for d, b in row]
+        for mono, a in pieces:
+            old = get(mono)
+            if old is not None:
+                a += old
+            if p:
+                a %= p
+            if a:
+                acc[mono] = a
+            else:
+                del acc[mono]
+    return acc
+
+
+def _binomial_row(p, n: int, pivot: int, j: int, c, e: int) -> list:
+    """(c + u_pivot*u_j)^e, or (c + u_pivot)^e when j is the pivot, as
+    (exponent shift, coefficient) pairs with the coefficients that vanish
+    mod p left out."""
+    row = []
+    for k in range(e + 1):
+        b = math.comb(e, k) * pow(c, e - k, p)
+        if p:
+            b %= p
+        if b:
+            shift = [0] * n
+            shift[pivot] = shift[j] = k
+            row.append((tuple(shift), b))
+    return row
 
 
 class Ideal:

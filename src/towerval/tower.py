@@ -13,15 +13,16 @@ and the new divisor is {u_l = 0} in each of them.
 Per chart we know the composite map down to the base (the "frame": every
 base coordinate as a polynomial in chart coordinates) and a local defining
 equation for the proper transform of every divisor born so far.  A blow-up
-records only each new chart's pullback; the frame and the equations are
-derived from the parent chart the first time they are read, and then kept.
+records only each new chart's pivot and center constraints, which fix its
+pullback; the frame and the equations are pulled back from the parent chart
+by one exponent-rewriting kernel the first time they are read, and then kept.
 Towers are immutable and share their charts with every tower extended from
 them, so a chart's frame is computed at most once.  The pivot orders of
 the frame's coordinates give a divisorial valuation term by term: a unique
 lowest term order is the answer, and only on a tie is the total transform
 expanded.  The local equations make containment of a center in an
-earlier divisor an exact substitution test, which drives the discrepancy
-recursion
+earlier divisor an exact test (an equation vanishes on the center exactly
+when u_l divides its pullback), which drives the discrepancy recursion
 
     k_new = (|S| - 1) + sum of k over divisors containing the center.
 
@@ -44,7 +45,7 @@ from .errors import (
     UnknownDivisor,
     ZeroIdeal,
 )
-from .polyring import Domain, Ideal, Polynomial
+from .polyring import Domain, Ideal, Polynomial, _chart_pullback
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,18 @@ class CenterSpec:
 
 
 class Chart:
-    """One affine chart, read-only.  ``pullback``: parent coordinates as
-    polynomials here; ``frame``: base coordinates; ``divisor_eqs``: divisor
-    id -> local equation of its proper transform (both derived on first read).
+    """One affine chart, read-only.  ``pivot`` and ``constraints`` (the
+    center's (index, constant) pairs) fix the pullback from the parent chart
+    (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
+    local equation of its proper transform (both derived on first read).
     """
 
-    __slots__ = ("cid", "pivot", "step", "pullback", "_up", "_frame", "_eqs")
+    __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_frame", "_eqs")
 
-    def __init__(self, cid, up, pivot, step, pullback, frame=None, divisor_eqs=None):
+    def __init__(self, cid, up, pivot, step, constraints, ring, frame=None, divisor_eqs=None):
         for key, value in (("cid", cid), ("_up", up), ("pivot", pivot), ("step", step),
-                           ("pullback", pullback), ("_frame", frame), ("_eqs", divisor_eqs)):
+                           ("constraints", constraints), ("_ring", ring),
+                           ("_frame", frame), ("_eqs", divisor_eqs)):
             object.__setattr__(self, key, value)
 
     def __setattr__(self, *a):
@@ -103,9 +106,14 @@ class Chart:
             object.__setattr__(chart, slot, value)
         return value
 
+    def pull(self, f: Polynomial) -> Polynomial:
+        """f, in the parent chart's coordinates, pulled back to this chart."""
+        dom = f.domain
+        return Polynomial(dom, f.nvars, _chart_pullback(dom, f.terms, self.pivot, self.constraints))
+
 
 def _pull_frame(chart: Chart, frame: tuple) -> tuple:
-    return tuple(f.substitute(chart.pullback) for f in frame)
+    return tuple(map(chart.pull, frame))
 
 
 def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
@@ -113,11 +121,10 @@ def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
     pivot = chart.pivot
     out = {}
     for did, eq in eqs.items():
-        g = eq.substitute(chart.pullback)
+        g = chart.pull(eq)
         drop = g.var_min_exponent(pivot)
         out[did] = g.divide_var_power(pivot, drop) if drop else g
-    u = chart.pullback[pivot]
-    out[chart.step] = Polynomial.variable(u.domain, u.nvars, pivot)
+    out[chart.step] = Polynomial.variable(*chart._ring, pivot)
     return out
 
 
@@ -189,7 +196,7 @@ def new_tower(n: int, domain: Domain) -> Tower:
     if not isinstance(n, int) or n < 2:
         raise BadDimension(f"towers need ambient dimension >= 2, got {n!r}")
     frame = tuple(Polynomial.variable(domain, n, i) for i in range(n))
-    root = Chart(0, None, None, 0, None, frame=frame, divisor_eqs={})
+    root = Chart(0, None, None, 0, None, (domain, n), frame=frame, divisor_eqs={})
     return Tower(domain, n, (root,), ())
 
 
@@ -211,34 +218,26 @@ def blow_up(t: Tower, center: CenterSpec):
             "produce an exceptional divisor"
         )
 
-    u = [Polynomial.variable(dom, n, j) for j in range(n)]
-    # The center as a ring map: x_j -> c_j on the constrained coordinates.
-    # It decides containment and gives the pullbacks their constant parts.
-    center_img = [Polynomial.constant(dom, n, cmap[j]) if j in cmap else u[j] for j in range(n)]
+    constraints = tuple(sorted(cmap.items()))
+    step_no = len(t.steps) + 1
+    base_cid = len(t.charts)
+    new_charts = tuple(
+        Chart(base_cid + i, chart, pivot, step_no, constraints, (dom, n))
+        for i, pivot in enumerate(S)
+    )
+    # An equation vanishes on the center exactly when u_pivot divides its
+    # pullback to a new chart (setting u_pivot = 0 evaluates it there).
+    home = new_charts[0]
     contained = tuple(
         did
         for did, eq in sorted(chart.divisor_eqs.items())
-        if eq.substitute(center_img).is_zero()
+        if home.pull(eq).var_min_exponent(home.pivot)
     )
-    step_no = len(t.steps) + 1
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
-    new_charts = []
-    base_cid = len(t.charts)
-    for pivot in S:
-        pullback = []
-        for j in range(n):
-            if j == pivot:
-                pullback.append(center_img[j] + u[pivot])
-            elif j in cmap:
-                pullback.append(center_img[j] + u[pivot] * u[j])
-            else:
-                pullback.append(u[j])
-        new_charts.append(Chart(base_cid + len(new_charts), chart, pivot, step_no, tuple(pullback)))
-
-    record = DivisorRecord(step_no, k, new_charts[0].cid, contained)
-    step = Step(CenterSpec(center.chart, tuple(sorted(cmap.items()))), tuple(c.cid for c in new_charts), record)
-    return Tower(dom, n, t.charts + tuple(new_charts), t.steps + (step,)), step_no
+    record = DivisorRecord(step_no, k, home.cid, contained)
+    step = Step(CenterSpec(center.chart, constraints), tuple(c.cid for c in new_charts), record)
+    return Tower(dom, n, t.charts + new_charts, t.steps + (step,)), step_no
 
 
 # -- valuations ---------------------------------------------------------------
@@ -293,7 +292,7 @@ def weak_transform(t: Tower, a: Ideal, chart_id: int):
     gens = list(a.gens)
     removed = []
     for ch in path:
-        gens = [g.substitute(list(ch.pullback)) for g in gens]
+        gens = [ch.pull(g) for g in gens]
         drop = min(g.var_min_exponent(ch.pivot) for g in gens)
         if drop:
             gens = [g.divide_var_power(ch.pivot, drop) for g in gens]

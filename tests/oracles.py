@@ -7,7 +7,7 @@ something the tests compare with what the package reports.
 from __future__ import annotations
 
 from towerval.jets import DEFAULT_GB_BUDGET, GRLEX, _as_budget, _spoly, normal_form
-from towerval.polyring import default_names
+from towerval.polyring import Polynomial, default_names
 from towerval.tower import CenterSpec, Tower
 
 
@@ -26,6 +26,28 @@ def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
         if not normal_form(g, basis, budget, GRLEX, lms).is_zero():
             return False
     return True
+
+
+def chart_images(dom, n, pivot, constraints) -> list:
+    """The images of a blow-up chart's pullback, as polynomials for
+    ``Polynomial.substitute``: x_pivot -> c_pivot + u_pivot, x_j -> c_j +
+    u_pivot*u_j for the other (j, c_j) in ``constraints``, x_j -> u_j off
+    the center."""
+    u = [Polynomial.variable(dom, n, i) for i in range(n)]
+    images = list(u)
+    for j, c in constraints:
+        c = Polynomial.constant(dom, n, c)
+        images[j] = c + u[pivot] if j == pivot else c + u[pivot] * u[j]
+    return images
+
+
+def center_images(dom, n, constraints) -> list:
+    """The center as a ring map: x_j -> c_j for the (j, c_j) in
+    ``constraints``, x_j -> x_j otherwise.  A polynomial vanishes on the
+    center exactly when its image is zero."""
+    cmap = dict(constraints)
+    return [Polynomial.constant(dom, n, cmap[j]) if j in cmap else Polynomial.variable(dom, n, j)
+            for j in range(n)]
 
 
 def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:

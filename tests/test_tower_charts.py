@@ -17,13 +17,22 @@ from towerval.invariants import LctWitness, realize_toric_weight, toric_weight_s
 from towerval.polyring import GF, QQ, Ideal, Polynomial, parse_polynomial
 from towerval.tower import CenterSpec, blow_up, new_tower, suspend, valuation, valuation_of_poly
 
+from oracles import center_images, chart_images
+
 DOMAINS = (GF(2), GF(3), GF(5), QQ)
+
+
+def center_constants(dom):
+    """0 and 1, plus constants whose powers differ from themselves, so the
+    pullback expands binomially: 2 and p - 1 over F_p, -1 and 1/2 over Q."""
+    return (0, 1, 2, dom.p - 1) if dom.p else (0, 1, -1, Fraction(1, 2))
 
 
 @st.composite
 def towers(draw):
-    """Random towers: point and subspace centers with constants 0/1, in any
-    chart built so far (so often not the first chart of a step)."""
+    """Random towers: point and subspace centers with constants from
+    ``center_constants``, in any chart built so far (so often not the
+    first chart of a step)."""
     dom = draw(st.sampled_from(DOMAINS))
     n = draw(st.integers(2, 3))
     t = new_tower(n, dom)
@@ -31,7 +40,8 @@ def towers(draw):
         chart = draw(st.integers(0, len(t.charts) - 1))
         support = draw(st.sampled_from([s for k in range(2, n + 1)
                                         for s in itertools.combinations(range(n), k)]))
-        consts = draw(st.lists(st.sampled_from((0, 1)), min_size=len(support), max_size=len(support)))
+        consts = draw(st.lists(st.sampled_from(center_constants(dom)),
+                               min_size=len(support), max_size=len(support)))
         t, _ = blow_up(t, CenterSpec.make(chart, dict(zip(support, consts)), dom))
     return t
 
@@ -46,12 +56,17 @@ def chart_origins(t):
     return out
 
 
+def pullback_images(t, cid):
+    chart = t.chart(cid)
+    return tuple(chart_images(t.domain, t.n, chart.pivot, chart.constraints))
+
+
 def composite_frame(t, cid, origins):
     """Compose the pullbacks from the chart up to the base, innermost first."""
-    images = t.chart(cid).pullback
+    images = pullback_images(t, cid)
     parent = origins[cid][0]
     while parent != 0:
-        images = tuple(g.substitute(images) for g in t.chart(parent).pullback)
+        images = tuple(g.substitute(images) for g in pullback_images(t, parent))
         parent = origins[parent][0]
     return images
 
@@ -62,7 +77,7 @@ def eager_divisor_eqs(t, origins):
     eqs = {0: {}}
     for cid in range(1, len(t.charts)):
         parent, pivot, step_no = origins[cid]
-        pullback = t.chart(cid).pullback
+        pullback = pullback_images(t, cid)
         mine = {}
         for did, eq in eqs[parent].items():
             g = eq.substitute(pullback)
@@ -88,6 +103,18 @@ def test_lazy_frames_and_equations_match_eager_references(data):
             assert chart.frame == composite_frame(t, cid, origins)
         else:
             assert chart.divisor_eqs == eqs[cid]
+
+
+@given(towers())
+def test_containment_matches_the_center_substitution(t):
+    """A divisor contains a center exactly when its local equation in the
+    center's chart vanishes under x_j -> c_j on the constrained coordinates."""
+    for step in t.steps:
+        center_img = center_images(t.domain, t.n, step.center.constraints)
+        eqs = t.chart(step.center.chart).divisor_eqs
+        expected = tuple(did for did, eq in sorted(eqs.items())
+                         if eq.substitute(center_img).is_zero())
+        assert step.divisor.contained_in == expected
 
 
 def sparse_polys(dom, n):
@@ -122,7 +149,7 @@ def test_valuations_match_the_expanded_total_transform(data):
 def test_chart_attributes_are_read_only():
     t, _ = blow_up(new_tower(2, GF(5)), CenterSpec.make(0, {0: 0, 1: 0}, GF(5)))
     chart = t.chart(1)
-    for name in ("cid", "parent", "pivot", "step", "pullback", "frame", "divisor_eqs"):
+    for name in ("cid", "parent", "pivot", "step", "constraints", "frame", "divisor_eqs"):
         with pytest.raises(AttributeError):
             setattr(chart, name, None)
 
