@@ -54,13 +54,21 @@ def grevlex_key(a):
 GRLEX = grlex_key
 GREVLEX = grevlex_key
 
+# Per order, a key that sorts the other way round, so that a min-heap pops
+# the largest monomial first.
+DESCENDING = {
+    GRLEX: lambda a: (-sum(a), tuple(map(neg, a))),
+    GREVLEX: lambda a: (-sum(a), a[::-1]),
+}
+
 
 class StepBudget:
     """Counts Groebner steps; raises once the cap is crossed.
 
-    A step is one pair taken from the pair queue of ``groebner_basis`` or
-    one reduction step of ``normal_form`` (subtracting a multiple of a
-    basis element to cancel a leading term).
+    A step is one pair taken from the pair queue of ``groebner_basis`` and
+    reduced, or one reduction step of ``normal_form`` (subtracting a
+    multiple of a basis element to cancel a leading term).  Pairs that the
+    criteria of ``groebner_basis`` drop cost nothing.
     """
 
     __slots__ = ("cap", "used")
@@ -90,17 +98,25 @@ def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None)
 
     ``lms`` are the basis elements' leading monomials in ``order``; a
     caller that keeps them passes them in.  The remainder is built in one
-    mutable term map: each step pops the leading term lc * x^lm and
-    subtracts lc * x^q * g from the rest, where x^q * lm(g) = x^lm.
+    mutable term map, whose monomials wait in a heap of ``DESCENDING``
+    keys, pushed as they enter the map.  Each step pops the leading term
+    lc * x^lm and subtracts lc * x^q * g from the rest, where
+    x^q * lm(g) = x^lm; that subtraction is one step of ``budget``.  A
+    popped monomial that has cancelled since it was pushed is skipped.
     """
     if lms is None:
         lms = [max(g.terms, key=order) for g in basis]
+    desc = DESCENDING[order]
     dom = f.domain
     work = dict(f.terms)
+    heap = [(desc(m), m) for m in work]
+    heapq.heapify(heap)
     tail: dict = {}
-    while work:
-        lm = max(work, key=order)
-        lc = work.pop(lm)
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
         for g, glm in zip(basis, lms):
             if mono_divides(glm, lm):
                 break
@@ -108,7 +124,8 @@ def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None)
             tail[lm] = lc
             continue
         budget.spend()
-        _add_multiple(dom, work, -lc, mono_div(lm, glm), g.terms, glm)
+        for m in _add_multiple(dom, work, -lc, mono_div(lm, glm), g.terms, glm):
+            heapq.heappush(heap, (desc(m), m))
     return Polynomial(dom, f.nvars, tail)
 
 
@@ -124,11 +141,23 @@ def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
 
 
 def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
-    """Buchberger with normal pair selection and a hard step budget.
+    """Buchberger with the Gebauer-Moeller criteria and a hard step budget.
 
-    ``order`` is a monomial sort key, GRLEX or GREVLEX.  Deterministic:
-    pairs leave a heap by (lcm order, indices), and the returned basis is
-    reduced, monic and sorted, hence unique for the ideal and the order.
+    ``order`` is a monomial sort key, GRLEX or GREVLEX.  Each new element h
+    goes through the ``UPDATE`` of Gebauer & Moeller (1988):
+    - a queued pair (i, j) is dropped when lm(h) divides lcm(i, j) and
+      both lcm(i, h) and lcm(h, j) differ from it (criterion B_k);
+    - of the new pairs (k, h), one whose lcm another one's properly
+      divides is dropped (M), of those sharing an lcm one is kept (F), and
+      none is kept where one of them has coprime leading monomials (the
+      product criterion), so no coprime pair is ever queued;
+    - an element whose leading monomial h's divides makes no new pairs.
+    A step is one pair taken from the queue and reduced, or one reduction
+    step of ``normal_form``; a pair the criteria drop costs nothing.
+
+    Deterministic: pairs leave a heap by (lcm order, indices), dropped ones
+    are skipped there, and the returned basis is reduced, monic and sorted,
+    hence unique for the ideal and the order.
     """
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
@@ -140,32 +169,45 @@ def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
             raise RingMismatch("generators live in different rings")
 
     basis, lms = [], []  # lms[k] is the leading monomial of basis[k]
+    active = []  # the elements that still make pairs
+    queue: list = []  # heap of (order key of the lcm, i, j)
+    live: dict = {}  # (i, j) -> lcm, for every queued pair not yet dropped
+
+    def update(f, lm):
+        h = len(basis)
+        basis.append(_monic(f, lm))
+        lms.append(lm)
+        for (i, j), t in list(live.items()):  # B_k
+            if mono_divides(lm, t) and t != mono_lcm(lms[i], lm) and t != mono_lcm(lms[j], lm):
+                del live[i, j]
+        by_lcm: dict = {}
+        for k in active:
+            by_lcm.setdefault(mono_lcm(lms[k], lm), []).append(k)
+        minimal = []
+        for t in sorted(by_lcm, key=sum):  # a proper divisor has a smaller degree
+            if any(mono_divides(s, t) for s in minimal):
+                continue  # M
+            minimal.append(t)
+            ks = by_lcm[t]
+            if any(not any(map(min, lms[k], lm)) for k in ks):
+                continue  # F and the product criterion: a coprime pair has this lcm
+            live[ks[0], h] = t
+            heapq.heappush(queue, (order(t), ks[0], h))
+        active[:] = [k for k in active if not mono_divides(lm, lms[k])]
+        active.append(h)
+
     for g in gens:
         lm = max(g.terms, key=order)
-        m = _monic(g, lm)
-        if m not in basis:
-            basis.append(m)
-            lms.append(lm)
-    pairs: list = []
-
-    def add_pairs(new):
-        for k in range(new):
-            heapq.heappush(pairs, (order(mono_lcm(lms[k], lms[new])), k, new))
-
-    for new in range(1, len(basis)):
-        add_pairs(new)
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
+        if _monic(g, lm) not in basis:
+            update(g, lm)
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        if live.pop((i, j), None) is None:
+            continue  # dropped by B_k after it was queued
         budget.spend()
-        li, lj = lms[i], lms[j]
-        if not any(map(min, li, lj)):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        nf = normal_form(_spoly(basis[i], basis[j], li, lj), basis, budget, order, lms)
+        nf = normal_form(_spoly(basis[i], basis[j], lms[i], lms[j]), basis, budget, order, lms)
         if not nf.is_zero():
-            lm = max(nf.terms, key=order)
-            basis.append(_monic(nf, lm))
-            lms.append(lm)
-            add_pairs(len(basis) - 1)
+            update(nf, max(nf.terms, key=order))
     return _reduce_basis(basis, lms, order, budget)
 
 
@@ -273,24 +315,32 @@ def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
 @dataclass(frozen=True)
 class JetSystem:
     """Truncated jet data of an ideal: level m, variables x_l^(q) for
-    0 <= q <= m, and per generator the coefficients F^(0), ..., F^(m) of
-    its expansion along x_l -> sum_q x_l^(q) t^q (over q >= 1 only for
-    arcs through the origin, see ``jet_equations``)."""
+    0 <= q <= m (1 <= q <= m ``at_origin``), and per generator the
+    coefficients F^(0), ..., F^(m) of its expansion along
+    x_l -> sum_q x_l^(q) t^q."""
 
     n: int
     level: int
     domain: Domain
     coefficients: tuple  # one tuple of m+1 polynomials per input generator
+    at_origin: bool = False
+
+    @property
+    def lowest_order(self) -> int:
+        """The lowest q with a variable x_l^(q)."""
+        return 1 if self.at_origin else 0
 
     @property
     def nvars(self) -> int:
-        return self.n * (self.level + 1)
+        return self.n * (self.level + 1 - self.lowest_order)
 
     def var_index(self, l: int, q: int) -> int:
-        return l * (self.level + 1) + q
+        lo = self.lowest_order
+        return l * (self.level + 1 - lo) + q - lo
 
     def var_names(self) -> list:
-        return [f"x{l + 1}_{q}" for l in range(self.n) for q in range(self.level + 1)]
+        orders = range(self.lowest_order, self.level + 1)
+        return [f"x{l + 1}_{q}" for l in range(self.n) for q in orders]
 
 
 # A CLI session folds lct, mld, notlc and crosschar over the same ideals, so
@@ -313,8 +363,8 @@ def jet_equations(a: Ideal, m: int, *, at_origin: bool = False) -> JetSystem:
     """Expand each generator along truncated jets and split off t-powers.
 
     With ``at_origin`` the expansion runs along arcs through the origin,
-    x_l(t) = sum_{q>=1} x_l^(q) t^q: the q = 0 slot is zero, so no
-    x_l^(0) occurs in any coefficient, though the ring still has them.
+    x_l(t) = sum_{q>=1} x_l^(q) t^q, in the ring of the N*m variables
+    x_l^(q), q >= 1: F^(0) is the constant term of the generator.
 
     Expansions are memoised per process: a repeat returns the system
     built the first time, equal to a fresh expansion (so callers must not
@@ -331,7 +381,8 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
         raise ValueError("jet level must be >= 0")
     n, dom = a.nvars, a.domain
     width = m + 1
-    jet_nvars = n * width
+    lo = 1 if at_origin else 0  # the lowest order q with a variable x_l^(q)
+    jet_nvars = n * (width - lo)
     unit = (0,) * jet_nvars
 
     # A series is a list of ``width`` term maps, the coefficients of t^0..t^m.
@@ -348,12 +399,11 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
         return out
 
     var_series = [
-        [Polynomial.variable(dom, jet_nvars, l * width + q).terms for q in range(width)]
+        [{}] * lo
+        + [Polynomial.variable(dom, jet_nvars, l * (width - lo) + q - lo).terms
+           for q in range(lo, width)]
         for l in range(n)
     ]
-    if at_origin:
-        for xl in var_series:
-            xl[0] = {}
     power_cache: dict = {}
 
     def series_power(l, e):
@@ -375,7 +425,7 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
                 piece = series_mul(piece, f, series())
             series_mul(piece, factors[-1], acc)
         out.append(tuple(Polynomial(dom, jet_nvars, terms) for terms in acc))
-    return JetSystem(n=n, level=m, domain=dom, coefficients=tuple(out))
+    return JetSystem(n=n, level=m, domain=dom, coefficients=tuple(out), at_origin=at_origin)
 
 
 # -- contact loci ---------------------------------------------------------------------
@@ -432,14 +482,16 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
     """Codimension of the intersection of the contact loci with the arcs
     through the origin, evaluated at truncation level max(m_i).
 
-    The defining ideal lives in the N*L jet variables with q < L: all
-    x_l^(0), plus for factor i the coefficients F^(j), j < m_i, of each
-    generator expanded along arcs through the origin (``at_origin``), so
-    no x_l^(0) occurs in them.  The x_l^(0) stay in the ring as linear
-    generators: dropping them would change the Groebner input, and with
-    it the step counts and the point where a budget runs out.  Monomial
-    inputs use the combinatorial fast path unless ``force_groebner`` asks
-    for the slow route (the tests compare the two).
+    The locus lives in the N*L jet variables with q < L.  On it all
+    x_l^(0) vanish, so it is cut out by the coefficients F^(j), j < m_i,
+    of factor i's generators expanded along arcs through the origin
+    (``at_origin``), an ideal in the N*(L-1) variables x_l^(q),
+    1 <= q <= L-1; the codim is N*L minus that ideal's dimension.  A cell
+    with no nonzero condition has codim N and runs no Groebner basis.
+    Monomial inputs use the combinatorial fast path unless
+    ``force_groebner`` asks for the slow route (the tests compare the
+    two).  Each step of the Groebner route is a step of
+    ``groebner_basis``.
 
     Cells are memoised per process, keyed by the factors and the route.
     A repeat returns the stored codim and spends the steps the cell cost
@@ -467,13 +519,12 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
 
 
 def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
-    dom, n = ring
+    n = ring[1]
     if not force_groebner and all(a.is_monomial() for a, _ in factors):
         return monomial_contact_codim(factors)
 
-    L = max(m for _, m in factors)  # jet variables x_l^(q), 0 <= q <= L-1
-    jet_nvars = n * L
-    gens = [Polynomial.variable(dom, jet_nvars, l * L) for l in range(n)]
+    L = max(m for _, m in factors)  # jet variables x_l^(q), 1 <= q <= L-1
+    gens = []
     for a, m in factors:
         for coeffs in jet_equations(a, L - 1, at_origin=True).coefficients:
             for g in coeffs[:m]:
@@ -482,8 +533,7 @@ def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
                         continue
                     raise UnitIdeal("a contact condition is a nonzero constant")
                 gens.append(g)
-    dim = ideal_dimension(gens, budget=budget)
-    return jet_nvars - dim
+    return n * L - (ideal_dimension(gens, budget=budget) if gens else n * (L - 1))
 
 
 # -- estimators ------------------------------------------------------------------------

@@ -19,7 +19,8 @@ All coefficient arithmetic on term maps runs in four private kernels:
 ``substitute`` and the jet expansion in ``jets``), ``_add_into`` adds a
 map with a sign (``+``, ``-``, negation and the sum of substituted
 terms), ``_add_multiple`` adds a monomial multiple of a map without
-its leading term (the reduction step of ``jets``), and
+its leading term and returns the monomials that entered (the reduction
+step of ``jets``), and
 ``_chart_pullback`` pulls a map back through one blow-up chart by
 rewriting its exponents (the frames, divisor equations and weak
 transforms of ``tower``).  ``Domain`` keeps only
@@ -506,27 +507,34 @@ def _add_into(dom: Domain, acc: dict, terms: dict, sign: int) -> None:
             del acc[m]
 
 
-def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> None:
-    """acc += c * x^q * (terms without the term at lm), in place.
+def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> list:
+    """acc += c * x^q * (terms without the term at lm), in place; returns
+    the monomials that entered acc.
 
     The caller cancels the skipped term itself.  ``c`` is any representative
     of a nonzero coefficient; each sum is reduced as in ``_add_into``.
     """
     p = dom.p
     get = acc.get
+    entered = []
     for m, v in terms.items():
         if m != lm:
             m = tuple(map(_add, m, q))
             v = c * v
             old = get(m)
-            if old is not None:
-                v += old
+            if old is None:
+                # c and v are nonzero in a field, so their product is too
+                acc[m] = v % p if p else v
+                entered.append(m)
+                continue
+            v += old
             if p:
                 v %= p
             if v:
                 acc[m] = v
             else:
                 del acc[m]
+    return entered
 
 
 def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict:

@@ -74,10 +74,14 @@ class Chart:
     __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_frame", "_eqs")
 
     def __init__(self, cid, up, pivot, step, constraints, ring, frame=None, divisor_eqs=None):
-        for key, value in (("cid", cid), ("_up", up), ("pivot", pivot), ("step", step),
-                           ("constraints", constraints), ("_ring", ring),
-                           ("_frame", frame), ("_eqs", divisor_eqs)):
-            object.__setattr__(self, key, value)
+        _set_cid(self, cid)
+        _set_up(self, up)
+        _set_pivot(self, pivot)
+        _set_step(self, step)
+        _set_constraints(self, constraints)
+        _set_ring(self, ring)
+        _set_frame(self, frame)
+        _set_eqs(self, divisor_eqs)
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -110,6 +114,18 @@ class Chart:
         """f, in the parent chart's coordinates, pulled back to this chart."""
         dom = f.domain
         return Polynomial(dom, f.nvars, _chart_pullback(dom, f.terms, self.pivot, self.constraints))
+
+
+# The slot descriptors' setters, bound once: ``__setattr__`` raises, and
+# these and ``_derive`` are the only writers of a Chart's fields.
+_set_cid = Chart.cid.__set__
+_set_up = Chart._up.__set__
+_set_pivot = Chart.pivot.__set__
+_set_step = Chart.step.__set__
+_set_constraints = Chart.constraints.__set__
+_set_ring = Chart._ring.__set__
+_set_frame = Chart._frame.__set__
+_set_eqs = Chart._eqs.__set__
 
 
 def _pull_frame(chart: Chart, frame: tuple) -> tuple:

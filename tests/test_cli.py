@@ -297,7 +297,7 @@ def test_exit_code_three_for_exhaustion(tmp_path, capsys):
 
 def test_exit_code_three_for_budget_exhaustion(tmp_path, capsys):
     text = "ring N=2 p=0\nideal c: x1^2 + x2^3\nlct c\n"
-    code, _, err = run_main(tmp_path, capsys, text, "--cap", "4", "--gb-budget", "1")
+    code, _, err = run_main(tmp_path, capsys, text, "--cap", "5", "--gb-budget", "1")
     assert code == 3 and "BudgetExceeded" in err
 
 

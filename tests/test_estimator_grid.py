@@ -74,7 +74,7 @@ CASES = {
     "lct-mono-F3": ("lct", "F3", 2, [(MONO, 1)], 3, B),
     "lct-off-F5": ("lct", "F5", 2, [(OFF, 1)], 3, B),
     "lct-cap0-Q": ("lct", "Q", 2, [(CUSP, 1)], 0, B),
-    "lct-budget-Q": ("lct", "Q", 2, [(CUSP, 1)], 4, 3),
+    "lct-budget-Q": ("lct", "Q", 2, [(CUSP, 1)], 5, 3),
     "lct-three-vars-F2": ("lct", "F2", 3, [(("x1^2 + x2^2 + x3^2",), 1)], 3, B),
     # mld: one and two factors, ties, cap 0, factors off the origin
     **{f"mld-cusp-{d}": ("mld", d, 2, [(CUSP, 1)], 3, B) for d in DOMAINS},
@@ -89,8 +89,8 @@ CASES = {
     "mld-off-alone-Q": ("mld", "Q", 2, [(OFF, 1)], 3, B),
     "mld-square-F2": ("mld", "F2", 2, [(SQUARE, 1)], 4, B),
     "mld-mono-F7": ("mld", "F7", 2, [(MONO, "3/2")], 3, B),
-    "mld-budget-Q": ("mld", "Q", 2, [(CUSP, 1)], 3, 1),
-    "mld-budget-roomy-Q": ("mld", "Q", 2, [(CUSP, 1)], 3, 3),
+    "mld-budget-Q": ("mld", "Q", 2, [(CUSP, 1)], 5, 1),
+    "mld-budget-roomy-Q": ("mld", "Q", 2, [(CUSP, 1)], 5, 27),
     # notlc: first violating cell by total depth, then lexicographically
     **{f"notlc-cusp-{d}": ("notlc", d, 2, [(CUSP, 3)], 3, B) for d in DOMAINS},
     **{f"notlc-node-{d}": ("notlc", d, 2, [(NODE, 1)], 3, B) for d in DOMAINS},
@@ -100,7 +100,7 @@ CASES = {
     "notlc-off-alone-F7": ("notlc", "F7", 2, [(OFF, 9)], 3, B),
     "notlc-empty-Q": ("notlc", "Q", 2, [], 3, B),
     "notlc-cap0-Q": ("notlc", "Q", 2, [(CUSP, 3)], 0, B),
-    "notlc-budget-Q": ("notlc", "Q", 2, [(CUSP, 1)], 3, 1),
+    "notlc-budget-Q": ("notlc", "Q", 2, [(CUSP, 1)], 5, 1),
     "notlc-budget-found-F5": ("notlc", "F5", 2, [(CUSP, "3/2")], 3, 1),
     # crosschar: single and two factors, caps per factor, budget notes
     **{f"crosschar-cusp-{d}": ("crosschar", d, 2, [(CUSP, 1)], 4, B) for d in PRIMES},
@@ -110,10 +110,10 @@ CASES = {
     "crosschar-twin-F5": ("crosschar", "F5", 2, [(MAX, 1), (MAX, 1)], 2, B),
     "crosschar-off-F3": ("crosschar", "F3", 2, [(OFF, 1), (CUSP, 1)], (1, 3), B),
     "crosschar-off-alone-F7": ("crosschar", "F7", 2, [(OFF, 1)], 2, B),
-    "crosschar-budget-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 4, 1),
+    "crosschar-budget-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 6, 1),
     # over F_2 x1^2 + x1^4 has one contact condition below depth 4, its lift two:
-    # at depth 4 the F_2 side finishes inside one step and the Q side does not
-    "crosschar-budget-lift-F2": ("crosschar", "F2", 1, [(("x1^2 + x1^4",), 1)], 5, 1),
+    # at depth 4 the F_2 side finishes without a step and the Q side needs one
+    "crosschar-budget-lift-F2": ("crosschar", "F2", 1, [(("x1^2 + x1^4",), 1)], 5, 0),
     "crosschar-budget-pair-F3": ("crosschar", "F3", 2, [(CUSP, 1), (NODE, 1)], 2, 1),
     "crosschar-caps-mismatch-F5": ("crosschar", "F5", 2, [(CUSP, 1)], (1, 2), B),
     "crosschar-rational-Q": ("crosschar", "Q", 2, [(CUSP, 1)], 2, B),
@@ -121,7 +121,7 @@ CASES = {
 }
 
 EXPECTED = {
-    'crosschar-budget-F5': '(1,):2:2:None;(2,):2:2:None;(3,):None:None:budget;(4,):None:None:budget|mld=0,0|lct=1,1',
+    'crosschar-budget-F5': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None;(5,):None:None:budget;(6,):None:None:budget|mld=0,0|lct=1,1',
     'crosschar-budget-lift-F2': '(1,):1:1:None;(2,):1:1:None;(3,):2:2:None;(4,):2:None:budget;(5,):None:None:budget|mld=-1,-1|lct=1/2,1/2',
     'crosschar-budget-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-2,-2|lct=None,None',
     'crosschar-cap0-F5': '|mld=2,2|lct=None,None',

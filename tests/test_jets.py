@@ -10,6 +10,7 @@ import sympy
 from towerval import errors, jets
 from towerval.cli import parse_script, run
 from towerval.jets import (
+    GREVLEX,
     GRLEX,
     StepBudget,
     compare_heights,
@@ -173,35 +174,54 @@ def test_negative_step_budget_is_refused():
 
 
 def test_groebner_matches_sympy_over_q_and_gf():
+    # 3-4 generators in 3 variables with exponents up to 3: large enough
+    # that the pair criteria drop pairs, both by B_k and among new pairs
     rng = random.Random(422)
     syms = sympy.symbols("x y z")
-    for trial in range(40):
-        domain = QQ if trial % 2 == 0 else GF(5)
-        nv = rng.choice([2, 3])
+    for trial in range(48):
+        domain = (QQ, GF(2), GF(3), GF(5))[trial % 4]
+        order, sympy_order = ((GRLEX, "grlex"), (GREVLEX, "grevlex"))[trial // 4 % 2]
         gens = []
-        for _ in range(rng.randint(2, 3)):
+        for _ in range(rng.randint(3, 4)):
             items = [
                 (
-                    tuple(rng.randint(0, 2) for _ in range(nv)),
-                    rng.randint(-4, 4) if domain == QQ else rng.randint(0, 4),
+                    tuple(rng.randint(0, 3) for _ in range(3)),
+                    rng.randint(-4, 4) if domain == QQ else rng.randint(0, domain.p - 1),
                 )
                 for _ in range(rng.randint(1, 3))
             ]
-            g = Polynomial.from_terms(domain, nv, items)
+            g = Polynomial.from_terms(domain, 3, items)
             if not g.is_zero():
                 gens.append(g)
         if not gens:
             continue
-        mine = groebner_basis(gens, budget=200_000)
-        kwargs = {"order": "grlex"}
+        mine = groebner_basis(gens, order=order, budget=200_000)
+        kwargs = {"order": sympy_order}
         if domain.p:
             kwargs["modulus"] = domain.p
-        theirs = sympy.groebner([to_sympy(g, syms[:nv]) for g in gens], *syms[:nv], **kwargs)
-        theirs_polys = {from_sympy(e, syms[:nv], domain).monic() for e in theirs.exprs}
-        if theirs_polys == {Polynomial.constant(domain, nv, 1)}:
+        theirs = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, **kwargs)
+        theirs_polys = {from_sympy(e, syms, domain) for e in theirs.exprs}
+        if theirs_polys == {Polynomial.constant(domain, 3, 1)}:
             assert [g.text() for g in mine] == ["1"]
         else:
-            assert set(mine) == theirs_polys
+            assert set(mine) == {f.scale(domain.inv(f.terms[max(f.terms, key=order)]))
+                                 for f in theirs_polys}
+
+
+def test_coprime_leading_monomials_cost_no_step():
+    budget = StepBudget(10)
+    gb = groebner_basis([P("x1^2", QQ), P("x2^3", QQ)], budget=budget)
+    assert [g.text() for g in gb] == ["x1^2", "x2^3"]
+    assert budget.used == 0
+
+
+@pytest.mark.parametrize("order", [GRLEX, GREVLEX])
+def test_descending_keys_sort_against_their_order(order):
+    rng = random.Random(423)
+    for _ in range(50):
+        nvars = rng.randint(1, 4)
+        monos = list({tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(12)})
+        assert sorted(monos, key=jets.DESCENDING[order]) == sorted(monos, key=order, reverse=True)
 
 
 # -- dimension ----------------------------------------------------------------------
