@@ -18,7 +18,7 @@ run in which every identity held.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -33,11 +33,13 @@ from .errors import (
 from .invariants import log_discrepancy
 from .jets import DEFAULT_GB_BUDGET, contact_cells, contact_codim_at_origin
 from .polyring import (
+    GF,
     QQ,
     Ideal,
     MultiIdeal,
     Polynomial,
     lift_to_q,
+    parse_polynomial,
 )
 from .tower import (
     CenterSpec,
@@ -50,34 +52,22 @@ from .tower import (
 )
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(namedtuple(
+    "BridgeReport",
+    "n p input_divisor k_e middle_divisor k_middle final_divisor k_f"
+    " point_1 point_2 lifted_point_1 lifted_point_2 tower_p tower_q"
+    " ideals lifted_ideals valuations k_identity_ok v_identity_ok shifted",
+    defaults=((),),
+)):
     """Everything a successful run produced, raw numbers included.
 
     The identity booleans are redundant given the raw k and v values on
     purpose: a reader can redo the arithmetic from the report alone.
+    ``valuations`` holds per factor (v_E, v_F over F_p, v_F over Q), and
+    ``shifted`` one (exponent vector, a over F_p, a over Q) per vector checked.
     """
 
-    n: int
-    p: int
-    input_divisor: int
-    k_e: int
-    middle_divisor: int
-    k_middle: int
-    final_divisor: int
-    k_f: int
-    point_1: CenterSpec
-    point_2: CenterSpec
-    lifted_point_1: CenterSpec
-    lifted_point_2: CenterSpec
-    tower_p: Tower
-    tower_q: Tower
-    ideals: tuple
-    lifted_ideals: tuple
-    valuations: tuple  # per factor: (v_E, v_F over F_p, v_F over Q)
-    k_identity_ok: bool
-    v_identity_ok: bool
-    shifted: tuple = ()  # (exponent vector, a over F_p, a over Q)
+    __slots__ = ()
 
 
 def lift_tower(t: Tower) -> Tower:
@@ -248,7 +238,7 @@ def shifted_log_discrepancy_check(report: BridgeReport, exponent_vectors) -> Bri
                 f"a over Q is {a_q}, expected {2 * (report.n - 1) + a_p}"
             )
         shifted.append((evec, a_p, a_q))
-    return replace(report, shifted=tuple(shifted))
+    return report._replace(shifted=tuple(shifted))
 
 
 def _evec_text(evec) -> str:
@@ -259,23 +249,14 @@ def _evec_text(evec) -> str:
 # -- cross-characteristic inequalities ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossCharCell:
-    mvec: tuple
-    codim_p: int | None
-    codim_q: int | None
-    note: str | None  # "budget" when either side ran out of steps
+class CrossCharCell(namedtuple("CrossCharCell", "mvec codim_p codim_q note")):
+    """One depth vector's codims; ``note`` is "budget" when either side ran out of steps."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CrossCharReport:
-    p: int
-    caps: tuple
-    cells: tuple
-    mld_p: Fraction
-    mld_q: Fraction
-    lct_p: Fraction | None
-    lct_q: Fraction | None
+class CrossCharReport(namedtuple("CrossCharReport", "p caps cells mld_p mld_q lct_p lct_q")):
+    __slots__ = ()
 
     @property
     def mld_ordered(self) -> bool:
@@ -342,22 +323,16 @@ def cross_characteristic_suite(ma, caps, budget: int = DEFAULT_GB_BUDGET) -> Cro
 # -- the deterministic corpus ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BridgeCase:
-    """A replayable bridge input: centers as plain data, ideals as text."""
+class BridgeCase(namedtuple("BridgeCase", "name n p centers ideal_texts exponent_vectors")):
+    """A replayable bridge input: centers as plain data, one
+    (chart id, ((var index, int constant), ...)) per step, and ideals as
+    text, one tuple of generator texts per ideal."""
 
-    name: str
-    n: int
-    p: int
-    centers: tuple  # (chart id, ((var index, int constant), ...)) per step
-    ideal_texts: tuple  # tuple of generator-text tuples
-    exponent_vectors: tuple
+    __slots__ = ()
 
 
 def build_case(case: BridgeCase):
     """Replay a corpus case into a live tower and ideal list."""
-    from .polyring import GF, parse_polynomial
-
     dom = GF(case.p)
     t = new_tower(case.n, dom)
     for chart, constraints in case.centers:

@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .bridge import (
@@ -50,23 +50,18 @@ from .jets import (
     mld_estimate,
 )
 from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, parse_polynomial
-from .tower import CenterSpec, blow_up, new_tower, suspend, valuation
-
-@dataclass
-class SessionScript:
-    n: int
-    p: int
-    domain: Domain
-    ideals: dict
-    towers: dict
-    commands: list  # (line number, command name, argument tokens, raw text)
+from .tower import CenterSpec, Tower, blow_up, new_tower, suspend, valuation
 
 
-@dataclass
-class _Block:
-    index: int
-    raw: str
-    lines: list = field(default_factory=list)
+class SessionScript(namedtuple("SessionScript", "n p domain ideals towers commands")):
+    """A parsed script; ``commands`` holds (line number, command name,
+    argument tokens, raw text) tuples."""
+
+    __slots__ = ()
+
+
+class _Block(namedtuple("_Block", "index raw lines")):
+    __slots__ = ()
 
     def add(self, *pairs):
         self.lines.append(list(pairs))
@@ -505,7 +500,7 @@ def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bou
     opt = {"cap": cap, "gb_budget": gb_budget, "weight_bound": weight_bound}
     blocks = []
     for index, (ln, name, tokens, raw) in enumerate(script.commands, start=1):
-        block = _Block(index, raw)
+        block = _Block(index, raw, [])
         try:
             _HANDLERS[name](script, tokens, opt, block, ln)
         except (IndexError,):

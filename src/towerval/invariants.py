@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -33,18 +33,14 @@ from .polyring import Domain, Ideal, MultiIdeal, Polynomial
 from .tower import CenterSpec, Tower, blow_up, new_tower, valuation, valuation_of_poly
 
 
-@dataclass(frozen=True)
-class LogDiscrepancyReport:
-    """The value a = k - sum(e_i * v_i) + 1 together with its ingredients."""
+class LogDiscrepancyReport(namedtuple("LogDiscrepancyReport", "divisor k valuations a")):
+    """The value a = k - sum(e_i * v_i) + 1 together with its ingredients;
+    ``valuations`` holds (factor index, valuation) pairs."""
 
-    divisor: int
-    k: int
-    valuations: tuple  # (factor index, valuation) pairs
-    a: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LctWitness:
+class LctWitness(namedtuple("LctWitness", "z k v divisor weights", defaults=(None, None))):
     """An upper bound z = (k + 1)/v for the log canonical threshold.
 
     Exactly one of ``divisor`` and ``weights`` is set, recording whether
@@ -52,20 +48,13 @@ class LctWitness:
     weight grid.
     """
 
-    z: Fraction
-    k: int
-    v: int
-    divisor: int | None = None
-    weights: tuple | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotLogCanonicalCertificate:
+class NotLogCanonicalCertificate(namedtuple("NotLogCanonicalCertificate", "mvec codim value")):
     """A jet-depth vector whose contact locus is too big to be log canonical."""
 
-    mvec: tuple
-    codim: int
-    value: Fraction
+    __slots__ = ()
 
 
 def log_discrepancy(t: Tower, did: int, ma: MultiIdeal) -> LogDiscrepancyReport:

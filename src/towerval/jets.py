@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import neg
 
@@ -29,7 +29,6 @@ from .errors import (
     ZeroIdeal,
 )
 from .polyring import (
-    Domain,
     Ideal,
     Polynomial,
     _add_multiple,
@@ -312,18 +311,14 @@ def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
 # -- jet equations -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JetSystem:
+class JetSystem(namedtuple("JetSystem", "n level domain coefficients at_origin", defaults=(False,))):
     """Truncated jet data of an ideal: level m, variables x_l^(q) for
     0 <= q <= m (1 <= q <= m ``at_origin``), and per generator the
     coefficients F^(0), ..., F^(m) of its expansion along
-    x_l -> sum_q x_l^(q) t^q."""
+    x_l -> sum_q x_l^(q) t^q (``coefficients``: one tuple of m+1
+    polynomials per input generator)."""
 
-    n: int
-    level: int
-    domain: Domain
-    coefficients: tuple  # one tuple of m+1 polynomials per input generator
-    at_origin: bool = False
+    __slots__ = ()
 
     @property
     def lowest_order(self) -> int:

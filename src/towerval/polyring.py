@@ -37,9 +37,9 @@ No floating point appears anywhere in the package.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add as _add, le as _le, sub as _sub
-from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,

@@ -33,7 +33,7 @@ of the frame is provided for tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import (
@@ -48,12 +48,10 @@ from .errors import (
 from .polyring import Domain, Ideal, Polynomial, _chart_pullback
 
 
-@dataclass(frozen=True)
-class CenterSpec:
+class CenterSpec(namedtuple("CenterSpec", "chart constraints")):
     """A blow-up center: chart id plus (variable index, constant) pairs."""
 
-    chart: int
-    constraints: tuple
+    __slots__ = ()
 
     @classmethod
     def make(cls, chart: int, assignment: dict, domain: Domain) -> "CenterSpec":
@@ -144,19 +142,12 @@ def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class DivisorRecord:
-    did: int
-    k: int
-    home_chart: int
-    contained_in: tuple
+class Step(namedtuple("Step", "did k home_chart contained_in center chart_ids")):
+    """One blow-up and the divisor it creates: its id, discrepancy k, home
+    chart and the earlier divisors containing the center, then the center
+    and the ids of the charts the step added."""
 
-
-@dataclass(frozen=True)
-class Step:
-    center: CenterSpec
-    chart_ids: tuple
-    divisor: DivisorRecord
+    __slots__ = ()
 
 
 class Tower:
@@ -178,14 +169,14 @@ class Tower:
             raise UnknownChart(f"no chart {cid!r} (tower has charts 0..{len(self.charts) - 1})")
         return self.charts[cid]
 
-    def divisor(self, did: int) -> DivisorRecord:
+    def divisor(self, did: int) -> Step:
         if not isinstance(did, int) or not 1 <= did <= len(self.steps):
             raise UnknownDivisor(f"no divisor {did!r} (tower has divisors 1..{len(self.steps)})")
-        return self.steps[did - 1].divisor
+        return self.steps[did - 1]
 
     @property
-    def divisors(self) -> list:
-        return [s.divisor for s in self.steps]
+    def divisors(self) -> tuple:
+        return self.steps
 
     def last_divisor_id(self) -> int:
         if not self.steps:
@@ -251,8 +242,8 @@ def blow_up(t: Tower, center: CenterSpec):
     )
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
-    record = DivisorRecord(step_no, k, home.cid, contained)
-    step = Step(CenterSpec(center.chart, constraints), tuple(c.cid for c in new_charts), record)
+    step = Step(step_no, k, home.cid, contained, CenterSpec(center.chart, constraints),
+                tuple(c.cid for c in new_charts))
     return Tower(dom, n, t.charts + new_charts, t.steps + (step,)), step_no
 
 

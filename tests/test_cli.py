@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -205,7 +204,7 @@ def test_script_is_read_from_stdin(monkeypatch, capsys, flags):
 
 def test_failing_selftest_exits_one_and_prints_nothing(tmp_path, capsys, monkeypatch):
     good = towerval.acceptance_corpus()[0]
-    broken = dataclasses.replace(good, name="broken", exponent_vectors=((1, 2, 3),))
+    broken = good._replace(name="broken", exponent_vectors=((1, 2, 3),))
     monkeypatch.setattr(towerval.cli, "acceptance_corpus", lambda: [good, broken])
     code, out, err = run_main(tmp_path, capsys, "ring N=2 p=5\nselftest\n")
     assert code == 1 and out == ""

@@ -114,7 +114,7 @@ def test_containment_matches_the_center_substitution(t):
         eqs = t.chart(step.center.chart).divisor_eqs
         expected = tuple(did for did, eq in sorted(eqs.items())
                          if eq.substitute(center_img).is_zero())
-        assert step.divisor.contained_in == expected
+        assert step.contained_in == expected
 
 
 def sparse_polys(dom, n):
