@@ -78,7 +78,7 @@ def lift_tower(t: Tower) -> Tower:
     and raises ContainmentBroken when it does not.  That happens when a
     nonzero center constant's representative changes the incidences: the
     center then meets a different set of lifted divisors than the residue
-    did over F_p (ROADMAP item 5 plans a lift that keeps them).
+    did over F_p; this lift does not yet choose constants that keep them.
     """
     if not t.domain.p:
         raise RingMismatch("only towers over a prime field can be lifted")

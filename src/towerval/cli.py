@@ -147,23 +147,25 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
             _err(ln, f"expected key=value in tower step, got {tok!r}")
         key, _, val = tok.partition("=")
         if key == "chart":
-            chart = 0 if val == "root" else None
-            if chart is None:
-                try:
-                    chart = int(val)
-                except ValueError:
-                    _err(ln, f"chart must be 'root' or an integer, got {val!r}")
-        elif key == "point":
+            try:
+                value = 0 if val == "root" else int(val)
+            except ValueError:
+                _err(ln, f"chart must be 'root' or an integer, got {val!r}")
+            if chart is not None:
+                _err(ln, "tower step gives chart= twice")
+            chart = value
+            continue
+        if key == "point":
             if not (val.startswith("(") and val.endswith(")")):
                 _err(ln, "point wants a parenthesized coordinate list")
             coords = _split_top_level(val[1:-1], ",")
             if len(coords) != n:
                 _err(ln, f"point has {len(coords)} coordinates, ring has {n}")
-            assignment = {i: _parse_const(c, domain, ln) for i, c in enumerate(coords)}
+            center = {i: _parse_const(c, domain, ln) for i, c in enumerate(coords)}
         elif key == "set":
             if not (val.startswith("(") and val.endswith(")")):
                 _err(ln, "set wants a parenthesized list like (x1=0,x2=0)")
-            assignment = {}
+            center = {}
             for item in _split_top_level(val[1:-1], ","):
                 m = re.fullmatch(r"\s*x(\d+)\s*=\s*([^\s]+)\s*", item)
                 if not m:
@@ -171,9 +173,15 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
                 idx = int(m.group(1)) - 1
                 if not 0 <= idx < n:
                     _err(ln, f"variable x{m.group(1)} out of range (ring has {n} variables)")
-                assignment[idx] = _parse_const(m.group(2), domain, ln)
+                c = _parse_const(m.group(2), domain, ln)
+                if idx in center:
+                    _err(ln, f"x{idx + 1} is set twice in set=")
+                center[idx] = c
         else:
             _err(ln, f"unknown tower step key {key!r}")
+        if assignment is not None:
+            _err(ln, "tower step gives more than one point= or set=")
+        assignment = center
     if chart is None:
         _err(ln, "tower step is missing chart=")
     if assignment is None:
@@ -283,7 +291,14 @@ def _divisor_arg(tokens, t, ln):
     did = None
     for tok in tokens:
         if tok.startswith("divisor="):
-            did = int(tok.split("=", 1)[1])
+            val = tok.split("=", 1)[1]
+            try:
+                value = int(val)
+            except ValueError:
+                _err(ln, f"divisor wants an integer id, got {val!r}")
+            if did is not None:
+                _err(ln, "divisor= given twice")
+            did = value
         else:
             rest.append(tok)
     if did is None:
@@ -477,20 +492,21 @@ def _cmd_selftest(script, tokens, opt, block, ln):
         raise MathCheckFailed(f"selftest failed on: {', '.join(failed)}")
 
 
+# name -> (handler, most arguments it takes besides divisor=; None: no bound)
 _HANDLERS = {
-    "keval": _cmd_keval,
-    "veval": _cmd_veval,
-    "logdisc": _cmd_logdisc,
-    "zeval": _cmd_zeval,
-    "lct": _cmd_lct,
-    "mld": _cmd_mld,
-    "notlc": _cmd_notlc,
-    "heights": _cmd_heights,
-    "jets": _cmd_jets,
-    "bridge": _cmd_bridge,
-    "crosschar": _cmd_crosschar,
-    "suspend": _cmd_suspend,
-    "selftest": _cmd_selftest,
+    "keval": (_cmd_keval, 1),
+    "veval": (_cmd_veval, 2),
+    "logdisc": (_cmd_logdisc, None),
+    "zeval": (_cmd_zeval, 2),
+    "lct": (_cmd_lct, 1),
+    "mld": (_cmd_mld, None),
+    "notlc": (_cmd_notlc, None),
+    "heights": (_cmd_heights, 1),
+    "jets": (_cmd_jets, 2),
+    "bridge": (_cmd_bridge, None),
+    "crosschar": (_cmd_crosschar, None),
+    "suspend": (_cmd_suspend, 2),
+    "selftest": (_cmd_selftest, 0),
 }
 
 
@@ -501,8 +517,12 @@ def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bou
     blocks = []
     for index, (ln, name, tokens, raw) in enumerate(script.commands, start=1):
         block = _Block(index, raw, [])
+        handler, most = _HANDLERS[name]
         try:
-            _HANDLERS[name](script, tokens, opt, block, ln)
+            args = [tok for tok in tokens if not tok.startswith("divisor=")]
+            if most is not None and len(args) > most:
+                _err(ln, f"surplus argument {args[most]!r}: {name} takes at most {most}")
+            handler(script, tokens, opt, block, ln)
         except (IndexError,):
             raise ScriptSyntaxError(f"command {index} ({name}): missing arguments") from None
         except MathCheckFailed as e:

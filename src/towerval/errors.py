@@ -108,7 +108,7 @@ class ContainmentBroken(MathCheckFailed):
     """A lifted center does not lie on exactly the lifted divisors.
 
     Fires when a nonzero center constant, lifted to its representative in
-    0..p-1, changes which divisors the center lies on (ROADMAP item 5).
+    0..p-1, changes which divisors the center lies on.
     """
 
 

@@ -22,8 +22,11 @@ terms), ``_add_multiple`` adds a monomial multiple of a map without
 its leading term and returns the monomials that entered (the reduction
 step of ``jets``), and
 ``_chart_pullback`` pulls a map back through one blow-up chart by
-rewriting its exponents (the frames, divisor equations and weak
-transforms of ``tower``).  ``Domain`` keeps only
+rewriting its exponents.  That kernel is the one pullback of the
+package: frames, divisor equations, containment, weak transforms and
+valuations all go through ``tower.Chart.pull``.  ``substitute``, the
+general ring map, is the reference the tests check that kernel against;
+nothing else in the package calls it.  ``Domain`` keeps only
 ``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
 ``evaluate`` end with it), and ``inv``.  ``lift_to_q`` is the one map
 between domains (residues 0..p-1 read as rationals), and every other
@@ -160,10 +163,6 @@ QQ = Domain()
 
 # -- monomial helpers ---------------------------------------------------------
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(_add, a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
@@ -253,9 +252,6 @@ class Polynomial:
             raise ZeroPolynomial("order of the zero polynomial")
         return min(mono_deg(m) for m in self.terms)
 
-    def support(self) -> frozenset:
-        return frozenset(self.terms)
-
     def _check_ring(self, other: "Polynomial"):
         if self.domain != other.domain or self.nvars != other.nvars:
             raise RingMismatch(
@@ -329,7 +325,9 @@ class Polynomial:
 
         All images must live in one common ring over ``self``'s domain; that
         ring becomes the ring of the result.  Images over another domain
-        raise ``RingMismatch``, as the arithmetic operators do.
+        raise ``RingMismatch``, as the arithmetic operators do.  This is the
+        plain reference map, one ``_mul_terms`` per factor: the package
+        pulls back through ``_chart_pullback`` and never calls it.
         """
         if len(images) != self.nvars:
             raise RingMismatch(f"expected {self.nvars} images, got {len(images)}")
@@ -340,18 +338,13 @@ class Polynomial:
             if g.domain != dom or g.nvars != tn:
                 raise RingMismatch(f"substitution images must live in one ring over {dom!r}")
         unit = (0,) * tn
-        powers: dict = {}  # (i, e) -> term map of images[i] ** e, for this call only
         out: dict = {}
         for m, c in self.terms.items():
-            piece = None if c == 1 else {unit: c}  # a unit coefficient scales nothing
-            for i, e in enumerate(m):
-                if e:
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = images[i].terms if e == 1 else (images[i] ** e).terms
-                        powers[i, e] = pw
-                    piece = pw if piece is None else _mul_terms(dom, piece, pw, {})
-            _add_into(dom, out, {unit: c} if piece is None else piece, 1)
+            piece = {unit: c}
+            for g, e in zip(images, m):
+                for _ in range(e):
+                    piece = _mul_terms(dom, piece, g.terms, {})
+            _add_into(dom, out, piece, 1)
         return Polynomial(dom, tn, out)
 
     def evaluate(self, point: Sequence):
@@ -404,20 +397,6 @@ class Polynomial:
             acc[tuple(mm)] = cc
         return Polynomial(dom, self.nvars, acc)
 
-    # -- leading data under the canonical order -------------------------------
-
-    def leading_monomial(self) -> Mono:
-        if self.is_zero():
-            raise ZeroPolynomial("leading monomial of zero")
-        return max(self.terms, key=grlex_key)
-
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
-
-    def monic(self) -> "Polynomial":
-        dom = self.domain
-        return self.scale(dom.inv(self.leading_coefficient()))
-
     # -- printing -------------------------------------------------------------
 
     def text(self, names: Sequence[str] | None = None) -> str:
@@ -461,7 +440,8 @@ _set_hash = Polynomial._hash.__set__
 
 
 def _mul_terms(dom: Domain, a: dict, b: dict, acc: dict) -> dict:
-    """acc += a * b, in place, and return acc: the one multiplication loop.
+    """acc += a * b, in place, and return acc: the one multiplication loop,
+    which the reference ``substitute`` also runs once per factor.
 
     Coefficients are inlined (one ``% p`` per product-and-add over GF(p))
     and a monomial whose coefficient cancels leaves the map at once.  Both

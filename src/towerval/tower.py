@@ -19,10 +19,13 @@ by one exponent-rewriting kernel the first time they are read, and then kept.
 Towers are immutable and share their charts with every tower extended from
 them, so a chart's frame is computed at most once.  The pivot orders of
 the frame's coordinates give a divisorial valuation term by term: a unique
-lowest term order is the answer, and only on a tie is the total transform
-expanded.  The local equations make containment of a center in an
-earlier divisor an exact test (an equation vanishes on the center exactly
-when u_l divides its pullback), which drives the discrepancy recursion
+lowest term order is the answer, and only on a tie is the polynomial pulled
+down the chart chain from the root, as weak transforms are.  ``Chart.pull``
+is the one pullback: nothing here calls ``Polynomial.substitute``, which
+stays in ``polyring`` as the reference ring map.  The local equations
+make containment of a center in an earlier divisor an exact test (an
+equation vanishes on the center exactly when u_l divides its pullback),
+which drives the discrepancy recursion
 
     k_new = (|S| - 1) + sum of k over divisors containing the center.
 
@@ -250,14 +253,25 @@ def blow_up(t: Tower, center: CenterSpec):
 # -- valuations ---------------------------------------------------------------
 
 
+def _chain(chart: Chart) -> list:
+    """The charts from the root (excluded) down to ``chart``, in pull order."""
+    path = []
+    while chart._up is not None:
+        path.append(chart)
+        chart = chart._up
+    path.reverse()
+    return path
+
+
 def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     """Order of the total transform of f along the divisor, in its home chart.
 
     The pivot order is a valuation on the chart's ring (an integral domain),
     so a term c*x^m pulls back to order <m, o>, where o_i is the pivot order
     of the frame's i-th coordinate.  A unique lowest term order is the
-    answer; on a tie the lowest terms may cancel, so the total transform is
-    expanded and read instead (as it is for the zero polynomial, which raises).
+    answer; on a tie the lowest terms may cancel, so f is pulled chart by
+    chart down to the home chart and the total transform read instead (as
+    it is for the zero polynomial, which raises).
     """
     rec = t.divisor(did)
     if f.domain != t.domain or f.nvars != t.n:
@@ -269,7 +283,9 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     low = min(orders, default=None)
     if low is not None and orders.count(low) == 1:
         return low
-    return f.substitute(list(frame)).var_min_exponent(pivot)
+    for ch in _chain(chart):
+        f = ch.pull(f)
+    return f.var_min_exponent(pivot)
 
 
 def valuation(t: Tower, did: int, a: Ideal) -> int:
@@ -289,16 +305,9 @@ def weak_transform(t: Tower, a: Ideal, chart_id: int):
     Returns (Ideal in chart coordinates, [(divisor id, stripped power)]).
     """
     t._check_base_ideal(a)
-    path = []
-    chart = t.chart(chart_id)
-    while chart.parent is not None:
-        path.append(chart)
-        chart = t.chart(chart.parent)
-    path.reverse()
-
     gens = list(a.gens)
     removed = []
-    for ch in path:
+    for ch in _chain(t.chart(chart_id)):
         gens = [ch.pull(g) for g in gens]
         drop = min(g.var_min_exponent(ch.pivot) for g in gens)
         if drop:

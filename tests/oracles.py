@@ -7,7 +7,7 @@ something the tests compare with what the package reports.
 from __future__ import annotations
 
 from towerval.jets import DEFAULT_GB_BUDGET, GRLEX, _as_budget, _spoly, normal_form
-from towerval.polyring import Polynomial, default_names
+from towerval.polyring import Polynomial, default_names, grlex_key
 from towerval.tower import CenterSpec, Tower
 
 
@@ -16,7 +16,7 @@ def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
     S-polynomials reduce to zero, and optionally the original generators
     do too."""
     budget = _as_budget(budget)
-    lms = [g.leading_monomial() for g in basis]
+    lms = [max(g.terms, key=grlex_key) for g in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = _spoly(basis[i], basis[j], lms[i], lms[j])

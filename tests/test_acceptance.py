@@ -40,7 +40,7 @@ from towerval import (
     valuation_of_poly,
 )
 from towerval.cli import main
-from towerval.polyring import GF, QQ, lift_to_q
+from towerval.polyring import GF, QQ, grlex_key, lift_to_q
 
 from oracles import equivalent_center_specs, verify_groebner
 
@@ -184,7 +184,7 @@ def test_criterion_5_oracle_equivalences():
             gens.append(
                 Polynomial.from_terms(dom, n, [(mono, dom.coerce(rng.randint(1, 4)))])
             )
-        supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e) for g in gens]
+        supports = [frozenset(i for i, e in enumerate(max(g.terms, key=grlex_key)) if e) for g in gens]
         brute = 0
         for size in range(n, -1, -1):
             if any(

@@ -221,6 +221,32 @@ def test_exit_code_two_for_input_errors(tmp_path, capsys):
     assert code == 2 and "command 1 (zeval)" in err
 
 
+@pytest.mark.parametrize("step, message", [
+    ("blowup chart=root set=(x1=0,x1=3,x2=0)", "x1 is set twice in set="),
+    ("blowup chart=root point=(0,0) set=(x1=1,x2=1)", "tower step gives more than one point= or set="),
+    ("blowup chart=root set=(x1=0,x2=0) set=(x1=1,x2=1)", "tower step gives more than one point= or set="),
+    ("blowup chart=root chart=0 point=(0,0)", "tower step gives chart= twice"),
+])
+def test_a_tower_step_refuses_a_repeated_key_or_coordinate(tmp_path, capsys, step, message):
+    code, out, err = run_main(tmp_path, capsys, f"ring N=2 p=5\ntower T: {step}\nkeval T\n")
+    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: line 2: {message}\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("keval T a", "surplus argument 'a': keval takes at most 1"),
+    ("veval T a b", "surplus argument 'b': veval takes at most 2"),
+    ("lct a a", "surplus argument 'a': lct takes at most 1"),
+    ("selftest T", "surplus argument 'T': selftest takes at most 0"),
+    ("veval T a divisor=1 divisor=2", "divisor= given twice"),
+    ("veval T a divisor=x", "divisor wants an integer id, got 'x'"),
+])
+def test_a_command_refuses_surplus_or_malformed_arguments(tmp_path, capsys, command, message):
+    text = "ring N=2 p=5\nideal a: x1, x2\nideal b: x1\ntower T: blowup chart=root point=(0,0)\n"
+    code, out, err = run_main(tmp_path, capsys, text + command + "\n")
+    name = command.split()[0]
+    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: command 1 ({name}): line 5: {message}\n")
+
+
 def test_zero_denominator_exponent_is_an_input_error(tmp_path, capsys):
     text = "ring N=2 p=7\nideal a: x1^2 + x2^3\nmld a:1/0\n"
     code, _, err = run_main(tmp_path, capsys, text)

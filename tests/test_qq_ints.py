@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from towerval.bridge import lift_tower
-from towerval.polyring import GF, QQ, Polynomial, parse_polynomial
+from towerval.polyring import GF, QQ, Polynomial, grlex_key, parse_polynomial
 from towerval.tower import CenterSpec, blow_up, new_tower
 
 NVARS = 2
@@ -34,6 +34,10 @@ def twin_polys(draw, max_terms=4):
             ints[m] = QQ.coerce(c)
             mixed[m] = Fraction(c) if as_fraction else QQ.coerce(c)
     return Polynomial(QQ, NVARS, ints), Polynomial(QQ, NVARS, mixed)
+
+
+def monic(f):
+    return f.scale(f.domain.inv(f.terms[max(f.terms, key=grlex_key)]))
 
 
 def assert_same(a, b):
@@ -59,7 +63,7 @@ def test_powers_scaling_and_derivatives_ignore_the_representation(f, e, c):
     for i in range(NVARS):
         assert_same(fi.derivative(i), fm.derivative(i))
     if not fi.is_zero():
-        assert_same(fi.monic(), fm.monic())
+        assert_same(monic(fi), monic(fm))
 
 
 @given(twin_polys(max_terms=3), twin_polys(max_terms=3), twin_polys(max_terms=3))

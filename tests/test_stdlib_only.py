@@ -4,8 +4,9 @@ Every module of the package is parsed, not imported, so an import that
 only runs on some path (inside a function, say) is caught as well.  The
 parse uses the grammar of Python 3.10, the oldest version pyproject.toml
 accepts, so syntax newer than that fails here too.  A cold start of the
-CLI also stays off the heavier stdlib modules, and every name an
-annotation uses is bound in its module.
+CLI also stays off the heavier stdlib modules, every name an annotation
+uses is bound in its module, and no module calls ``substitute``: the
+package pulls back only through ``Chart.pull``.
 """
 
 from __future__ import annotations
@@ -93,3 +94,18 @@ def test_every_annotation_name_is_bound_in_its_module(path):
     bound = set(module_bindings(tree)) | set(dir(builtins))
     used = {n.id for ann in annotation_nodes(tree) for n in ast.walk(ann) if isinstance(n, ast.Name)}
     assert sorted(used - bound) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_substitute(path):
+    """``Polynomial.substitute`` is the tests' reference ring map; the
+    package itself has one pullback path, ``Chart.pull``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "substitute"
+    ]
+    assert calls == []

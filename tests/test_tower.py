@@ -8,6 +8,7 @@ from towerval import errors
 from towerval.polyring import GF, QQ, Ideal, Polynomial, coordinate_ideal, parse_polynomial
 from towerval.tower import (
     CenterSpec,
+    Chart,
     blow_up,
     discrepancy_via_jacobian,
     new_tower,
@@ -156,26 +157,39 @@ def test_valuation_is_additive_on_products():
                 )
 
 
+def _record_pullbacks(monkeypatch):
+    """From here on, list the chart of every ``Chart.pull`` call and the
+    polynomial of every ``Polynomial.substitute`` call."""
+    calls = {"pull": [], "substitute": []}
+    pull, substitute = Chart.pull, Polynomial.substitute
+    monkeypatch.setattr(Chart, "pull", lambda ch, f: calls["pull"].append(ch.cid) or pull(ch, f))
+    monkeypatch.setattr(Polynomial, "substitute",
+                        lambda f, images: calls["substitute"].append(f) or substitute(f, images))
+    return calls
+
+
 @pytest.mark.parametrize("dom", [QQ, GF(5)])
-def test_tied_lowest_terms_can_cancel(dom):
+def test_tied_lowest_terms_can_cancel(dom, monkeypatch):
     # On divisor 2 the frame is (w1, w1 + w1^2*w2): both of x1 and x2 have
     # pivot order 1, and their lowest terms cancel in x2 - x1.
     t = new_tower(2, dom)
     t, _ = blow_up(t, CenterSpec.make(0, {0: 0, 1: 0}, dom))
     t, did = blow_up(t, CenterSpec.make(1, {0: 0, 1: 1}, dom))
     assert valuation_of_poly(t, did, P("x1", dom)) == valuation_of_poly(t, did, P("x2", dom)) == 1
+    calls = _record_pullbacks(monkeypatch)
     assert valuation_of_poly(t, did, P("x2 - x1", dom)) == 2
     assert valuation_of_poly(t, did, P("x2 + x1", dom)) == 1
+    # each tie pulls f once through every chart from the root to the home chart
+    home = t.chart(t.divisor(did).home_chart)
+    assert calls == {"pull": [home.parent, home.cid] * 2, "substitute": []}
 
 
 def test_unique_lowest_term_expands_nothing(monkeypatch):
     t = chain_tower(QQ, 2, 4)
     t.chart(t.divisor(4).home_chart).frame  # build the frame first
-    calls = []
-    real = Polynomial.substitute
-    monkeypatch.setattr(Polynomial, "substitute", lambda f, images: calls.append(f) or real(f, images))
+    calls = _record_pullbacks(monkeypatch)
     assert valuation_of_poly(t, 4, P("x1^2 + x2^3", QQ)) == 2
-    assert calls == []
+    assert calls == {"pull": [], "substitute": []}
 
 
 def _random_poly(rng, domain, nvars, max_deg=3, max_terms=4):
