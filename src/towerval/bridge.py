@@ -287,8 +287,6 @@ def cross_characteristic_suite(ma, caps, budget: int = DEFAULT_GB_BUDGET) -> Cro
     if not dom.p:
         raise RingMismatch("the comparison starts from a prime field")
     caps = tuple(caps) if isinstance(caps, (tuple, list)) else (caps,) * r
-    if len(caps) != r:
-        raise DimensionMismatch(f"{len(caps)} caps for {r} factors")
     n = ma.factors[0][0].nvars
     lifts = {a: lift_to_q(a) for a, _ in ma.factors}
 

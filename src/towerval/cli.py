@@ -386,7 +386,11 @@ def _cmd_heights(script, tokens, opt, block, ln):
 
 def _cmd_jets(script, tokens, opt, block, ln):
     a = _ideal(script, tokens[0], ln)
-    level = int(tokens[1]) if len(tokens) > 1 else opt["cap"]
+    level = opt["cap"]
+    if len(tokens) > 1:
+        if not re.fullmatch(r"\d+", tokens[1]):
+            _err(ln, f"jets level must be a nonnegative integer, got {tokens[1]!r}")
+        level = int(tokens[1])
     js = jet_equations(a, level)
     names = js.var_names()
     for i, coeffs in enumerate(js.coefficients):
@@ -492,21 +496,22 @@ def _cmd_selftest(script, tokens, opt, block, ln):
         raise MathCheckFailed(f"selftest failed on: {', '.join(failed)}")
 
 
-# name -> (handler, most arguments it takes besides divisor=; None: no bound)
+# name -> (handler, most arguments it takes besides divisor= (None: no
+# bound), whether it reads divisor=); elsewhere divisor= is one more argument
 _HANDLERS = {
-    "keval": (_cmd_keval, 1),
-    "veval": (_cmd_veval, 2),
-    "logdisc": (_cmd_logdisc, None),
-    "zeval": (_cmd_zeval, 2),
-    "lct": (_cmd_lct, 1),
-    "mld": (_cmd_mld, None),
-    "notlc": (_cmd_notlc, None),
-    "heights": (_cmd_heights, 1),
-    "jets": (_cmd_jets, 2),
-    "bridge": (_cmd_bridge, None),
-    "crosschar": (_cmd_crosschar, None),
-    "suspend": (_cmd_suspend, 2),
-    "selftest": (_cmd_selftest, 0),
+    "keval": (_cmd_keval, 1, True),
+    "veval": (_cmd_veval, 2, True),
+    "logdisc": (_cmd_logdisc, None, True),
+    "zeval": (_cmd_zeval, 2, True),
+    "lct": (_cmd_lct, 1, False),
+    "mld": (_cmd_mld, None, False),
+    "notlc": (_cmd_notlc, None, False),
+    "heights": (_cmd_heights, 1, False),
+    "jets": (_cmd_jets, 2, False),
+    "bridge": (_cmd_bridge, None, False),
+    "crosschar": (_cmd_crosschar, None, False),
+    "suspend": (_cmd_suspend, 2, False),
+    "selftest": (_cmd_selftest, 0, False),
 }
 
 
@@ -517,9 +522,10 @@ def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bou
     blocks = []
     for index, (ln, name, tokens, raw) in enumerate(script.commands, start=1):
         block = _Block(index, raw, [])
-        handler, most = _HANDLERS[name]
+        handler, most, takes_divisor = _HANDLERS[name]
         try:
-            args = [tok for tok in tokens if not tok.startswith("divisor=")]
+            args = [tok for tok in tokens
+                    if not (takes_divisor and tok.startswith("divisor="))]
             if most is not None and len(args) > most:
                 _err(ln, f"surplus argument {args[most]!r}: {name} takes at most {most}")
             handler(script, tokens, opt, block, ln)

@@ -4,9 +4,10 @@ The geometric quantity everything here feeds is the codimension, at a
 finite truncation level, of a contact locus intersected with the fiber of
 arcs through the origin.  That codimension turns into a Krull dimension
 computation for an explicit polynomial ideal in the jet variables
-x_l^(q), which a small Buchberger implementation handles; purely monomial
-inputs take a combinatorial fast path that never touches a Groebner basis,
-giving the test suite two independent routes to the same numbers.
+x_l^(q), which a small Buchberger implementation handles in its one
+monomial order, grevlex; purely monomial inputs take a combinatorial fast
+path that never touches a Groebner basis, giving the test suite two
+independent routes to the same numbers.
 
 Estimates produced here are upper bounds by construction: enlarging the
 truncation cap can only lower them.
@@ -22,18 +23,17 @@ from operator import neg
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     IdealNotAtOrigin,
     MathCheckFailed,
     RingMismatch,
     UnitIdeal,
-    ZeroIdeal,
 )
 from .polyring import (
     Ideal,
     Polynomial,
     _add_multiple,
     _mul_terms,
-    grlex_key,
     lift_to_q,
     mono_div,
     mono_divides,
@@ -44,21 +44,16 @@ DEFAULT_GB_BUDGET = 100_000
 
 
 def grevlex_key(a):
-    """Sort key of graded reverse lex: total degree first, ties broken in
-    favour of the smaller exponent in the last variable where they differ."""
+    """Sort key of graded reverse lex, the engine's one monomial order: total
+    degree first, ties broken in favour of the smaller exponent in the last
+    variable where they differ.  The larger key is the larger monomial."""
     return (sum(a), tuple(map(neg, reversed(a))))
 
 
-# Monomial orders are sort keys: the larger key is the larger monomial.
-GRLEX = grlex_key
-GREVLEX = grevlex_key
-
-# Per order, a key that sorts the other way round, so that a min-heap pops
-# the largest monomial first.
-DESCENDING = {
-    GRLEX: lambda a: (-sum(a), tuple(map(neg, a))),
-    GREVLEX: lambda a: (-sum(a), a[::-1]),
-}
+def _descending_key(a):
+    """grevlex the other way round, so that a min-heap pops the largest
+    monomial first."""
+    return (-sum(a), a[::-1])
 
 
 class StepBudget:
@@ -92,23 +87,20 @@ def _monic(f: Polynomial, lm) -> Polynomial:
     return f.scale(f.domain.inv(f.terms[lm]))
 
 
-def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None) -> Polynomial:
-    """Fully reduce f against a list of polynomials monic in ``order``.
+def normal_form(f: Polynomial, basis, budget: StepBudget, lms) -> Polynomial:
+    """Fully reduce f against a list of grevlex-monic polynomials.
 
-    ``lms`` are the basis elements' leading monomials in ``order``; a
-    caller that keeps them passes them in.  The remainder is built in one
-    mutable term map, whose monomials wait in a heap of ``DESCENDING``
-    keys, pushed as they enter the map.  Each step pops the leading term
-    lc * x^lm and subtracts lc * x^q * g from the rest, where
-    x^q * lm(g) = x^lm; that subtraction is one step of ``budget``.  A
-    popped monomial that has cancelled since it was pushed is skipped.
+    ``lms`` are the basis elements' leading monomials, which the caller
+    keeps.  The remainder is built in one mutable term map, whose monomials
+    wait in a heap of ``_descending_key``s, pushed as they enter the map.
+    Each step pops the leading term lc * x^lm and subtracts lc * x^q * g
+    from the rest, where x^q * lm(g) = x^lm; that subtraction is one step
+    of ``budget``.  A popped monomial that has cancelled since it was
+    pushed is skipped.
     """
-    if lms is None:
-        lms = [max(g.terms, key=order) for g in basis]
-    desc = DESCENDING[order]
     dom = f.domain
     work = dict(f.terms)
-    heap = [(desc(m), m) for m in work]
+    heap = [(_descending_key(m), m) for m in work]
     heapq.heapify(heap)
     tail: dict = {}
     while heap:
@@ -124,13 +116,13 @@ def normal_form(f: Polynomial, basis, budget: StepBudget, order=GRLEX, lms=None)
             continue
         budget.spend()
         for m in _add_multiple(dom, work, -lc, mono_div(lm, glm), g.terms, glm):
-            heapq.heappush(heap, (desc(m), m))
+            heapq.heappush(heap, (_descending_key(m), m))
     return Polynomial(dom, f.nvars, tail)
 
 
 def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
-    """S-polynomial of f and g, monic with leading monomials lf and lg in
-    the order at hand; their leading terms cancel and are skipped."""
+    """S-polynomial of f and g, monic with leading monomials lf and lg;
+    their leading terms cancel and are skipped."""
     dom = f.domain
     lcm = mono_lcm(lf, lg)
     acc: dict = {}
@@ -139,11 +131,12 @@ def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
     return Polynomial(dom, f.nvars, acc)
 
 
-def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
-    """Buchberger with the Gebauer-Moeller criteria and a hard step budget.
+def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
+    """Reduced grevlex basis: Buchberger with the Gebauer-Moeller criteria
+    and a hard step budget.
 
-    ``order`` is a monomial sort key, GRLEX or GREVLEX.  Each new element h
-    goes through the ``UPDATE`` of Gebauer & Moeller (1988):
+    Each new element h goes through the ``UPDATE`` of Gebauer & Moeller
+    (1988):
     - a queued pair (i, j) is dropped when lm(h) divides lcm(i, j) and
       both lcm(i, h) and lcm(h, j) differ from it (criterion B_k);
     - of the new pairs (k, h), one whose lcm another one's properly
@@ -154,9 +147,9 @@ def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
     A step is one pair taken from the queue and reduced, or one reduction
     step of ``normal_form``; a pair the criteria drop costs nothing.
 
-    Deterministic: pairs leave a heap by (lcm order, indices), dropped ones
-    are skipped there, and the returned basis is reduced, monic and sorted,
-    hence unique for the ideal and the order.
+    Deterministic: pairs leave a heap by (grevlex key of the lcm, indices),
+    dropped ones are skipped there, and the returned basis is reduced, monic
+    and sorted by leading monomial, hence unique for the ideal.
     """
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
@@ -169,7 +162,7 @@ def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
 
     basis, lms = [], []  # lms[k] is the leading monomial of basis[k]
     active = []  # the elements that still make pairs
-    queue: list = []  # heap of (order key of the lcm, i, j)
+    queue: list = []  # heap of (grevlex key of the lcm, i, j)
     live: dict = {}  # (i, j) -> lcm, for every queued pair not yet dropped
 
     def update(f, lm):
@@ -191,12 +184,12 @@ def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
             if any(not any(map(min, lms[k], lm)) for k in ks):
                 continue  # F and the product criterion: a coprime pair has this lcm
             live[ks[0], h] = t
-            heapq.heappush(queue, (order(t), ks[0], h))
+            heapq.heappush(queue, (grevlex_key(t), ks[0], h))
         active[:] = [k for k in active if not mono_divides(lm, lms[k])]
         active.append(h)
 
     for g in gens:
-        lm = max(g.terms, key=order)
+        lm = max(g.terms, key=grevlex_key)
         if _monic(g, lm) not in basis:
             update(g, lm)
     while queue:
@@ -204,15 +197,15 @@ def groebner_basis(gens, order=GRLEX, budget=DEFAULT_GB_BUDGET):
         if live.pop((i, j), None) is None:
             continue  # dropped by B_k after it was queued
         budget.spend()
-        nf = normal_form(_spoly(basis[i], basis[j], lms[i], lms[j]), basis, budget, order, lms)
+        nf = normal_form(_spoly(basis[i], basis[j], lms[i], lms[j]), basis, budget, lms)
         if not nf.is_zero():
-            update(nf, max(nf.terms, key=order))
-    return _reduce_basis(basis, lms, order, budget)
+            update(nf, max(nf.terms, key=grevlex_key))
+    return _reduce_basis(basis, lms, budget)
 
 
-def _reduce_basis(basis, lms, order, budget: StepBudget):
+def _reduce_basis(basis, lms, budget: StepBudget):
     # minimal: drop anything whose leading monomial another one divides
-    ranked = sorted(zip(basis, lms), key=lambda gl: order(gl[1]))
+    ranked = sorted(zip(basis, lms), key=lambda gl: grevlex_key(gl[1]))
     minimal, mlms = [], []
     for g, lm in ranked:
         if not any(mono_divides(h, lm) for h in mlms):
@@ -224,7 +217,7 @@ def _reduce_basis(basis, lms, order, budget: StepBudget):
     if len(minimal) > 1:
         for i, g in enumerate(minimal):
             others, olms = minimal[:i] + minimal[i + 1 :], mlms[:i] + mlms[i + 1 :]
-            minimal[i] = normal_form(g, others, budget, order, olms)
+            minimal[i] = normal_form(g, others, budget, olms)
     return minimal
 
 
@@ -258,15 +251,15 @@ def _min_hitting_set_size(supports) -> int:
     return best[0]
 
 
-def ideal_dimension(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
+def ideal_dimension(gens, budget=DEFAULT_GB_BUDGET) -> int:
     """Krull dimension of the quotient by the ideal the generators span.
 
     Computed from the leading-term ideal of a Groebner basis as the largest
     number of variables no leading monomial lives entirely inside (via the
     complement, a minimum hitting set).  The zero ideal has the dimension
     of the whole space; the unit ideal is rejected distinctly.  The answer
-    does not depend on the monomial order; grevlex is the default because
-    its bases of jet ideals are far smaller than grlex ones.
+    does not depend on the monomial order; the engine's grevlex gives far
+    smaller bases of jet ideals than grlex (Bayer & Stillman 1987).
     """
     gens = list(gens)
     if not gens:
@@ -275,22 +268,17 @@ def ideal_dimension(gens, order=GREVLEX, budget=DEFAULT_GB_BUDGET) -> int:
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return nvars
-    gb = groebner_basis(nonzero, order=order, budget=budget)
+    gb = groebner_basis(nonzero, budget=budget)
     if any(g.is_constant() for g in gb):
         raise UnitIdeal("the generators span the whole ring")
-    supports = _minimal_supports([max(g.terms, key=order) for g in gb])
+    supports = _minimal_supports([max(g.terms, key=grevlex_key) for g in gb])
     return nvars - _min_hitting_set_size(supports)
 
 
-def height_of_ideal(gens, budget=DEFAULT_GB_BUDGET) -> int:
+def height_of_ideal(a: Ideal, budget=DEFAULT_GB_BUDGET) -> int:
     """Codimension: number of variables minus the dimension."""
-    if isinstance(gens, Ideal):
-        gens.require_nonzero()
-        gens = list(gens.gens)
-    gens = list(gens)
-    if not gens or all(g.is_zero() for g in gens):
-        raise ZeroIdeal("height of the zero ideal is undefined here")
-    return gens[0].nvars - ideal_dimension(gens, budget=budget)
+    a.require_nonzero()
+    return a.nvars - ideal_dimension(a.gens, budget=budget)
 
 
 def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
@@ -538,7 +526,7 @@ def contact_cells(factors, caps):
     """The depth grid every contact-locus estimator folds over.
 
     ``factors`` are (ideal, exponent) pairs and ``caps`` is one depth cap
-    for all of them or a sequence with one cap per factor.  Yields
+    for all of them or a sequence with exactly one cap per factor.  Yields
     (mvec, active, weight) for every nonzero depth vector m within the
     caps, by total depth and then lexicographically: ``active`` holds the
     (ideal, m_i) pairs with m_i >= 1 and ``weight`` is sum(e_i * m_i).
@@ -547,6 +535,8 @@ def contact_cells(factors, caps):
     ``contact_codim_at_origin`` would raise UnitIdeal.
     """
     per_factor = isinstance(caps, (tuple, list))
+    if per_factor and len(caps) != len(factors):
+        raise DimensionMismatch(f"{len(caps)} caps for {len(factors)} factors")
     if any(not isinstance(c, int) or c < 0 for c in (caps if per_factor else [caps])):
         raise ValueError(f"depth caps must be nonnegative integers, got {caps!r}")
     if not per_factor:

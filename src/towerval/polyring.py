@@ -181,8 +181,9 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
 
 
 def grlex_key(a: Mono):
-    """Sort key of the one canonical monomial order: total degree first,
-    ties broken lexicographically with x1 > x2 > ... ."""
+    """Sort key of grlex, the order ``Polynomial.text`` prints terms in:
+    total degree first, ties broken lexicographically with x1 > x2 > ... .
+    The Groebner engine orders by ``jets.grevlex_key``."""
     return (sum(a), a)
 
 

@@ -6,24 +6,67 @@ something the tests compare with what the package reports.
 
 from __future__ import annotations
 
-from towerval.jets import DEFAULT_GB_BUDGET, GRLEX, _as_budget, _spoly, normal_form
-from towerval.polyring import Polynomial, default_names, grlex_key
+from fractions import Fraction
+
+import sympy
+
+from towerval.jets import DEFAULT_GB_BUDGET, _as_budget, _spoly, grevlex_key, normal_form
+from towerval.polyring import Polynomial, default_names
 from towerval.tower import CenterSpec, Tower
 
 
+def to_sympy(f, syms):
+    expr = sympy.Integer(0)
+    for m, c in f.terms.items():
+        if isinstance(c, Fraction):
+            term = sympy.Rational(c.numerator, c.denominator)
+        else:
+            term = sympy.Integer(c)
+        for s, e in zip(syms, m):
+            term *= s**e
+        expr += term
+    return expr
+
+
+def from_sympy(expr, syms, domain):
+    poly = sympy.Poly(expr, *syms)
+    items = []
+    for exps, c in poly.terms():
+        c = int(c) if domain.p else Fraction(sympy.Rational(c))
+        items.append((tuple(int(e) for e in exps), c))
+    return Polynomial.from_terms(domain, len(syms), items)
+
+
+def sympy_groebner(gens, order: str) -> dict:
+    """sympy's reduced Groebner basis of the generators in ``order``
+    ("grevlex" or "grlex"), as a map from the leading monomial sympy names
+    in that order to the basis element made monic there."""
+    domain, n = gens[0].domain, gens[0].nvars
+    syms = sympy.symbols(f"x1:{n + 1}")
+    kwargs = {"order": order}
+    if domain.p:
+        kwargs["modulus"] = domain.p
+    out = {}
+    for expr in sympy.groebner([to_sympy(g, syms) for g in gens], *syms, **kwargs).exprs:
+        f = from_sympy(expr, syms, domain)
+        lm = tuple(sympy.Poly(expr, *syms).LM(order=order).exponents)
+        out[lm] = f.scale(domain.inv(f.terms[lm]))
+    return out
+
+
 def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
-    """Check the defining property of a monic grlex basis: all
+    """Check the defining property of a monic grevlex basis: all
     S-polynomials reduce to zero, and optionally the original generators
     do too."""
     budget = _as_budget(budget)
-    lms = [max(g.terms, key=grlex_key) for g in basis]
+    lms = [max(g.terms, key=grevlex_key) for g in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = _spoly(basis[i], basis[j], lms[i], lms[j])
-            if not normal_form(s, basis, budget, GRLEX, lms).is_zero():
+            if not normal_form(s, basis, budget, lms).is_zero():
                 return False
     for g in gens or ():
-        if not normal_form(g, basis, budget, GRLEX, lms).is_zero():
+        if not normal_form(g, basis, budget, lms).is_zero():
             return False
     return True
 

@@ -239,6 +239,11 @@ def test_a_tower_step_refuses_a_repeated_key_or_coordinate(tmp_path, capsys, ste
     ("selftest T", "surplus argument 'T': selftest takes at most 0"),
     ("veval T a divisor=1 divisor=2", "divisor= given twice"),
     ("veval T a divisor=x", "divisor wants an integer id, got 'x'"),
+    ("lct a divisor=1", "surplus argument 'divisor=1': lct takes at most 1"),
+    ("heights a divisor=x", "surplus argument 'divisor=x': heights takes at most 1"),
+    ("suspend T a divisor=1", "surplus argument 'divisor=1': suspend takes at most 2"),
+    ("jets a x=1", "jets level must be a nonnegative integer, got 'x=1'"),
+    ("jets a -1", "jets level must be a nonnegative integer, got '-1'"),
 ])
 def test_a_command_refuses_surplus_or_malformed_arguments(tmp_path, capsys, command, message):
     text = "ring N=2 p=5\nideal a: x1, x2\nideal b: x1\ntower T: blowup chart=root point=(0,0)\n"

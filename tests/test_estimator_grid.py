@@ -222,6 +222,18 @@ def test_a_cap_that_is_not_a_nonnegative_int_is_refused(cap):
         cross_characteristic_suite(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), (2, cap))
 
 
+@pytest.mark.parametrize("caps", [(1,), (1, 1, 1)])
+def test_a_caps_sequence_needs_one_cap_per_factor(caps):
+    # a short sequence would leave the node out of every cell, and a long
+    # one would make cells with no active factor
+    dom = GF(5)
+    message = f"{len(caps)} caps for 2 factors"
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        mld_estimate(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), caps)
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        cross_characteristic_suite(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), caps)
+
+
 # -- the skip rule ---------------------------------------------------------------------
 
 
