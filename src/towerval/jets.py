@@ -5,8 +5,11 @@ finite truncation level, of a contact locus intersected with the fiber of
 arcs through the origin.  That codimension turns into a Krull dimension
 computation for an explicit polynomial ideal in the jet variables
 x_l^(q), which a small Buchberger implementation handles in its one
-monomial order, grevlex; purely monomial inputs take a combinatorial fast
-path that never touches a Groebner basis, giving the test suite two
+monomial order, grevlex.  Over Q the engine keeps primitive integer
+polynomials and reduces without dividing; the dimension reads only the
+leading monomials of the basis its pair loop leaves, and never
+interreduces it.  Purely monomial inputs take a combinatorial fast path
+that never touches a Groebner basis, giving the test suite two
 independent routes to the same numbers.
 
 Estimates produced here are upper bounds by construction: enlarging the
@@ -19,6 +22,7 @@ import heapq
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 from operator import neg
 
 from .errors import (
@@ -62,7 +66,9 @@ class StepBudget:
     A step is one pair taken from the pair queue of ``groebner_basis`` and
     reduced, or one reduction step of ``normal_form`` (subtracting a
     multiple of a basis element to cancel a leading term).  Pairs that the
-    criteria of ``groebner_basis`` drop cost nothing.
+    criteria of ``groebner_basis`` drop cost nothing, and so does the
+    interreduction that the dimension path skips (``reduced=False``).
+    Steps do not count coefficient size, which over Q grows with them.
     """
 
     __slots__ = ("cap", "used")
@@ -87,16 +93,50 @@ def _monic(f: Polynomial, lm) -> Polynomial:
     return f.scale(f.domain.inv(f.terms[lm]))
 
 
+def _engine_form(f: Polynomial, lm) -> Polynomial:
+    """f scaled the way the engine keeps a basis element: monic over F_p;
+    over Q the primitive integer multiple (integer coefficients without a
+    common factor) with a positive coefficient at lm."""
+    if f.domain.p:
+        return _monic(f, lm)
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    k = gcd(*ints.values())
+    if ints[lm] < 0:
+        k = -k
+    return Polynomial(f.domain, f.nvars, {m: c // k for m, c in ints.items()})
+
+
+def _ratio(a, b):
+    """(c, k) with c / k = a / b in lowest terms and k > 0, for nonzero
+    rationals a and b.  k * a - c * b is zero, so scaling by k and
+    subtracting c times cancels a term without dividing, and integer
+    coefficients stay integral."""
+    if type(a) is int and type(b) is int:
+        d = gcd(a, b)
+        if b < 0:
+            d = -d
+        return a // d, b // d
+    r = Fraction(a, b)
+    return r.numerator, r.denominator
+
+
 def normal_form(f: Polynomial, basis, budget: StepBudget, lms) -> Polynomial:
-    """Fully reduce f against a list of grevlex-monic polynomials.
+    """Fully reduce f against ``basis``; the remainder is exact up to a
+    nonzero scalar.
 
     ``lms`` are the basis elements' leading monomials, which the caller
-    keeps.  The remainder is built in one mutable term map, whose monomials
-    wait in a heap of ``_descending_key``s, pushed as they enter the map.
-    Each step pops the leading term lc * x^lm and subtracts lc * x^q * g
-    from the rest, where x^q * lm(g) = x^lm; that subtraction is one step
-    of ``budget``.  A popped monomial that has cancelled since it was
-    pushed is skipped.
+    keeps.  Over F_p the basis must be monic; over Q it may be any, and
+    the engine's own is integral (``_engine_form``).  The remainder is
+    built in one mutable term map, whose monomials wait in a heap of
+    ``_descending_key``s, pushed as they enter the map.  Each step pops
+    the leading term lc * x^lm, takes the first g with x^q * lm(g) = x^lm
+    and writes lc / lc(g) = c / k in lowest terms (``_ratio``); it
+    multiplies the remainder by k and subtracts c * x^q * g, which is one
+    step of ``budget``.  No step divides, so an integer f reduced by an
+    integer basis stays integral, and against a monic basis k is 1 and the
+    remainder is the exact one.  A popped monomial that has cancelled since
+    it was pushed is skipped.
     """
     dom = f.domain
     work = dict(f.terms)
@@ -115,25 +155,36 @@ def normal_form(f: Polynomial, basis, budget: StepBudget, lms) -> Polynomial:
             tail[lm] = lc
             continue
         budget.spend()
+        gc = g.terms[glm]
+        if gc != 1:
+            lc, k = _ratio(lc, gc)
+            if k != 1:
+                for terms in (work, tail):
+                    for m in terms:
+                        terms[m] *= k
         for m in _add_multiple(dom, work, -lc, mono_div(lm, glm), g.terms, glm):
             heapq.heappush(heap, (_descending_key(m), m))
     return Polynomial(dom, f.nvars, tail)
 
 
 def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
-    """S-polynomial of f and g, monic with leading monomials lf and lg;
-    their leading terms cancel and are skipped."""
+    """S-polynomial of f and g, whose leading monomials are lf and lg, up
+    to a nonzero scalar: with lc(f) / lc(g) = c / k in lowest terms it is
+    k * x^(t - lf) * f - c * x^(t - lg) * g, t = lcm(lf, lg).  Integer
+    inputs give an integer S-polynomial, monic ones the usual one.  The
+    leading terms cancel and are skipped."""
     dom = f.domain
-    lcm = mono_lcm(lf, lg)
+    t = mono_lcm(lf, lg)
+    c, k = _ratio(f.terms[lf], g.terms[lg])
     acc: dict = {}
-    _add_multiple(dom, acc, 1, mono_div(lcm, lf), f.terms, lf)
-    _add_multiple(dom, acc, -1, mono_div(lcm, lg), g.terms, lg)
+    _add_multiple(dom, acc, k, mono_div(t, lf), f.terms, lf)
+    _add_multiple(dom, acc, -c, mono_div(t, lg), g.terms, lg)
     return Polynomial(dom, f.nvars, acc)
 
 
-def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
-    """Reduced grevlex basis: Buchberger with the Gebauer-Moeller criteria
-    and a hard step budget.
+def groebner_basis(gens, budget=DEFAULT_GB_BUDGET, *, reduced=True):
+    """Grevlex Groebner basis: Buchberger with the Gebauer-Moeller
+    criteria and a hard step budget.
 
     Each new element h goes through the ``UPDATE`` of Gebauer & Moeller
     (1988):
@@ -147,9 +198,15 @@ def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
     A step is one pair taken from the queue and reduced, or one reduction
     step of ``normal_form``; a pair the criteria drop costs nothing.
 
+    Elements are kept in ``_engine_form``: monic over F_p, primitive
+    integer polynomials over Q, so the loop makes no ``Fraction``.
     Deterministic: pairs leave a heap by (grevlex key of the lcm, indices),
-    dropped ones are skipped there, and the returned basis is reduced, monic
-    and sorted by leading monomial, hence unique for the ideal.
+    and dropped ones are skipped there.  With ``reduced`` (the default)
+    the returned basis is reduced, monic and sorted by leading monomial,
+    hence unique for the ideal.  With ``reduced=False`` it is the basis as
+    the loop leaves it, in ``_engine_form`` and in the order found, neither
+    minimal nor reduced: its leading monomials span the leading-term ideal,
+    and no interreduction step is spent.
     """
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
@@ -167,7 +224,7 @@ def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
 
     def update(f, lm):
         h = len(basis)
-        basis.append(_monic(f, lm))
+        basis.append(f)
         lms.append(lm)
         for (i, j), t in list(live.items()):  # B_k
             if mono_divides(lm, t) and t != mono_lcm(lms[i], lm) and t != mono_lcm(lms[j], lm):
@@ -190,7 +247,8 @@ def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
 
     for g in gens:
         lm = max(g.terms, key=grevlex_key)
-        if _monic(g, lm) not in basis:
+        g = _engine_form(g, lm)
+        if g not in basis:
             update(g, lm)
     while queue:
         _, i, j = heapq.heappop(queue)
@@ -199,8 +257,9 @@ def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
         budget.spend()
         nf = normal_form(_spoly(basis[i], basis[j], lms[i], lms[j]), basis, budget, lms)
         if not nf.is_zero():
-            update(nf, max(nf.terms, key=grevlex_key))
-    return _reduce_basis(basis, lms, budget)
+            lm = max(nf.terms, key=grevlex_key)
+            update(_engine_form(nf, lm), lm)
+    return _reduce_basis(basis, lms, budget) if reduced else basis
 
 
 def _reduce_basis(basis, lms, budget: StepBudget):
@@ -213,12 +272,12 @@ def _reduce_basis(basis, lms, budget: StepBudget):
             mlms.append(lm)
     # Reduce each tail against the others.  Whether a term is reducible
     # depends only on the leading monomials, which never change, so one
-    # pass leaves every tail reduced.
+    # pass leaves every tail reduced; each is made monic only at the end.
     if len(minimal) > 1:
         for i, g in enumerate(minimal):
             others, olms = minimal[:i] + minimal[i + 1 :], mlms[:i] + mlms[i + 1 :]
             minimal[i] = normal_form(g, others, budget, olms)
-    return minimal
+    return [_monic(g, lm) for g, lm in zip(minimal, mlms)]
 
 
 # -- dimension ------------------------------------------------------------------
@@ -256,10 +315,13 @@ def ideal_dimension(gens, budget=DEFAULT_GB_BUDGET) -> int:
 
     Computed from the leading-term ideal of a Groebner basis as the largest
     number of variables no leading monomial lives entirely inside (via the
-    complement, a minimum hitting set).  The zero ideal has the dimension
-    of the whole space; the unit ideal is rejected distinctly.  The answer
-    does not depend on the monomial order; the engine's grevlex gives far
-    smaller bases of jet ideals than grlex (Bayer & Stillman 1987).
+    complement, a minimum hitting set).  Those monomials are read off the
+    basis as the pair loop leaves it (``reduced=False``): interreducing it
+    would cost steps and leave the ideal they span as it is.  The zero
+    ideal has the dimension of the whole space; the unit ideal, where a
+    leading monomial is 1, is rejected distinctly.  The answer does not
+    depend on the monomial order; the engine's grevlex gives far smaller
+    bases of jet ideals than grlex (Bayer & Stillman 1987).
     """
     gens = list(gens)
     if not gens:
@@ -268,10 +330,10 @@ def ideal_dimension(gens, budget=DEFAULT_GB_BUDGET) -> int:
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return nvars
-    gb = groebner_basis(nonzero, budget=budget)
-    if any(g.is_constant() for g in gb):
+    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(nonzero, budget, reduced=False)]
+    if (0,) * nvars in lms:
         raise UnitIdeal("the generators span the whole ring")
-    supports = _minimal_supports([max(g.terms, key=grevlex_key) for g in gb])
+    supports = _minimal_supports(lms)
     return nvars - _min_hitting_set_size(supports)
 
 
@@ -507,6 +569,15 @@ def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
         return monomial_contact_codim(factors)
 
     L = max(m for _, m in factors)  # jet variables x_l^(q), 1 <= q <= L-1
+    gens = _contact_generators(factors)
+    return n * L - (ideal_dimension(gens, budget=budget) if gens else n * (L - 1))
+
+
+def _contact_generators(factors) -> list:
+    """The Groebner input of a contact cell: the nonzero F^(j), j < m_i,
+    of factor i's generators expanded along arcs through the origin at
+    level max(m_i) - 1.  A nonzero constant among them raises UnitIdeal."""
+    L = max(m for _, m in factors)
     gens = []
     for a, m in factors:
         for coeffs in jet_equations(a, L - 1, at_origin=True).coefficients:
@@ -516,7 +587,7 @@ def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
                         continue
                     raise UnitIdeal("a contact condition is a nonzero constant")
                 gens.append(g)
-    return n * L - (ideal_dimension(gens, budget=budget) if gens else n * (L - 1))
+    return gens
 
 
 # -- estimators ------------------------------------------------------------------------

@@ -71,6 +71,33 @@ def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
     return True
 
 
+def fraction_normal_form(f, basis, lms):
+    """The textbook division algorithm over Q, in plain ``Fraction``s:
+    take the largest grevlex term left, cancel it with (lc / lc(g)) x^q g
+    for the first basis element g whose leading monomial divides it, or
+    move it to the remainder.  Returns (remainder, reduction steps)."""
+    work = {m: Fraction(c) for m, c in f.terms.items()}
+    rem, steps = {}, 0
+    while work:
+        lm = max(work, key=grevlex_key)
+        for g, glm in zip(basis, lms):
+            if all(a <= b for a, b in zip(glm, lm)):
+                break
+        else:
+            rem[lm] = work.pop(lm)
+            continue
+        steps += 1
+        r = work[lm] / g.terms[glm]
+        for m, v in g.terms.items():
+            m = tuple(e + d - s for e, d, s in zip(m, lm, glm))
+            c = work.get(m, 0) - r * v
+            if c:
+                work[m] = c
+            else:
+                del work[m]
+    return Polynomial.from_terms(f.domain, f.nvars, rem.items()), steps
+
+
 def chart_images(dom, n, pivot, constraints) -> list:
     """The images of a blow-up chart's pullback, as polynomials for
     ``Polynomial.substitute``: x_pivot -> c_pivot + u_pivot, x_j -> c_j +

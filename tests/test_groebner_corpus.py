@@ -19,6 +19,7 @@ import pytest
 from towerval import errors
 from towerval.jets import (
     StepBudget,
+    _contact_generators,
     _min_hitting_set_size,
     _minimal_supports,
     contact_codim_at_origin,
@@ -152,26 +153,28 @@ def test_contact_codims_match_the_recorded_engine(gens, n, level, codim):
 # gain (grlex in the dimension path, a dropped pair criterion) moves them,
 # and so does any change to the Groebner input of a contact cell.  Rows are
 # (generators, N, level, steps before the pair criteria and before the
-# x_l^(0) left the contact ideal, steps now); the first two were pinned
-# first, the rest cover every other cell of CELLS.
+# x_l^(0) left the contact ideal, steps while the dimension path still
+# interreduced its basis, steps now); the first two were pinned first, the
+# rest cover every other cell of CELLS.  The last two counts differ by the
+# interreduction steps alone (test_only_interreduction_left_the_dimension_path).
 DIMENSION_STEPS = (
-    (("x1^3 + x2^3",), 2, 6, 113, 32),
-    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178, 71),
-    (("x1^2 + x2^3",), 2, 4, 6, 0),
-    (("x1^2 + x2^3",), 2, 5, 60, 27),
-    (("x1^2 + x2^3",), 2, 6, 724, 220),
-    (("x1*x2 + x3^2",), 3, 4, 17, 4),
-    (("x1*x2 + x3^2",), 3, 5, 84, 34),
-    (("x1*x2 + x3^2",), 3, 6, 603, 189),
-    (("x1^2 + x2^5",), 2, 5, 11, 3),
-    (("x1^2 + x2^5",), 2, 6, 16, 3),
-    (("x1^3 + x2^3",), 2, 5, 11, 3),
-    (("x1^2 + x2^2 + x3^2",), 3, 3, 6, 0),
-    (("x1^2 + x2^2 + x3^2",), 3, 4, 18, 5),
-    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10, 0),
-    (("x1^2 + x2^3",), 2, 7, 5663, 1235),
-    (("x1^2 + x2^2 + x3^2",), 3, 5, 44, 21),
-    (("x1^2 + x2^3 + x3^4",), 3, 6, 273357, 10922),
+    (("x1^3 + x2^3",), 2, 6, 113, 32, 32),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178, 71, 70),
+    (("x1^2 + x2^3",), 2, 4, 6, 0, 0),
+    (("x1^2 + x2^3",), 2, 5, 60, 27, 27),
+    (("x1^2 + x2^3",), 2, 6, 724, 220, 218),
+    (("x1*x2 + x3^2",), 3, 4, 17, 4, 4),
+    (("x1*x2 + x3^2",), 3, 5, 84, 34, 34),
+    (("x1*x2 + x3^2",), 3, 6, 603, 189, 189),
+    (("x1^2 + x2^5",), 2, 5, 11, 3, 3),
+    (("x1^2 + x2^5",), 2, 6, 16, 3, 3),
+    (("x1^3 + x2^3",), 2, 5, 11, 3, 3),
+    (("x1^2 + x2^2 + x3^2",), 3, 3, 6, 0, 0),
+    (("x1^2 + x2^2 + x3^2",), 3, 4, 18, 5, 5),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10, 0, 0),
+    (("x1^2 + x2^3",), 2, 7, 5663, 1235, 1231),
+    (("x1^2 + x2^2 + x3^2",), 3, 5, 44, 21, 21),
+    (("x1^2 + x2^3 + x3^4",), 3, 6, 273357, 10922, 10920),
 )
 
 
@@ -184,5 +187,18 @@ def test_every_contact_cell_has_a_step_pin():
 def test_dimension_path_step_counts_are_pinned(gens, n, level, before):
     budget = StepBudget(10**6)
     contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget)
-    assert budget.used == {pin[:4]: pin[4] for pin in DIMENSION_STEPS}[gens, n, level, before]
+    assert budget.used == {pin[:4]: pin[5] for pin in DIMENSION_STEPS}[gens, n, level, before]
     assert budget.used < before
+
+
+@pytest.mark.parametrize("gens, n, level, before", [pin[:4] for pin in DIMENSION_STEPS])
+def test_only_interreduction_left_the_dimension_path(gens, n, level, before):
+    # The dimension path stopped interreducing its basis and nothing else:
+    # each row's drop is exactly the steps _reduce_basis spends on the cell.
+    _, _, _, _, interreduced, now = {pin[:4]: pin for pin in DIMENSION_STEPS}[gens, n, level, before]
+    cell = _contact_generators([(_ideal(gens, n), level)])
+    full, loop_only = StepBudget(10**6), StepBudget(10**6)
+    groebner_basis(cell, full)
+    groebner_basis(cell, loop_only, reduced=False)
+    assert interreduced - now == full.used - loop_only.used
+    assert now == loop_only.used

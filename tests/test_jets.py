@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towerval import errors, jets
 from towerval.cli import parse_script, run
 from towerval.jets import (
     StepBudget,
+    _min_hitting_set_size,
+    _minimal_supports,
     compare_heights,
     contact_codim_at_origin,
     grevlex_key,
@@ -33,7 +37,7 @@ from towerval.polyring import (
     parse_polynomial,
 )
 
-from oracles import sympy_groebner, to_sympy, verify_groebner
+from oracles import fraction_normal_form, sympy_groebner, to_sympy, verify_groebner
 
 
 def P(text, domain, nvars=2):
@@ -177,6 +181,75 @@ def test_coprime_leading_monomials_cost_no_step():
     gb = groebner_basis([P("x1^2", QQ), P("x2^3", QQ)], budget=budget)
     assert [g.text() for g in gb] == ["x1^2", "x2^3"]
     assert budget.used == 0
+
+
+@st.composite
+def generator_lists(draw, domain, nvars=3):
+    """Two or three nonzero generators of 1-3 terms, exponents up to 3;
+    coefficients in 1..p-1 over F_p, small rationals over Q."""
+    if domain.p:
+        coeffs = st.integers(1, domain.p - 1)
+    else:
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        items = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+        gens.append(Polynomial.from_terms(domain, nvars, items.items()))
+    return gens
+
+
+nonzero_rationals = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+
+
+def _basis_and_steps(gens):
+    # A few of the drawn systems take thousands of steps; a small cap keeps
+    # them cheap, and running out at the same step is still a match.
+    budget = StepBudget(300)
+    try:
+        return groebner_basis(gens, budget), budget.used
+    except errors.BudgetExceeded:
+        return None, budget.used
+
+
+@settings(max_examples=60)
+@given(generator_lists(QQ), st.lists(nonzero_rationals, min_size=3, max_size=3))
+def test_scaling_the_generators_changes_neither_basis_nor_steps(gens, scalars):
+    scaled = [g.scale(c) for g, c in zip(gens, scalars)]
+    assert _basis_and_steps(scaled) == _basis_and_steps(gens)
+
+
+def _same_up_to_a_scalar(f, g):
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    m = next(iter(g.terms))
+    return f.terms.keys() == g.terms.keys() and f.scale(Fraction(g.terms[m]) / f.terms[m]) == g
+
+
+@settings(max_examples=60)
+@given(generator_lists(QQ), generator_lists(QQ))
+def test_normal_form_matches_plain_fraction_division(gens, targets):
+    # against the engine's own integer basis and against the reduced monic one
+    for basis in (groebner_basis(gens, reduced=False), groebner_basis(gens)):
+        lms = [max(g.terms, key=grevlex_key) for g in basis]
+        for f in targets:
+            budget = StepBudget(10**6)
+            remainder = normal_form(f, basis, budget, lms)
+            expected, steps = fraction_normal_form(f, basis, lms)
+            assert _same_up_to_a_scalar(remainder, expected)
+            assert budget.used == steps
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([QQ, GF(7)]).flatmap(generator_lists))
+def test_dimension_path_agrees_with_the_reduced_basis(gens):
+    basis = groebner_basis(gens)
+    if any(g.is_constant() for g in basis):
+        with pytest.raises(errors.UnitIdeal):
+            ideal_dimension(gens)
+        return
+    supports = _minimal_supports([max(g.terms, key=grevlex_key) for g in basis])
+    assert ideal_dimension(gens) == 3 - _min_hitting_set_size(supports)
 
 
 @pytest.mark.parametrize("order", [grevlex_key])
