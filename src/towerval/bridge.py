@@ -106,9 +106,7 @@ def lift_tower(t: Tower) -> Tower:
 def _check_ideals(t: Tower, ideals) -> tuple:
     out = tuple(ideals)
     for a in out:
-        if a.domain != t.domain or a.nvars != t.n:
-            raise RingMismatch("ideal does not live in the tower's base ring")
-        a.require_nonzero()
+        t._check_base_ideal(a)
         for g in a.gens:
             if g.order_at_origin() < 1:
                 raise IdealNotAtOrigin(
@@ -118,18 +116,13 @@ def _check_ideals(t: Tower, ideals) -> tuple:
     return out
 
 
-def _general_point_blowup(t: Tower, did: int, ideals):
-    """Blow up the first point of the divisor clear of everything else."""
-    home = t.divisor(did).home_chart
-    loci = [weak_transform(t, a, home)[0] for a in ideals]
-    others = [d for d in range(1, len(t.steps) + 1) if d != did]
-    pt = point_on_divisor_avoiding(t, did, others, loci)
-    t2, new_did = blow_up(t, pt)
-    return t2, new_did, pt
-
-
 def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     """Append the two general-point blow-ups, lift, and verify.
+
+    Each appended center is the point ``point_on_divisor_avoiding`` finds
+    on the newest divisor off every other divisor and every ideal's weak
+    transform; its divisor must have k = j(n - 1) + k_E for j = 1, 2, or
+    BridgeIdentityFailed names the point.
 
     ``tamper`` deliberately bends one lifted generator by adding the
     characteristic (a different valid pointwise lift, but not the
@@ -146,21 +139,19 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     e_did = t.last_divisor_id()
     k_e = t.divisor(e_did).k
 
-    t2, f1, point_1 = _general_point_blowup(t, e_did, ideals)
-    k_f1 = t2.divisor(f1).k
-    if k_f1 != (n - 1) + k_e:
-        raise BridgeIdentityFailed(
-            f"first appended divisor has k={k_f1}, expected {(n - 1) + k_e}; "
-            f"point {point_1.as_dict()} cannot have been general"
-        )
-
-    t3, f2, point_2 = _general_point_blowup(t2, f1, ideals)
-    k_f2 = t3.divisor(f2).k
-    if k_f2 != 2 * (n - 1) + k_e:
-        raise BridgeIdentityFailed(
-            f"second appended divisor has k={k_f2}, expected {2 * (n - 1) + k_e}; "
-            f"point {point_2.as_dict()} cannot have been general"
-        )
+    t3, did = t, e_did
+    for j, nth in ((1, "first"), (2, "second")):
+        home = t3.divisor(did).home_chart
+        loci = [weak_transform(t3, a, home)[0] for a in ideals]
+        pt = point_on_divisor_avoiding(t3, did, range(1, len(t3.steps) + 1), loci)
+        t3, did = blow_up(t3, pt)
+        k = t3.divisor(did).k
+        if k != j * (n - 1) + k_e:
+            raise BridgeIdentityFailed(
+                f"{nth} appended divisor has k={k}, expected {j * (n - 1) + k_e}; "
+                f"point {pt.as_dict()} cannot have been general"
+            )
+    f1, f2 = did - 1, did  # divisor ids are step numbers
 
     tq = lift_tower(t3)
     lifted = tuple(lift_to_q(a) for a in ideals)
@@ -190,11 +181,11 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
         input_divisor=e_did,
         k_e=k_e,
         middle_divisor=f1,
-        k_middle=k_f1,
+        k_middle=t3.divisor(f1).k,
         final_divisor=f2,
         k_f=k_f,
-        point_1=point_1,
-        point_2=point_2,
+        point_1=t3.steps[f1 - 1].center,
+        point_2=t3.steps[f2 - 1].center,
         lifted_point_1=tq.steps[f1 - 1].center,
         lifted_point_2=tq.steps[f2 - 1].center,
         tower_p=t3,
@@ -255,7 +246,7 @@ class CrossCharCell(namedtuple("CrossCharCell", "mvec codim_p codim_q note")):
     __slots__ = ()
 
 
-class CrossCharReport(namedtuple("CrossCharReport", "p caps cells mld_p mld_q lct_p lct_q")):
+class CrossCharReport(namedtuple("CrossCharReport", "p cells mld_p mld_q lct_p lct_q")):
     __slots__ = ()
 
     @property
@@ -269,17 +260,16 @@ class CrossCharReport(namedtuple("CrossCharReport", "p caps cells mld_p mld_q lc
         return self.lct_p <= self.lct_q
 
 
-def cross_characteristic_suite(ma, caps, budget: int = DEFAULT_GB_BUDGET) -> CrossCharReport:
+def cross_characteristic_suite(ma: MultiIdeal, caps, budget: int = DEFAULT_GB_BUDGET) -> CrossCharReport:
     """Compare contact codimensions against the canonical lift, cell by cell.
 
-    Asserts codim over F_p <= codim over Q at every depth vector within
-    the caps where both sides finished inside the budget, and reports
-    the mld and lct estimates those shared cells induce.  A budget blow
-    on one side drops the cell from both minima, keeping the reported
-    inequalities honest.
+    ``ma`` is a MultiIdeal over a prime field; one ideal a is
+    ``MultiIdeal([(a, 1)])``.  Asserts codim over F_p <= codim over Q at
+    every depth vector within the caps where both sides finished inside the
+    budget, and reports the mld and lct estimates those shared cells
+    induce.  A budget blow on one side drops the cell from both minima,
+    keeping the reported inequalities honest.
     """
-    if isinstance(ma, Ideal):
-        ma = MultiIdeal([(ma, 1)])
     r = len(ma.factors)
     if r == 0:
         raise ValueError("nothing to compare for an empty multi-ideal")
@@ -315,7 +305,7 @@ def cross_characteristic_suite(ma, caps, budget: int = DEFAULT_GB_BUDGET) -> Cro
             lct_p = zp if lct_p is None else min(lct_p, zp)
             lct_q = zq if lct_q is None else min(lct_q, zq)
 
-    return CrossCharReport(dom.p, caps, tuple(cells), mld_p, mld_q, lct_p, lct_q)
+    return CrossCharReport(dom.p, tuple(cells), mld_p, mld_q, lct_p, lct_q)
 
 
 # -- the deterministic corpus ---------------------------------------------------

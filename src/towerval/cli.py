@@ -92,8 +92,9 @@ def _fmt_center(cs: CenterSpec, rational: bool = False) -> str:
 # -- parsing ----------------------------------------------------------------------
 
 
-def _split_top_level(text: str, sep: str):
-    """Split on a separator, ignoring occurrences inside parentheses."""
+def _split_top_level(text: str, sep: str, ln: int):
+    """Split on a separator, ignoring occurrences inside parentheses; an
+    unbalanced parenthesis is an error of script line ``ln``."""
     out, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -101,18 +102,18 @@ def _split_top_level(text: str, sep: str):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ScriptSyntaxError(f"unbalanced ')' at column {i + 1}")
+                _err(ln, f"unbalanced ')' at column {i + 1}")
         elif ch == sep and depth == 0:
             out.append(text[start:i])
             start = i + 1
     if depth:
-        raise ScriptSyntaxError("unbalanced '(' in statement")
+        _err(ln, "unbalanced '(' in statement")
     out.append(text[start:])
     return out
 
 
-def _tokens(text: str):
-    return [t for t in _split_top_level(text.replace("\t", " "), " ") if t]
+def _tokens(text: str, ln: int):
+    return [t for t in _split_top_level(text.replace("\t", " "), " ", ln) if t]
 
 
 def _err(ln: int, msg: str):
@@ -137,7 +138,7 @@ def _parse_rational(text: str, ln: int) -> Fraction:
 
 
 def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
-    tokens = _tokens(token_text)
+    tokens = _tokens(token_text, ln)
     if not tokens or tokens[0] != "blowup":
         _err(ln, f"tower steps start with 'blowup', got {token_text.strip()!r}")
     chart = None
@@ -158,7 +159,7 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
         if key == "point":
             if not (val.startswith("(") and val.endswith(")")):
                 _err(ln, "point wants a parenthesized coordinate list")
-            coords = _split_top_level(val[1:-1], ",")
+            coords = _split_top_level(val[1:-1], ",", ln)
             if len(coords) != n:
                 _err(ln, f"point has {len(coords)} coordinates, ring has {n}")
             center = {i: _parse_const(c, domain, ln) for i, c in enumerate(coords)}
@@ -166,7 +167,7 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
             if not (val.startswith("(") and val.endswith(")")):
                 _err(ln, "set wants a parenthesized list like (x1=0,x2=0)")
             center = {}
-            for item in _split_top_level(val[1:-1], ","):
+            for item in _split_top_level(val[1:-1], ",", ln):
                 m = re.fullmatch(r"\s*x(\d+)\s*=\s*([^\s]+)\s*", item)
                 if not m:
                     _err(ln, f"bad constraint {item.strip()!r} in set=")
@@ -223,7 +224,7 @@ def parse_script(text: str) -> SessionScript:
             if name in names:
                 _err(ln, f"the name {name!r} is already taken")
             gens = []
-            for part in _split_top_level(m.group(2), ","):
+            for part in _split_top_level(m.group(2), ",", ln):
                 try:
                     gens.append(parse_polynomial(part.strip(), script.domain, script.n))
                 except ScriptSyntaxError as e:
@@ -240,14 +241,14 @@ def parse_script(text: str) -> SessionScript:
             if name in names:
                 _err(ln, f"the name {name!r} is already taken")
             t = new_tower(script.n, script.domain)
-            for step_text in _split_top_level(m.group(2), ";"):
+            for step_text in _split_top_level(m.group(2), ";", ln):
                 t, _ = _parse_step(step_text, t, script.domain, script.n, ln)
             script.towers[name] = t
             names.add(name)
             continue
 
         if head in _HANDLERS:
-            tokens = _tokens(line)[1:]
+            tokens = _tokens(line, ln)[1:]
             _check_references(script, head, tokens, ln)
             script.commands.append((ln, head, tokens, line))
             continue
@@ -407,7 +408,7 @@ def _cmd_bridge(script, tokens, opt, block, ln):
         elif tok.startswith("e="):
             val = tok[2:]
             if val.startswith("(") and val.endswith(")"):
-                parts = _split_top_level(val[1:-1], ",")
+                parts = _split_top_level(val[1:-1], ",", ln)
                 evecs.append(tuple(_parse_rational(x, ln) for x in parts))
             else:
                 evecs.append((_parse_rational(val, ln),))

@@ -539,7 +539,8 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
     ``groebner_basis``.
 
     Cells are memoised per process, keyed by the factors and the route.
-    A repeat returns the stored codim and spends the steps the cell cost
+    A new cell runs on ``budget`` itself and is stored with the steps it
+    spent there.  A repeat returns the stored codim and spends those steps
     on ``budget``, so the result, ``budget.used`` and the point where a
     budget runs out are as if the cell were recomputed.  A cell that
     raises is not stored.
@@ -549,18 +550,13 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
     ring = _check_factors(factors)
     key = (factors, bool(force_groebner))
     hit = _cell_memo.get(key)
-    if hit is None:
-        # Run on the steps left and charge them to the caller's budget, so a
-        # cell that runs out raises there, naming the caller's cap.
-        cell_budget = StepBudget(max(0, budget.cap - budget.used))
-        try:
-            codim = _contact_codim(factors, ring, cell_budget, force_groebner)
-        except Exception:
-            budget.spend(cell_budget.used)
-            raise
-        hit = _remember(_cell_memo, key, (codim, cell_budget.used))
-    budget.spend(hit[1])
-    return hit[0]
+    if hit is not None:
+        budget.spend(hit[1])
+        return hit[0]
+    before = budget.used
+    codim = _contact_codim(factors, ring, budget, force_groebner)
+    _remember(_cell_memo, key, (codim, budget.used - before))
+    return codim
 
 
 def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
@@ -603,8 +599,11 @@ def contact_cells(factors, caps):
     (ideal, m_i) pairs with m_i >= 1 and ``weight`` is sum(e_i * m_i).
     Cells where an active ideal misses the origin are skipped: their
     contact locus through the origin is empty, and exactly there
-    ``contact_codim_at_origin`` would raise UnitIdeal.
+    ``contact_codim_at_origin`` would raise UnitIdeal.  A zero ideal in
+    any position raises ZeroIdeal before the first cell.
     """
+    for a, _ in factors:
+        a.require_nonzero()
     per_factor = isinstance(caps, (tuple, list))
     if per_factor and len(caps) != len(factors):
         raise DimensionMismatch(f"{len(caps)} caps for {len(factors)} factors")
@@ -632,8 +631,6 @@ def mld_estimate(ma, cap: int, budget=DEFAULT_GB_BUDGET, nvars: int | None = Non
     that degenerate case (the answer is then just N).
     """
     factors = list(ma)
-    for a, _ in factors:
-        a.require_nonzero()
     if factors:
         n = factors[0][0].nvars
     elif nvars is not None:

@@ -341,10 +341,11 @@ def point_on_divisor_avoiding(
     pinned to 0; the free coordinates run through a fixed enumeration of
     2*radius + 1 values (0, 1, 2, ... over F_p, at most p of them; 0, 1,
     -1, 2, -2, ... over Q), first coordinate slowest.  A point is accepted
-    when every avoided divisor's local equation is nonzero there and every
-    avoided locus has some generator nonzero there.  Exhaustion raises
-    GeneralPointNotFound, which over a small prime field is a real
-    possibility the caller must handle.
+    when the local equation of every divisor id in ``avoid_divisors`` but
+    ``did`` is nonzero there, and every ideal in ``avoid_loci`` (in the
+    home chart's coordinates; a zero ideal raises ZeroIdeal) has some
+    generator nonzero there.  Exhaustion raises GeneralPointNotFound, which
+    over a small prime field is a real possibility the caller must handle.
     """
     rec = t.divisor(did)
     chart = t.chart(rec.home_chart)
@@ -358,12 +359,9 @@ def point_on_divisor_avoiding(
         if d not in chart.divisor_eqs:
             raise UnknownDivisor(f"divisor {d} has no trace in chart {chart.cid}")
         eqs.append(chart.divisor_eqs[d])
-    loci = []
-    for locus in avoid_loci:
-        gens = locus.gens if isinstance(locus, Ideal) else tuple(locus)
-        if not gens:
-            raise ZeroIdeal("cannot avoid the zero locus of the zero ideal")
-        loci.append(gens)
+    loci = [locus.gens for locus in avoid_loci]
+    if not all(loci):
+        raise ZeroIdeal("cannot avoid the zero locus of the zero ideal")
 
     stream = _value_stream(dom, radius)
     free = [i for i in range(n) if i != pivot]

@@ -156,7 +156,9 @@ def test_criterion_4_cross_characteristic_inequality():
     assert len(CROSSCHAR_SPECS) >= 10
     strict_cells = 0
     for n, p, texts in CROSSCHAR_SPECS:
-        report = cross_characteristic_suite(_ideal(n, p, texts), (4,), budget=GB_BUDGET)
+        report = cross_characteristic_suite(
+            MultiIdeal([(_ideal(n, p, texts), 1)]), (4,), budget=GB_BUDGET
+        )
         for cell in report.cells:
             assert cell.note is None, (texts, cell)
             assert cell.codim_p <= cell.codim_q, (texts, cell)

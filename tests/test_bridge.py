@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from towerval import errors
+from towerval import bridge, errors
 from towerval.bridge import (
     BridgeCase,
     acceptance_corpus,
@@ -18,10 +18,11 @@ from towerval.polyring import (
     GF,
     QQ,
     Ideal,
+    MultiIdeal,
     coordinate_ideal,
     parse_polynomial,
 )
-from towerval.tower import CenterSpec, blow_up, new_tower
+from towerval.tower import CenterSpec, blow_up, new_tower, point_on_divisor_avoiding
 
 from oracles import describe
 
@@ -148,6 +149,39 @@ def test_bridge_rejects_bad_inputs():
         bridge_construct(origin_tower(QQ), [coordinate_ideal(QQ, 2)])
 
 
+def test_bridge_names_a_first_point_that_was_not_general(monkeypatch):
+    # tower point=(0,0), then chart=2 point=(0,0); a search that ignores the
+    # avoidance lists takes the origin of E2's home chart, which lies on E1
+    dom = GF(101)
+    t = new_tower(2, dom)
+    for chart in (0, 2):
+        t, _ = blow_up(t, CenterSpec.make(chart, {0: 0, 1: 0}, dom))
+    monkeypatch.setattr(
+        bridge, "point_on_divisor_avoiding", lambda t, did, *avoid: point_on_divisor_avoiding(t, did)
+    )
+    with pytest.raises(errors.BridgeIdentityFailed) as info:
+        bridge_construct(t, [coordinate_ideal(dom, 2)])
+    assert str(info.value) == (
+        "first appended divisor has k=4, expected 3; point {0: 0, 1: 0} cannot have been general"
+    )
+
+
+def test_bridge_names_a_second_point_that_was_not_general(monkeypatch):
+    # the second center is the point of F1 on E1: the origin of F1's chart
+    # with pivot x2, the chart after F1's home chart
+    def second_on_e1(t, did, *avoid):
+        if did == 1:
+            return point_on_divisor_avoiding(t, did, *avoid)
+        return CenterSpec.make(t.divisor(did).home_chart + 1, {0: 0, 1: 0}, t.domain)
+
+    monkeypatch.setattr(bridge, "point_on_divisor_avoiding", second_on_e1)
+    with pytest.raises(errors.BridgeIdentityFailed) as info:
+        bridge_construct(origin_tower(GF(101)), [coordinate_ideal(GF(101), 2)])
+    assert str(info.value) == (
+        "second appended divisor has k=4, expected 3; point {0: 0, 1: 0} cannot have been general"
+    )
+
+
 def test_tampered_lift_is_refused():
     t = origin_tower(GF(5))
     with pytest.raises(errors.BridgeIdentityFailed):
@@ -212,7 +246,7 @@ def test_shift_failure_prints_the_vector_as_num_den():
 
 
 def test_crosschar_monomial_pair_is_tight():
-    rep = cross_characteristic_suite(coordinate_ideal(GF(5), 2), 3)
+    rep = cross_characteristic_suite(MultiIdeal([(coordinate_ideal(GF(5), 2), 1)]), 3)
     assert all(c.codim_p == c.codim_q for c in rep.cells)
     assert rep.mld_p == rep.mld_q == 1
     assert rep.lct_p == rep.lct_q == 2
@@ -221,7 +255,7 @@ def test_crosschar_monomial_pair_is_tight():
 def test_crosschar_frobenius_square_is_strict():
     # over F_2 the generator is (x1 + x2)^2, so from depth 4 on the
     # contact locus is genuinely bigger than its characteristic-zero lift
-    rep = cross_characteristic_suite(I(GF(2), 2, "x1^2 + x2^2"), 6)
+    rep = cross_characteristic_suite(MultiIdeal([(I(GF(2), 2, "x1^2 + x2^2"), 1)]), 6)
     by_depth = {c.mvec[0]: c for c in rep.cells}
     assert (by_depth[4].codim_p, by_depth[4].codim_q) == (3, 4)
     assert by_depth[3].codim_p == by_depth[3].codim_q == 3
@@ -231,19 +265,19 @@ def test_crosschar_frobenius_square_is_strict():
 
 
 def test_crosschar_spec_pair_is_ordered_without_strictness():
-    rep = cross_characteristic_suite(I(GF(5), 2, "x1^5 + x2^2"), 4)
+    rep = cross_characteristic_suite(MultiIdeal([(I(GF(5), 2, "x1^5 + x2^2"), 1)]), 4)
     assert all(c.codim_p <= c.codim_q for c in rep.cells)
     assert rep.mld_ordered and rep.lct_ordered
 
 
 def test_crosschar_cusp_over_f7():
-    rep = cross_characteristic_suite(I(GF(7), 2, "x1^2 + x2^3"), 6)
+    rep = cross_characteristic_suite(MultiIdeal([(I(GF(7), 2, "x1^2 + x2^3"), 1)]), 6)
     assert rep.lct_p == rep.lct_q == Fraction(5, 6)
     assert all(c.codim_p <= c.codim_q for c in rep.cells)
 
 
 def test_crosschar_budget_blowups_are_cells_not_errors():
-    rep = cross_characteristic_suite(I(GF(5), 2, "x1^2 + x2^3"), 6, budget=1)
+    rep = cross_characteristic_suite(MultiIdeal([(I(GF(5), 2, "x1^2 + x2^3"), 1)]), 6, budget=1)
     notes = {c.mvec[0]: c.note for c in rep.cells}
     assert notes == {1: None, 2: None, 3: None, 4: None, 5: "budget", 6: "budget"}
     # estimates fall back to the cells that did complete
@@ -252,8 +286,6 @@ def test_crosschar_budget_blowups_are_cells_not_errors():
 
 def test_crosschar_multi_factor_grid():
     dom = GF(5)
-    from towerval.polyring import MultiIdeal
-
     ma = MultiIdeal([(coordinate_ideal(dom, 2), 1), (I(dom, 2, "x1"), Fraction(1, 2))])
     rep = cross_characteristic_suite(ma, (2, 2))
     assert len(rep.cells) == 8  # 3*3 grid minus the zero vector
@@ -262,9 +294,9 @@ def test_crosschar_multi_factor_grid():
 
 def test_crosschar_rejects_bad_inputs():
     with pytest.raises(errors.RingMismatch):
-        cross_characteristic_suite(coordinate_ideal(QQ, 2), 3)
+        cross_characteristic_suite(MultiIdeal([(coordinate_ideal(QQ, 2), 1)]), 3)
     with pytest.raises(errors.DimensionMismatch):
-        cross_characteristic_suite(coordinate_ideal(GF(5), 2), (1, 2))
+        cross_characteristic_suite(MultiIdeal([(coordinate_ideal(GF(5), 2), 1)]), (1, 2))
 
 
 # -- the corpus --------------------------------------------------------------------

@@ -226,10 +226,58 @@ def test_exit_code_two_for_input_errors(tmp_path, capsys):
     ("blowup chart=root point=(0,0) set=(x1=1,x2=1)", "tower step gives more than one point= or set="),
     ("blowup chart=root set=(x1=0,x2=0) set=(x1=1,x2=1)", "tower step gives more than one point= or set="),
     ("blowup chart=root chart=0 point=(0,0)", "tower step gives chart= twice"),
+    ("blowdown chart=root", "tower steps start with 'blowup', got 'blowdown chart=root'"),
+    ("blowup chart=root (0,0)", "expected key=value in tower step, got '(0,0)'"),
+    ("blowup chart=top point=(0,0)", "chart must be 'root' or an integer, got 'top'"),
+    ("blowup chart=root point=0,0", "point wants a parenthesized coordinate list"),
+    ("blowup chart=root point=(0,0,0)", "point has 3 coordinates, ring has 2"),
+    ("blowup chart=root set=x1=0", "set wants a parenthesized list like (x1=0,x2=0)"),
+    ("blowup chart=root set=(x1=0,y2=0)", "bad constraint 'y2=0' in set="),
+    ("blowup chart=root set=(x1=0,x3=0)", "variable x3 out of range (ring has 2 variables)"),
+    ("blowup chart=root center=(0,0)", "unknown tower step key 'center'"),
+    ("blowup point=(0,0)", "tower step is missing chart="),
+    ("blowup chart=root", "tower step needs point=(...) or set=(...)"),
 ])
 def test_a_tower_step_refuses_a_repeated_key_or_coordinate(tmp_path, capsys, step, message):
     code, out, err = run_main(tmp_path, capsys, f"ring N=2 p=5\ntower T: {step}\nkeval T\n")
     assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: line 2: {message}\n")
+
+
+@pytest.mark.parametrize("declaration, line, message", [
+    ("ring N=2", 1, "ring wants the form 'ring N=<int> p=<prime or 0>'"),
+    ("ring N=2 p=5\nideal a x1", 2, "ideal wants the form 'ideal <name>: gen, gen, ...'"),
+    ("ring N=2 p=5\ntower T blowup chart=root point=(0,0)", 2,
+     "tower wants the form 'tower <name>: blowup ...; blowup ...'"),
+    ("ring N=2 p=5\nideal a: x1\nideal a: x2", 3, "the name 'a' is already taken"),
+    ("ring N=2 p=5\nideal a: x1\ntower a: blowup chart=root point=(0,0)", 3,
+     "the name 'a' is already taken"),
+])
+def test_a_malformed_declaration_names_its_line(tmp_path, capsys, declaration, line, message):
+    code, out, err = run_main(tmp_path, capsys, declaration + "\n")
+    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: line {line}: {message}\n")
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("ideal b: (x1, x2", "unbalanced '(' in statement"),
+    ("ideal b: x1, x2)", "unbalanced ')' at column 7"),
+    ("tower S: blowup chart=root point=(0,0", "unbalanced '(' in statement"),
+    ("tower S: blowup chart=root point=(0,0))", "unbalanced ')' at column 30"),
+    ("lct a)", "unbalanced ')' at column 6"),
+    ("mld (a:1", "unbalanced '(' in statement"),
+])
+def test_an_unbalanced_parenthesis_names_its_line(tmp_path, capsys, statement, message):
+    code, out, err = run_main(tmp_path, capsys, "ring N=2 p=5\nideal a: x1, x2\n" + statement + "\n")
+    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: line 3: {message}\n")
+
+
+@pytest.mark.parametrize("factors", ["z:1 a:3", "a:3 z:1"])
+def test_notlc_refuses_a_zero_factor_in_any_position(tmp_path, capsys, factors):
+    # without z, depth 1 on a certifies (codim 2 < weight 3)
+    text = "ring N=2 p=5\nideal a: x1, x2\nideal z: 0\nnotlc " + factors + "\n"
+    code, out, err = run_main(tmp_path, capsys, text)
+    assert (code, out, err) == (
+        2, "", "error: ZeroIdeal: command 1 (notlc): operation rejects the zero ideal\n"
+    )
 
 
 @pytest.mark.parametrize("command, message", [

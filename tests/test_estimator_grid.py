@@ -222,6 +222,19 @@ def test_a_cap_that_is_not_a_nonnegative_int_is_refused(cap):
         cross_characteristic_suite(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), (2, cap))
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_every_estimator_refuses_a_zero_factor_in_any_position(position):
+    # without the zero factor, depth 1 on the maximal ideal already
+    # certifies: codim 2 < weight 3
+    dom = GF(5)
+    factors = [(MAX, 3)]
+    factors.insert(position, ((), 1))
+    ma = _multi(dom, 2, factors)
+    for estimate in (certify_not_log_canonical, mld_estimate, cross_characteristic_suite):
+        with pytest.raises(errors.ZeroIdeal, match="^operation rejects the zero ideal$"):
+            estimate(ma, 3)
+
+
 @pytest.mark.parametrize("caps", [(1,), (1, 1, 1)])
 def test_a_caps_sequence_needs_one_cap_per_factor(caps):
     # a short sequence would leave the node out of every cell, and a long

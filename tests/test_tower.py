@@ -266,6 +266,13 @@ def test_point_search_exhaustion_over_f2():
         point_on_divisor_avoiding(t, 1, avoid_loci=[wt])
 
 
+def test_point_search_refuses_to_avoid_the_zero_ideal():
+    t = chain_tower(GF(5), 2, 1)
+    with pytest.raises(errors.ZeroIdeal) as info:
+        point_on_divisor_avoiding(t, 1, avoid_loci=[Ideal(GF(5), 2, [])])
+    assert str(info.value) == "cannot avoid the zero locus of the zero ideal"
+
+
 def _avoiding_roots(roots, domain=QQ):
     """An ideal of the A^2 chart vanishing exactly where x2 is one of the roots."""
     g = Polynomial.constant(domain, 2, 1)
