@@ -276,7 +276,6 @@ def cross_characteristic_suite(ma: MultiIdeal, caps, budget: int = DEFAULT_GB_BU
     dom = ma.factors[0][0].domain
     if not dom.p:
         raise RingMismatch("the comparison starts from a prime field")
-    caps = tuple(caps) if isinstance(caps, (tuple, list)) else (caps,) * r
     n = ma.factors[0][0].nvars
     lifts = {a: lift_to_q(a) for a, _ in ma.factors}
 

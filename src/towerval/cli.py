@@ -92,28 +92,53 @@ def _fmt_center(cs: CenterSpec, rational: bool = False) -> str:
 # -- parsing ----------------------------------------------------------------------
 
 
-def _split_top_level(text: str, sep: str, ln: int):
-    """Split on a separator, ignoring occurrences inside parentheses; an
-    unbalanced parenthesis is an error of script line ``ln``."""
-    out, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
+def _check_balance(line: str, ln: int):
+    """Refuse a script line whose parentheses do not balance; a column
+    counts from the start of the line."""
+    depth = 0
+    for i, ch in enumerate(line):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 _err(ln, f"unbalanced ')' at column {i + 1}")
+    if depth:
+        _err(ln, "unbalanced '(' in statement")
+
+
+def _split_top_level(text: str, sep: str):
+    """Split on a separator, ignoring occurrences inside parentheses.  The
+    text is balanced: a piece of a line ``_check_balance`` passed, or the
+    inside of one group (``_group``)."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
         elif ch == sep and depth == 0:
             out.append(text[start:i])
             start = i + 1
-    if depth:
-        _err(ln, "unbalanced '(' in statement")
     out.append(text[start:])
     return out
 
 
-def _tokens(text: str, ln: int):
-    return [t for t in _split_top_level(text.replace("\t", " "), " ", ln) if t]
+def _group(val: str):
+    """The inside of ``val`` if it is one parenthesized group, as (0,0) is
+    and (0),(0) is not; else None.  ``val`` is balanced."""
+    if not val.startswith("("):
+        return None
+    depth = 0
+    for i, ch in enumerate(val):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return val[1:i] if i == len(val) - 1 else None
+    return None
+
+
+def _tokens(text: str):
+    return [t for t in _split_top_level(text.replace("\t", " "), " ") if t]
 
 
 def _err(ln: int, msg: str):
@@ -138,7 +163,7 @@ def _parse_rational(text: str, ln: int) -> Fraction:
 
 
 def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
-    tokens = _tokens(token_text, ln)
+    tokens = _tokens(token_text)
     if not tokens or tokens[0] != "blowup":
         _err(ln, f"tower steps start with 'blowup', got {token_text.strip()!r}")
     chart = None
@@ -157,17 +182,19 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
             chart = value
             continue
         if key == "point":
-            if not (val.startswith("(") and val.endswith(")")):
+            inner = _group(val)
+            if inner is None:
                 _err(ln, "point wants a parenthesized coordinate list")
-            coords = _split_top_level(val[1:-1], ",", ln)
+            coords = _split_top_level(inner, ",")
             if len(coords) != n:
                 _err(ln, f"point has {len(coords)} coordinates, ring has {n}")
             center = {i: _parse_const(c, domain, ln) for i, c in enumerate(coords)}
         elif key == "set":
-            if not (val.startswith("(") and val.endswith(")")):
+            inner = _group(val)
+            if inner is None:
                 _err(ln, "set wants a parenthesized list like (x1=0,x2=0)")
             center = {}
-            for item in _split_top_level(val[1:-1], ",", ln):
+            for item in _split_top_level(inner, ","):
                 m = re.fullmatch(r"\s*x(\d+)\s*=\s*([^\s]+)\s*", item)
                 if not m:
                     _err(ln, f"bad constraint {item.strip()!r} in set=")
@@ -195,9 +222,11 @@ def parse_script(text: str) -> SessionScript:
     script = None
     names = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        _check_balance(code, ln)
         head = line.split(None, 1)[0]
 
         if head == "ring":
@@ -224,7 +253,7 @@ def parse_script(text: str) -> SessionScript:
             if name in names:
                 _err(ln, f"the name {name!r} is already taken")
             gens = []
-            for part in _split_top_level(m.group(2), ",", ln):
+            for part in _split_top_level(m.group(2), ","):
                 try:
                     gens.append(parse_polynomial(part.strip(), script.domain, script.n))
                 except ScriptSyntaxError as e:
@@ -241,14 +270,14 @@ def parse_script(text: str) -> SessionScript:
             if name in names:
                 _err(ln, f"the name {name!r} is already taken")
             t = new_tower(script.n, script.domain)
-            for step_text in _split_top_level(m.group(2), ";", ln):
+            for step_text in _split_top_level(m.group(2), ";"):
                 t, _ = _parse_step(step_text, t, script.domain, script.n, ln)
             script.towers[name] = t
             names.add(name)
             continue
 
         if head in _HANDLERS:
-            tokens = _tokens(line, ln)[1:]
+            tokens = _tokens(line)[1:]
             _check_references(script, head, tokens, ln)
             script.commands.append((ln, head, tokens, line))
             continue
@@ -407,9 +436,9 @@ def _cmd_bridge(script, tokens, opt, block, ln):
             tamper = True
         elif tok.startswith("e="):
             val = tok[2:]
-            if val.startswith("(") and val.endswith(")"):
-                parts = _split_top_level(val[1:-1], ",", ln)
-                evecs.append(tuple(_parse_rational(x, ln) for x in parts))
+            inner = _group(val)
+            if inner is not None:
+                evecs.append(tuple(_parse_rational(x, ln) for x in _split_top_level(inner, ",")))
             else:
                 evecs.append((_parse_rational(val, ln),))
         else:

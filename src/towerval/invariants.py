@@ -91,8 +91,9 @@ def realize_toric_weight(domain: Domain, w: tuple, *, _built=None) -> tuple:
     dropping its sum, so the loop stops, and it can only stop when the
     newest ray is w itself.  Returns (tower, divisor id).
 
-    Walks sharing a ``_built`` map (center sequence -> blow-up result)
-    build each common prefix once.
+    Walks sharing a ``_built`` map build each common prefix once: it holds
+    the root tower under (domain, n) and each blow-up result under (tower,
+    chart, support), the tower keyed by identity.
     """
     n = len(w)
     if any(not isinstance(c, int) or c < 1 for c in w):
@@ -100,20 +101,21 @@ def realize_toric_weight(domain: Domain, w: tuple, *, _built=None) -> tuple:
     if math.gcd(*w) != 1:
         raise ValueError(f"weight vector {w!r} is not primitive")
     built = {} if _built is None else _built
-    t = new_tower(n, domain)
+    t = built.get((domain, n))
+    if t is None:
+        t = built[domain, n] = new_tower(n, domain)
     cid = 0
     lam = list(w)
     did = None
-    centers = ()
     while sorted(lam) != [0] * (n - 1) + [1]:
-        support = [i for i in range(n) if lam[i] > 0]
+        support = tuple(i for i in range(n) if lam[i] > 0)
         pivot = min(i for i in support if lam[i] == min(lam[j] for j in support))
-        centers += (CenterSpec.make(cid, {i: 0 for i in support}, domain),)
-        if centers not in built:
-            built[centers] = blow_up(t, centers[-1])
-        t, did = built[centers]
-        step = t.steps[-1]
-        cid = step.chart_ids[sorted(support).index(pivot)]
+        hit = built.get((t, cid, support))
+        if hit is None:
+            center = CenterSpec.make(cid, dict.fromkeys(support, 0), domain)
+            hit = built[t, cid, support] = blow_up(t, center)
+        t, did = hit
+        cid = t.steps[-1].chart_ids[support.index(pivot)]
         for i in support:
             if i != pivot:
                 lam[i] -= lam[pivot]
@@ -154,7 +156,7 @@ def toric_weight_search(a: Ideal, weight_bound: int) -> LctWitness:
         raise ValueError(f"weight bound must be a positive integer, got {weight_bound!r}")
 
     best = None
-    built = {}  # center sequence -> (tower, divisor id), shared by the walks below
+    built = {}  # the root tower and every blow-up, shared by the walks below
     for w in itertools.product(range(1, weight_bound + 1), repeat=a.nvars):
         if math.gcd(*w) != 1:
             continue

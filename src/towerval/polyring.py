@@ -14,19 +14,20 @@ plain as possible:
   coefficient}.  Two polynomials are equal iff their term maps are equal,
   which makes canonical forms trivial and hashing cheap.
 
-All coefficient arithmetic on term maps runs in four private kernels:
+All coefficient arithmetic on term maps runs in five private kernels:
 ``_mul_terms`` adds a product into a map (``*``, ``**``, ``scale``,
 ``substitute`` and the jet expansion in ``jets``), ``_add_into`` adds a
 map with a sign (``+``, ``-``, negation and the sum of substituted
 terms), ``_add_multiple`` adds a monomial multiple of a map without
 its leading term and returns the monomials that entered (the reduction
-step of ``jets``), and
-``_chart_pullback`` pulls a map back through one blow-up chart by
-rewriting its exponents.  That kernel is the one pullback of the
-package: frames, divisor equations, containment, weak transforms and
-valuations all go through ``tower.Chart.pull``.  ``substitute``, the
-general ring map, is the reference the tests check that kernel against;
-nothing else in the package calls it.  ``Domain`` keeps only
+step of ``jets``), ``_chart_pullback`` pulls a map back through one
+blow-up chart by rewriting its exponents, and ``_vanishes_on`` restricts
+a map to a blow-up center and tests the result for zero (containment of
+a center in a divisor).  The pullback kernel is the one pullback of the
+package: frames, divisor equations, weak transforms and valuations all
+go through ``tower.Chart.pull``.  ``substitute``, the general ring map,
+is the reference the tests check both kernels against; nothing else in
+the package calls it.  ``Domain`` keeps only
 ``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
 ``evaluate`` end with it), and ``inv``.  ``lift_to_q`` is the one map
 between domains (residues 0..p-1 read as rationals), and every other
@@ -566,6 +567,36 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
             else:
                 del acc[mono]
     return acc
+
+
+def _vanishes_on(dom: Domain, terms: dict, center: tuple) -> bool:
+    """Whether the term map is zero on the center {x_j = c_j}.
+
+    ``center`` holds (index, constant) pairs.  A term with a positive
+    exponent on a coordinate whose constant is 0 drops out; every other term
+    becomes c * prod c_j^m_j times its monomial off the center, and the
+    restriction is zero exactly when those sums all vanish.  This is the
+    pullback to a chart over the center with u_pivot set to 0, so it decides
+    whether u_pivot divides that pullback.
+    """
+    p = dom.p  # None over QQ, where pow(c, e, None) is c ** e
+    flat = [j for j, c in center if not c]
+    shifted = [(j, c) for j, c in center if c]
+    acc: dict = {}
+    for m, c in terms.items():
+        if any(m[j] for j in flat):
+            continue
+        if not shifted:  # surviving monomials are distinct and keep their coefficients
+            return False
+        rest = list(m)
+        for j, cj in shifted:
+            e = m[j]
+            if e:
+                c *= pow(cj, e, p)
+                rest[j] = 0
+        rest = tuple(rest)
+        acc[rest] = acc.get(rest, 0) + c
+    return not any(c % p if p else c for c in acc.values())
 
 
 def _binomial_row(p, n: int, pivot: int, j: int, c, e: int) -> list:

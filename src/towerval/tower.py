@@ -18,14 +18,16 @@ pullback; the frame and the equations are pulled back from the parent chart
 by one exponent-rewriting kernel the first time they are read, and then kept.
 Towers are immutable and share their charts with every tower extended from
 them, so a chart's frame is computed at most once.  The pivot orders of
-the frame's coordinates give a divisorial valuation term by term: a unique
-lowest term order is the answer, and only on a tie is the polynomial pulled
-down the chart chain from the root, as weak transforms are.  ``Chart.pull``
-is the one pullback: nothing here calls ``Polynomial.substitute``, which
-stays in ``polyring`` as the reference ring map.  The local equations
-make containment of a center in an earlier divisor an exact test (an
-equation vanishes on the center exactly when u_l divides its pullback),
-which drives the discrepancy recursion
+the frame's coordinates, kept per chart like the frame, give a divisorial
+valuation term by term: a unique lowest term order is the answer, and only
+on a tie is the polynomial pulled down the chart chain from the root, as
+weak transforms are.  ``Chart.pull`` is the one pullback: nothing here
+calls ``Polynomial.substitute``, which stays in ``polyring`` as the
+reference ring map.  The local equations make containment of a center in
+an earlier divisor an exact test: the equation is restricted to the center
+(x_j = c_j on the constrained coordinates) and the restriction checked for
+zero, which is the same as u_l dividing its pullback.  Containment drives
+the discrepancy recursion
 
     k_new = (|S| - 1) + sum of k over divisors containing the center.
 
@@ -48,7 +50,7 @@ from .errors import (
     UnknownDivisor,
     ZeroIdeal,
 )
-from .polyring import Domain, Ideal, Polynomial, _chart_pullback
+from .polyring import Domain, Ideal, Polynomial, _chart_pullback, _vanishes_on
 
 
 class CenterSpec(namedtuple("CenterSpec", "chart constraints")):
@@ -69,10 +71,12 @@ class Chart:
     """One affine chart, read-only.  ``pivot`` and ``constraints`` (the
     center's (index, constant) pairs) fix the pullback from the parent chart
     (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
-    local equation of its proper transform (both derived on first read).
+    local equation of its proper transform; ``pivot_orders``: the pivot's
+    order on each frame coordinate (all three derived on first read).
     """
 
-    __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_frame", "_eqs")
+    __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_frame", "_eqs",
+                 "_orders")
 
     def __init__(self, cid, up, pivot, step, constraints, ring, frame=None, divisor_eqs=None):
         _set_cid(self, cid)
@@ -83,6 +87,7 @@ class Chart:
         _set_ring(self, ring)
         _set_frame(self, frame)
         _set_eqs(self, divisor_eqs)
+        _set_orders(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -98,6 +103,15 @@ class Chart:
     @property
     def divisor_eqs(self) -> dict:
         return self._eqs if self._eqs is not None else self._derive("_eqs", _pull_divisor_eqs)
+
+    @property
+    def pivot_orders(self) -> tuple:
+        """The pivot's order on each frame coordinate: v(x_i) for the
+        divisor of the step that made this chart."""
+        if self._orders is None:
+            pivot = self.pivot
+            _set_orders(self, tuple(g.var_min_exponent(pivot) for g in self.frame))
+        return self._orders
 
     def _derive(self, slot, pull):
         """Walk up to the nearest chart that has the slot, then fill it downward."""
@@ -127,6 +141,7 @@ _set_constraints = Chart.constraints.__set__
 _set_ring = Chart._ring.__set__
 _set_frame = Chart._frame.__set__
 _set_eqs = Chart._eqs.__set__
+_set_orders = Chart._orders.__set__
 
 
 def _pull_frame(chart: Chart, frame: tuple) -> tuple:
@@ -235,17 +250,15 @@ def blow_up(t: Tower, center: CenterSpec):
         Chart(base_cid + i, chart, pivot, step_no, constraints, (dom, n))
         for i, pivot in enumerate(S)
     )
-    # An equation vanishes on the center exactly when u_pivot divides its
-    # pullback to a new chart (setting u_pivot = 0 evaluates it there).
-    home = new_charts[0]
+    # A divisor contains the center exactly when its local equation restricts
+    # to zero there (which is u_pivot dividing its pullback to a new chart).
     contained = tuple(
-        did
-        for did, eq in sorted(chart.divisor_eqs.items())
-        if home.pull(eq).var_min_exponent(home.pivot)
+        did for did, eq in sorted(chart.divisor_eqs.items())
+        if _vanishes_on(dom, eq.terms, constraints)
     )
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
-    step = Step(step_no, k, home.cid, contained, CenterSpec(center.chart, constraints),
+    step = Step(step_no, k, base_cid, contained, CenterSpec(center.chart, constraints),
                 tuple(c.cid for c in new_charts))
     return Tower(dom, n, t.charts + new_charts, t.steps + (step,)), step_no
 
@@ -268,7 +281,8 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
 
     The pivot order is a valuation on the chart's ring (an integral domain),
     so a term c*x^m pulls back to order <m, o>, where o_i is the pivot order
-    of the frame's i-th coordinate.  A unique lowest term order is the
+    of the frame's i-th coordinate (kept per chart, ``Chart.pivot_orders``,
+    so each chart computes it once).  A unique lowest term order is the
     answer; on a tie the lowest terms may cancel, so f is pulled chart by
     chart down to the home chart and the total transform read instead (as
     it is for the zero polynomial, which raises).
@@ -277,15 +291,14 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     if f.domain != t.domain or f.nvars != t.n:
         raise RingMismatch("polynomial does not live in the tower's base ring")
     chart = t.chart(rec.home_chart)
-    frame, pivot = chart.frame, chart.pivot
-    o = [g.var_min_exponent(pivot) for g in frame]
+    o = chart.pivot_orders
     orders = [sum(map(mul, m, o)) for m in f.terms]
     low = min(orders, default=None)
     if low is not None and orders.count(low) == 1:
         return low
     for ch in _chain(chart):
         f = ch.pull(f)
-    return f.var_min_exponent(pivot)
+    return f.var_min_exponent(chart.pivot)
 
 
 def valuation(t: Tower, did: int, a: Ideal) -> int:
@@ -423,6 +436,8 @@ def _det(matrix, dom, n):
         return matrix[0][0]
     total = Polynomial.zero(dom, n)
     for j in range(size):
+        if matrix[0][j].is_zero():  # its cofactor term is zero
+            continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         piece = matrix[0][j] * _det(minor, dom, n)
         total = total + (piece if j % 2 == 0 else -piece)

@@ -259,15 +259,31 @@ def test_a_malformed_declaration_names_its_line(tmp_path, capsys, declaration, l
 
 @pytest.mark.parametrize("statement, message", [
     ("ideal b: (x1, x2", "unbalanced '(' in statement"),
-    ("ideal b: x1, x2)", "unbalanced ')' at column 7"),
+    ("ideal b: x1, x2)", "unbalanced ')' at column 16"),
     ("tower S: blowup chart=root point=(0,0", "unbalanced '(' in statement"),
-    ("tower S: blowup chart=root point=(0,0))", "unbalanced ')' at column 30"),
+    ("tower S: blowup chart=root point=(0,0))", "unbalanced ')' at column 39"),
     ("lct a)", "unbalanced ')' at column 6"),
+    ("  lct a)  # (", "unbalanced ')' at column 8"),
     ("mld (a:1", "unbalanced '(' in statement"),
+    ("bridge T a e=(1,2))", "unbalanced ')' at column 19"),
+    ("bridge T a e=((1,2)", "unbalanced '(' in statement"),
 ])
 def test_an_unbalanced_parenthesis_names_its_line(tmp_path, capsys, statement, message):
+    """Columns count from the start of the line; a comment is not read."""
     code, out, err = run_main(tmp_path, capsys, "ring N=2 p=5\nideal a: x1, x2\n" + statement + "\n")
     assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: line 3: {message}\n")
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("tower S: blowup chart=root point=(0),(0)",
+     "line 4: point wants a parenthesized coordinate list"),
+    ("tower S: blowup chart=root set=(x1=0),(x2=0)",
+     "line 4: set wants a parenthesized list like (x1=0,x2=0)"),
+    ("bridge T a e=(1),(2)", "command 1 (bridge): line 4: bad rational '(1),(2)'"),
+])
+def test_a_value_of_two_groups_is_refused_as_a_whole(tmp_path, capsys, statement, message):
+    code, out, err = run_main(tmp_path, capsys, BASIC + statement + "\n")
+    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: {message}\n")
 
 
 @pytest.mark.parametrize("factors", ["z:1 a:3", "a:3 z:1"])
@@ -353,8 +369,9 @@ def test_ring_with_fewer_than_two_variables_is_an_input_error(tmp_path, capsys, 
 @pytest.mark.parametrize("command", ["mld a:1", "crosschar a:1"])
 def test_negative_cap_is_an_input_error(tmp_path, capsys, command):
     code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n", "--cap", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "-1" in err
+    name = command.split()[0]
+    assert (code, out, err) == (2, "", f"error: ValueError: command 1 ({name}): "
+                                       "depth caps must be nonnegative integers, got -1\n")
 
 
 def test_exit_code_one_for_failed_identities(tmp_path, capsys):

@@ -4,7 +4,9 @@ The expected texts and digests below were recorded from the arithmetic
 before it moved onto the term-map helpers (``_mul_terms``/``_add_into``).
 Products, powers and substitutions are determined by their inputs, so the
 kernel must reproduce them byte for byte.  The chart-pullback kernel
-(``_chart_pullback``) must equal ``substitute`` with the chart's images.
+(``_chart_pullback``) must equal ``substitute`` with the chart's images,
+and the restriction kernel (``_vanishes_on``) must say zero exactly when
+``substitute`` with the center's images gives zero.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from towerval.polyring import (
     QQ,
     Polynomial,
     _chart_pullback,
+    _vanishes_on,
     grlex_key,
     mono_div,
     mono_divides,
@@ -367,6 +370,30 @@ def test_binomial_coefficients_that_vanish_mod_p_are_not_stored():
     assert chart.pivot == 0
     assert chart.pull(parse_polynomial("x1^5", dom, 2)).text() == "x1^5 + 1"
     assert chart.pull(parse_polynomial("x1^5 - 1", dom, 2)).text() == "x1^5"
+
+
+@given(chart_pullback_inputs())
+def test_vanishing_on_the_center_equals_the_center_substitution(data):
+    f, _, center = data
+    dom, n = f.domain, f.nvars
+    on_center = f.substitute(center_images(dom, n, center))
+    assert _vanishes_on(dom, f.terms, center) == on_center.is_zero()
+
+
+@pytest.mark.parametrize("dom, text, center, vanishes", [
+    (GF(5), "x1^5 + 4", ((0, 1), (1, 0)), True),  # 1 + 4 is 0 only mod 5
+    (QQ, "x1^5 + 4", ((0, 1), (1, 0)), False),
+    (GF(5), "x1^5 + 4 + x2", ((0, 1), (1, 0)), True),
+    (GF(5), "x1^5 + 4 + x3", ((0, 1), (1, 0)), False),  # x3 is off the center
+    (GF(3), "x1*x2 + 2*x1", ((0, 0), (1, 2)), True),
+    (GF(3), "x2*x3 + x3 + x2^2 + 2", ((0, 0), (1, 2)), True),  # 3*x3 + 6
+    (GF(3), "x2*x3 + x3 + x2^2", ((0, 0), (1, 2)), False),  # 3*x3 + 4
+    (QQ, "x1^2 - 1/4", ((0, Fraction(1, 2)), (1, 0)), True),
+])
+def test_vanishing_on_the_center_examples(dom, text, center, vanishes):
+    f = parse_polynomial(text, dom, 3)
+    assert _vanishes_on(dom, f.terms, center) is vanishes
+    assert f.substitute(center_images(dom, 3, center)).is_zero() is vanishes
 
 
 # -- monomial kernels ------------------------------------------------------------------

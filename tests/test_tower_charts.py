@@ -1,5 +1,7 @@
 """Charts derive their frames and divisor equations on first read; toric
-searches build each blow-up prefix once.  Neither may change a result."""
+searches build each blow-up prefix once.  Neither may change a result.
+The Jacobian check of k, which expands the frame's full determinant,
+agrees with the containment recursion on every step."""
 
 from __future__ import annotations
 
@@ -15,7 +17,16 @@ from hypothesis import strategies as st
 from towerval import invariants
 from towerval.invariants import LctWitness, realize_toric_weight, toric_weight_search
 from towerval.polyring import GF, QQ, Ideal, Polynomial, parse_polynomial
-from towerval.tower import CenterSpec, blow_up, new_tower, suspend, valuation, valuation_of_poly
+from towerval.tower import (
+    CenterSpec,
+    _det,
+    blow_up,
+    discrepancy_via_jacobian,
+    new_tower,
+    suspend,
+    valuation,
+    valuation_of_poly,
+)
 
 from oracles import center_images, chart_images
 
@@ -115,6 +126,35 @@ def test_containment_matches_the_center_substitution(t):
         expected = tuple(did for did, eq in sorted(eqs.items())
                          if eq.substitute(center_img).is_zero())
         assert step.contained_in == expected
+
+
+@given(towers())
+def test_jacobian_order_equals_the_recursive_discrepancy(t):
+    for step in t.steps:
+        assert discrepancy_via_jacobian(t, step.did) == step.k
+
+
+def leibniz_det(matrix, dom, n):
+    """The determinant as a sum over permutations, each with its sign."""
+    size = len(matrix)
+    total = Polynomial.zero(dom, n)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = Polynomial.constant(dom, n, -1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term
+    return total
+
+
+@given(st.data())
+def test_cofactor_determinant_matches_the_permutation_sum(data):
+    dom = data.draw(st.sampled_from(DOMAINS))
+    n = data.draw(st.integers(2, 3))
+    size = data.draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Polynomial.zero(dom, n)), sparse_polys(dom, n))
+    matrix = [[data.draw(entry) for _ in range(size)] for _ in range(size)]
+    assert _det(matrix, dom, n) == leibniz_det(matrix, dom, n)
 
 
 def sparse_polys(dom, n):
