@@ -2,13 +2,14 @@
 
 The construction appends two extra blow-ups to a given tower: a general
 point on the last divisor, then a general point on the divisor that
-created.  Both points avoid every other divisor and the zero locus of
-each ideal's weak transform, so the discrepancy recursion adds exactly
-n - 1 twice and the valuations of the supplied ideals ride along
-unchanged.  Lifting the whole configuration coefficient-wise to the
-rationals is then supposed to preserve all of it, and this module
-checks that it actually does, identity by identity, raising
-BridgeIdentityFailed with the offending numbers when anything is off.
+created.  Both points avoid every other divisor that meets their chart
+and the zero locus of each ideal's weak transform, so the discrepancy
+recursion adds exactly n - 1 twice and the valuations of the supplied
+ideals ride along unchanged.  Lifting the whole configuration
+coefficient-wise to the rationals is then supposed to preserve all of
+it, and this module checks that it actually does, identity by identity,
+raising BridgeIdentityFailed with the offending numbers when anything is
+off.
 
 Verification failures are hard errors on purpose.  The point of the
 exercise is the check itself, so a report object only ever describes a
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     FirstStepNotOrigin,
     IdealNotAtOrigin,
+    InputError,
     RingMismatch,
 )
 from .invariants import log_discrepancy
@@ -120,20 +122,23 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     """Append the two general-point blow-ups, lift, and verify.
 
     Each appended center is the point ``point_on_divisor_avoiding`` finds
-    on the newest divisor off every other divisor and every ideal's weak
-    transform; its divisor must have k = j(n - 1) + k_E for j = 1, 2, or
-    BridgeIdentityFailed names the point.
+    on the newest divisor off every other divisor that meets its home
+    chart and off every ideal's weak transform; its divisor must have
+    k = j(n - 1) + k_E for j = 1, 2, or BridgeIdentityFailed names the
+    point.
 
-    ``tamper`` deliberately bends one lifted generator by adding the
+    ``tamper`` deliberately bends the first lifted generator by adding the
     characteristic (a different valid pointwise lift, but not the
     coefficient-wise one) so that callers can watch the verification
-    refuse it.
+    refuse it; it needs at least one ideal (InputError otherwise).
     """
     if not t.domain.p:
         raise RingMismatch("bridge runs start over a prime field")
     if not t.first_step_at_origin():
         raise FirstStepNotOrigin("the input tower must start by blowing up the origin")
     ideals = _check_ideals(t, ideals)
+    if tamper and not ideals:
+        raise InputError("tamper needs at least one ideal to bend")
     p, n = t.domain.p, t.n
 
     e_did = t.last_divisor_id()
@@ -143,7 +148,7 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     for j, nth in ((1, "first"), (2, "second")):
         home = t3.divisor(did).home_chart
         loci = [weak_transform(t3, a, home)[0] for a in ideals]
-        pt = point_on_divisor_avoiding(t3, did, range(1, len(t3.steps) + 1), loci)
+        pt = point_on_divisor_avoiding(t3, did, loci)
         t3, did = blow_up(t3, pt)
         k = t3.divisor(did).k
         if k != j * (n - 1) + k_e:

@@ -526,22 +526,22 @@ def _cmd_selftest(script, tokens, opt, block, ln):
         raise MathCheckFailed(f"selftest failed on: {', '.join(failed)}")
 
 
-# name -> (handler, most arguments it takes besides divisor= (None: no
+# name -> (handler, least and most arguments besides divisor= (most None: no
 # bound), whether it reads divisor=); elsewhere divisor= is one more argument
 _HANDLERS = {
-    "keval": (_cmd_keval, 1, True),
-    "veval": (_cmd_veval, 2, True),
-    "logdisc": (_cmd_logdisc, None, True),
-    "zeval": (_cmd_zeval, 2, True),
-    "lct": (_cmd_lct, 1, False),
-    "mld": (_cmd_mld, None, False),
-    "notlc": (_cmd_notlc, None, False),
-    "heights": (_cmd_heights, 1, False),
-    "jets": (_cmd_jets, 2, False),
-    "bridge": (_cmd_bridge, None, False),
-    "crosschar": (_cmd_crosschar, None, False),
-    "suspend": (_cmd_suspend, 2, False),
-    "selftest": (_cmd_selftest, 0, False),
+    "keval": (_cmd_keval, 1, 1, True),
+    "veval": (_cmd_veval, 2, 2, True),
+    "logdisc": (_cmd_logdisc, 1, None, True),
+    "zeval": (_cmd_zeval, 2, 2, True),
+    "lct": (_cmd_lct, 1, 1, False),
+    "mld": (_cmd_mld, 0, None, False),
+    "notlc": (_cmd_notlc, 0, None, False),
+    "heights": (_cmd_heights, 1, 1, False),
+    "jets": (_cmd_jets, 1, 2, False),
+    "bridge": (_cmd_bridge, 1, None, False),
+    "crosschar": (_cmd_crosschar, 0, None, False),
+    "suspend": (_cmd_suspend, 1, 2, False),
+    "selftest": (_cmd_selftest, 0, 0, False),
 }
 
 
@@ -552,15 +552,15 @@ def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bou
     blocks = []
     for index, (ln, name, tokens, raw) in enumerate(script.commands, start=1):
         block = _Block(index, raw, [])
-        handler, most, takes_divisor = _HANDLERS[name]
+        handler, least, most, takes_divisor = _HANDLERS[name]
         try:
             args = [tok for tok in tokens
                     if not (takes_divisor and tok.startswith("divisor="))]
+            if len(args) < least:
+                raise ScriptSyntaxError("missing arguments")
             if most is not None and len(args) > most:
                 _err(ln, f"surplus argument {args[most]!r}: {name} takes at most {most}")
             handler(script, tokens, opt, block, ln)
-        except (IndexError,):
-            raise ScriptSyntaxError(f"command {index} ({name}): missing arguments") from None
         except MathCheckFailed as e:
             if name == "selftest":
                 raise

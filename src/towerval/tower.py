@@ -12,7 +12,9 @@ and the new divisor is {u_l = 0} in each of them.
 
 Per chart we know the composite map down to the base (the "frame": every
 base coordinate as a polynomial in chart coordinates) and a local defining
-equation for the proper transform of every divisor born so far.  A blow-up
+equation for the proper transform of every divisor that meets the chart
+(one that becomes a nonzero constant is dropped: it never vanishes on a
+center or at a point, so a tower costs time linear in depth).  A blow-up
 records only each new chart's pivot and center constraints, which fix its
 pullback; the frame and the equations are pulled back from the parent chart
 by one exponent-rewriting kernel the first time they are read, and then kept.
@@ -71,8 +73,9 @@ class Chart:
     """One affine chart, read-only.  ``pivot`` and ``constraints`` (the
     center's (index, constant) pairs) fix the pullback from the parent chart
     (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
-    local equation of its proper transform; ``pivot_orders``: the pivot's
-    order on each frame coordinate (all three derived on first read).
+    local equation, never a constant, of each divisor meeting the chart;
+    ``pivot_orders``: the pivot's order on each frame coordinate (all three
+    derived on first read).
     """
 
     __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_frame", "_eqs",
@@ -149,13 +152,15 @@ def _pull_frame(chart: Chart, frame: tuple) -> tuple:
 
 
 def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
-    """Pull the parent's equations back, strip the pivot power, add the new divisor."""
+    """Pull the parent's equations back, strip the pivot power, keep the
+    non-constant ones (divisors still meeting the chart), add the new one."""
     pivot = chart.pivot
     out = {}
     for did, eq in eqs.items():
         g = chart.pull(eq)
-        drop = g.var_min_exponent(pivot)
-        out[did] = g.divide_var_power(pivot, drop) if drop else g
+        g = g.divide_var_power(pivot, g.var_min_exponent(pivot))
+        if not g.is_constant():
+            out[did] = g
     out[chart.step] = Polynomial.variable(*chart._ring, pivot)
     return out
 
@@ -341,43 +346,30 @@ def _value_stream(domain: Domain, radius: int):
     return out
 
 
-def point_on_divisor_avoiding(
-    t: Tower,
-    did: int,
-    avoid_divisors=(),
-    avoid_loci=(),
-    radius: int = 50,
-) -> CenterSpec:
-    """First point on the divisor passing all avoidance predicates.
+def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=(), radius: int = 50) -> CenterSpec:
+    """First point on the divisor off every other divisor and every locus.
 
     The point lives in the divisor's home chart with the pivot coordinate
     pinned to 0; the free coordinates run through a fixed enumeration of
     2*radius + 1 values (0, 1, 2, ... over F_p, at most p of them; 0, 1,
     -1, 2, -2, ... over Q), first coordinate slowest.  A point is accepted
-    when the local equation of every divisor id in ``avoid_divisors`` but
-    ``did`` is nonzero there, and every ideal in ``avoid_loci`` (in the
-    home chart's coordinates; a zero ideal raises ZeroIdeal) has some
-    generator nonzero there.  Exhaustion raises GeneralPointNotFound, which
-    over a small prime field is a real possibility the caller must handle.
+    when the local equation of every other divisor that meets the home
+    chart (``Chart.divisor_eqs``) is nonzero there, and every ideal in
+    ``avoid_loci`` (in the home chart's coordinates; a zero ideal raises
+    ZeroIdeal) has some generator nonzero there.  Exhaustion raises
+    GeneralPointNotFound, which over a small prime field is a real
+    possibility the caller must handle.
     """
-    rec = t.divisor(did)
-    chart = t.chart(rec.home_chart)
+    chart = t.chart(t.divisor(did).home_chart)
     dom, n = t.domain, t.n
-    pivot = chart.pivot
 
-    eqs = []
-    for d in avoid_divisors:
-        if d == did:
-            continue
-        if d not in chart.divisor_eqs:
-            raise UnknownDivisor(f"divisor {d} has no trace in chart {chart.cid}")
-        eqs.append(chart.divisor_eqs[d])
+    eqs = [eq for d, eq in chart.divisor_eqs.items() if d != did]
     loci = [locus.gens for locus in avoid_loci]
     if not all(loci):
         raise ZeroIdeal("cannot avoid the zero locus of the zero ideal")
 
     stream = _value_stream(dom, radius)
-    free = [i for i in range(n) if i != pivot]
+    free = [i for i in range(n) if i != chart.pivot]
     for combo in itertools.product(stream, repeat=len(free)):
         pt = [0] * n
         for i, v in zip(free, combo):

@@ -150,14 +150,15 @@ def test_bridge_rejects_bad_inputs():
 
 
 def test_bridge_names_a_first_point_that_was_not_general(monkeypatch):
-    # tower point=(0,0), then chart=2 point=(0,0); a search that ignores the
-    # avoidance lists takes the origin of E2's home chart, which lies on E1
+    # tower point=(0,0), then chart=2 point=(0,0); the first center is the
+    # origin of E2's home chart, which lies on E1
     dom = GF(101)
     t = new_tower(2, dom)
     for chart in (0, 2):
         t, _ = blow_up(t, CenterSpec.make(chart, {0: 0, 1: 0}, dom))
     monkeypatch.setattr(
-        bridge, "point_on_divisor_avoiding", lambda t, did, *avoid: point_on_divisor_avoiding(t, did)
+        bridge, "point_on_divisor_avoiding",
+        lambda t, did, *avoid: CenterSpec.make(t.divisor(did).home_chart, {0: 0, 1: 0}, t.domain),
     )
     with pytest.raises(errors.BridgeIdentityFailed) as info:
         bridge_construct(t, [coordinate_ideal(dom, 2)])

@@ -126,6 +126,20 @@ def test_bridge_identity_line(tmp_path, capsys):
     assert "k_E=1 k_F=3 shift_ok=true v_ok=true" in out
 
 
+def test_bridge_on_a_branching_tower(tmp_path, capsys):
+    # E2 lies over a point of chart 1, which E3's home chart (in chart 2) does not meet
+    text = (
+        "ring N=2 p=5\nideal a: x1, x2\n"
+        "tower T: blowup chart=root point=(0,0); blowup chart=1 point=(0,0); "
+        "blowup chart=2 point=(0,0)\n"
+        "bridge T a\n"
+    )
+    code, out, err = run_main(tmp_path, capsys, text)
+    assert (code, err) == (0, "")
+    assert "k_E=2 k_F=4 shift_ok=true v_ok=true" in out
+    assert "E=3 F1=4 F=5" in out
+
+
 def test_logdisc_and_zeval(tmp_path, capsys):
     text = BASIC + "logdisc T a:3\nzeval T a\n"
     code, out, _ = run_main(tmp_path, capsys, text)
@@ -314,6 +328,29 @@ def test_a_command_refuses_surplus_or_malformed_arguments(tmp_path, capsys, comm
     code, out, err = run_main(tmp_path, capsys, text + command + "\n")
     name = command.split()[0]
     assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: command 1 ({name}): line 5: {message}\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("lct", "ScriptSyntaxError: command 1 (lct): missing arguments"),
+    ("keval", "ScriptSyntaxError: command 1 (keval): missing arguments"),
+    ("veval T", "ScriptSyntaxError: command 1 (veval): missing arguments"),
+    ("veval T divisor=1", "ScriptSyntaxError: command 1 (veval): missing arguments"),
+    ("zeval T", "ScriptSyntaxError: command 1 (zeval): missing arguments"),
+    ("suspend", "ScriptSyntaxError: command 1 (suspend): missing arguments"),
+    ("bridge T tamper", "InputError: command 1 (bridge): tamper needs at least one ideal to bend"),
+])
+def test_a_command_refuses_missing_arguments(tmp_path, capsys, command, message):
+    code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_index_error_inside_a_handler_propagates(monkeypatch):
+    def broken(script, tokens, opt, block, ln):
+        return [][0]
+
+    monkeypatch.setitem(towerval.cli._HANDLERS, "keval", (broken, 1, 1, True))
+    with pytest.raises(IndexError):
+        run(parse_script(BASIC + "keval T\n"))
 
 
 def test_zero_denominator_exponent_is_an_input_error(tmp_path, capsys):
@@ -633,7 +670,7 @@ def tower_command_scripts(draw):
 @settings(max_examples=150, deadline=None)
 @given(script=tower_command_scripts(), budget=st.sampled_from([0, 1, 8, 100_000]))
 @example(script=BASIC + "jets a 99999999999999999999\n", budget=100_000)
-@example(  # a lift outside the class it covers: a failed identity, exit 1
+@example(  # a lift outside the class it covers; the test asks only for a contract code
     script="ring N=2 p=5\nideal d: 4*x2 + x1^2*x2^2 + x2^2\ntower T: " + FUZZ_TOWERS[-1]
     + "\nbridge T d\n",
     budget=100_000,

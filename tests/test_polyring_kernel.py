@@ -33,7 +33,7 @@ from towerval.polyring import (
     mono_lcm,
     parse_polynomial,
 )
-from towerval.tower import CenterSpec, blow_up, new_tower
+from towerval.tower import CenterSpec, _chain, blow_up, new_tower
 
 from oracles import center_images, chart_images
 
@@ -207,8 +207,10 @@ def tower_digest(case):
         h.update(f"chart {chart.cid}\n".encode())
         for f in chart.frame:
             h.update(f"frame {f.text()}\n".encode())
-        for did, eq in sorted(chart.divisor_eqs.items()):
-            h.update(f"E{did} {eq.text()}\n".encode())
+        # a divisor of the chain that has left the chart reads as its unit equation 1
+        for did in sorted(ch.step for ch in _chain(chart)):
+            eq = chart.divisor_eqs.get(did)
+            h.update(f"E{did} {'1' if eq is None else eq.text()}\n".encode())
     return h.hexdigest()[:16]
 
 

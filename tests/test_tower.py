@@ -248,13 +248,25 @@ def test_point_search_accepts_origin_when_nothing_excludes_it():
 
 
 def test_point_search_skips_divisor_points():
-    # after blowing up a point of E_1, look for a point on E_2 avoiding E_1
-    t = chain_tower(GF(5), 2, 2)
-    spec = point_on_divisor_avoiding(t, 2, avoid_divisors=[1])
+    # tower point=(0,0), then chart=2 point=(0,0): E_1 meets E_2's home chart
+    # as x2, so the search on E_2 steps off the origin
+    dom = GF(5)
+    t = new_tower(2, dom)
+    for chart in (0, 2):
+        t, _ = blow_up(t, CenterSpec.make(chart, origin(2), dom))
     home = t.chart(t.divisor(2).home_chart)
-    eq = home.divisor_eqs[1]
-    pt = [dict(spec.constraints)[i] for i in range(2)]
-    assert eq.evaluate(pt) != 0
+    assert home.divisor_eqs[1] == P("x2", dom)
+    spec = point_on_divisor_avoiding(t, 2)
+    assert spec.chart == home.cid
+    assert spec.as_dict() == {0: 0, 1: 1}
+
+
+@pytest.mark.parametrize("did", [0, 3, "1"])
+def test_point_search_refuses_a_divisor_outside_the_tower(did):
+    t = chain_tower(GF(5), 2, 2)
+    with pytest.raises(errors.UnknownDivisor) as info:
+        point_on_divisor_avoiding(t, did)
+    assert str(info.value) == f"no divisor {did!r} (tower has divisors 1..2)"
 
 
 def test_point_search_exhaustion_over_f2():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from towerval import invariants
+from towerval import invariants, tower
 from towerval.invariants import LctWitness, realize_toric_weight, toric_weight_search
 from towerval.polyring import GF, QQ, Ideal, Polynomial, parse_polynomial
 from towerval.tower import (
@@ -39,21 +39,41 @@ def center_constants(dom):
     return (0, 1, 2, dom.p - 1) if dom.p else (0, 1, -1, Fraction(1, 2))
 
 
+def points_on_divisors(t, cid):
+    """The points of chart cid with every coordinate a nonzero constant from
+    ``center_constants`` at which some divisor equation vanishes.  Over F_p
+    the equation's residues are positive, so it vanishes there only mod p."""
+    dom, eqs = t.domain, t.chart(cid).divisor_eqs.values()
+    consts = [c for c in center_constants(dom) if c]
+    return [pt for pt in itertools.product(consts, repeat=t.n)
+            if any(eq.evaluate(pt) == 0 for eq in eqs)]
+
+
 @st.composite
 def towers(draw):
     """Random towers: point and subspace centers with constants from
     ``center_constants``, in any chart built so far (so often not the
-    first chart of a step)."""
+    first chart of a step).  Some centers are drawn from
+    ``points_on_divisors``, and some towers end in a chain of a few dozen
+    blow-ups at the origin of the newest chart."""
     dom = draw(st.sampled_from(DOMAINS))
     n = draw(st.integers(2, 3))
     t = new_tower(n, dom)
     for _ in range(draw(st.integers(1, 4))):
-        chart = draw(st.integers(0, len(t.charts) - 1))
-        support = draw(st.sampled_from([s for k in range(2, n + 1)
-                                        for s in itertools.combinations(range(n), k)]))
-        consts = draw(st.lists(st.sampled_from(center_constants(dom)),
-                               min_size=len(support), max_size=len(support)))
-        t, _ = blow_up(t, CenterSpec.make(chart, dict(zip(support, consts)), dom))
+        newest = t.steps[-1].chart_ids if t.steps else (0,)
+        chart = draw(st.one_of(st.integers(0, len(t.charts) - 1), st.sampled_from(newest)))
+        on_divisors = points_on_divisors(t, chart)
+        if on_divisors and draw(st.integers(0, 3)):  # three draws in four
+            center = dict(enumerate(draw(st.sampled_from(on_divisors))))
+        else:
+            support = draw(st.sampled_from([s for k in range(2, n + 1)
+                                            for s in itertools.combinations(range(n), k)]))
+            consts = draw(st.lists(st.sampled_from(center_constants(dom)),
+                                   min_size=len(support), max_size=len(support)))
+            center = dict(zip(support, consts))
+        t, _ = blow_up(t, CenterSpec.make(chart, center, dom))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 24, 36)))):
+        t, _ = blow_up(t, CenterSpec.make(len(t.charts) - 1, dict.fromkeys(range(n), 0), dom))
     return t
 
 
@@ -83,7 +103,8 @@ def composite_frame(t, cid, origins):
 
 
 def eager_divisor_eqs(t, origins):
-    """Every chart's divisor equations, built parent first as a blow-up once did."""
+    """Every chart's divisor equations, built parent first as a blow-up once
+    did, without the constant ones (divisors that have left the chart)."""
     dom, n = t.domain, t.n
     eqs = {0: {}}
     for cid in range(1, len(t.charts)):
@@ -95,7 +116,8 @@ def eager_divisor_eqs(t, origins):
             drop = g.var_min_exponent(pivot)
             if drop:
                 g = g.divide_var_power(pivot, drop)
-            mine[did] = g
+            if not g.is_constant():
+                mine[did] = g
         mine[step_no] = Polynomial.variable(dom, n, pivot)
         eqs[cid] = mine
     return eqs
@@ -114,6 +136,25 @@ def test_lazy_frames_and_equations_match_eager_references(data):
             assert chart.frame == composite_frame(t, cid, origins)
         else:
             assert chart.divisor_eqs == eqs[cid]
+
+
+@given(towers())
+def test_a_chart_stores_only_non_constant_divisor_equations(t):
+    for chart in t.charts:
+        assert not any(eq.is_constant() for eq in chart.divisor_eqs.values())
+
+
+def test_an_origin_chain_pulls_each_equation_once(monkeypatch):
+    # each chart keeps only its own divisor's equation, so a step pulls one
+    calls = []
+    real = tower._chart_pullback
+    monkeypatch.setattr(tower, "_chart_pullback", lambda *a: calls.append(1) or real(*a))
+    dom = GF(5)
+    t = new_tower(2, dom)
+    for _ in range(400):
+        t, did = blow_up(t, CenterSpec.make(len(t.charts) - 1, {0: 0, 1: 0}, dom))
+    assert (did, t.divisor(did).k) == (400, 400)
+    assert len(calls) <= 400
 
 
 @given(towers())
