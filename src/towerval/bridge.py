@@ -9,7 +9,9 @@ ideals ride along unchanged.  Lifting the whole configuration
 coefficient-wise to the rationals is then supposed to preserve all of
 it, and this module checks that it actually does, identity by identity,
 raising BridgeIdentityFailed with the offending numbers when anything is
-off.
+off.  A lift that does not even keep the input tower's steps and the
+ideals' valuations on its last divisor breaks the hypothesis of those
+identities; that raises LiftHypothesisFailed, an input error.
 
 Verification failures are hard errors on purpose.  The point of the
 exercise is the check itself, so a report object only ever describes a
@@ -25,11 +27,11 @@ from fractions import Fraction
 from .errors import (
     BridgeIdentityFailed,
     BudgetExceeded,
-    ContainmentBroken,
     DimensionMismatch,
     FirstStepNotOrigin,
     IdealNotAtOrigin,
     InputError,
+    LiftHypothesisFailed,
     RingMismatch,
 )
 from .invariants import log_discrepancy
@@ -77,7 +79,7 @@ def lift_tower(t: Tower) -> Tower:
 
     Residues lift to their representatives in 0..p-1.  The replay must
     reproduce the containment pattern and the discrepancy of every step,
-    and raises ContainmentBroken when it does not.  That happens when a
+    and raises LiftHypothesisFailed when it does not.  That happens when a
     nonzero center constant's representative changes the incidences: the
     center then meets a different set of lifted divisors than the residue
     did over F_p; this lift does not yet choose constants that keep them.
@@ -94,12 +96,12 @@ def lift_tower(t: Tower) -> Tower:
         out, did = blow_up(out, center)
         mine, theirs = out.divisor(did), t.divisor(did)
         if mine.contained_in != theirs.contained_in:
-            raise ContainmentBroken(
+            raise LiftHypothesisFailed(
                 f"step {did}: lifted center lies on divisors {mine.contained_in}, "
                 f"original lay on {theirs.contained_in}"
             )
         if mine.k != theirs.k:
-            raise ContainmentBroken(
+            raise LiftHypothesisFailed(
                 f"step {did}: lifted discrepancy {mine.k} != original {theirs.k}"
             )
     return out
@@ -125,7 +127,10 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     on the newest divisor off every other divisor that meets its home
     chart and off every ideal's weak transform; its divisor must have
     k = j(n - 1) + k_E for j = 1, 2, or BridgeIdentityFailed names the
-    point.
+    point.  The lift must then meet the hypothesis of the identities:
+    ``lift_tower`` keeps every step, and each lifted ideal keeps its
+    valuation on E, or LiftHypothesisFailed (an InputError) names the
+    divisor before any identity is checked.
 
     ``tamper`` deliberately bends the first lifted generator by adding the
     characteristic (a different valid pointwise lift, but not the
@@ -160,16 +165,22 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
 
     tq = lift_tower(t3)
     lifted = tuple(lift_to_q(a) for a in ideals)
+    v_e = [valuation(t3, e_did, a) for a in ideals]
+    for i, (v, al) in enumerate(zip(v_e, lifted)):
+        vq = valuation(tq, e_did, al)
+        if vq != v:
+            raise LiftHypothesisFailed(
+                f"the lift changes ideal {i}'s valuation on divisor {e_did}: "
+                f"{v} over F_{p}, {vq} over Q"
+            )
     if tamper:
         bent = lifted[0].gens[0] + Polynomial.constant(QQ, n, p)
         lifted = (Ideal(QQ, n, (bent,) + lifted[0].gens[1:]),) + lifted[1:]
 
     k_f = tq.divisor(f2).k
     triples = []
-    for a, al in zip(ideals, lifted):
-        triples.append(
-            (valuation(t3, e_did, a), valuation(t3, f2, a), valuation(tq, f2, al))
-        )
+    for v, a, al in zip(v_e, ideals, lifted):
+        triples.append((v, valuation(t3, f2, a), valuation(tq, f2, al)))
 
     k_ok = k_f == 2 * (n - 1) + k_e
     v_ok = all(ve == vp == vq for ve, vp, vq in triples)

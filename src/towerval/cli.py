@@ -7,8 +7,10 @@ as num/den, booleans as lowercase words, and nothing ever prints a
 timestamp.
 
 Exit codes sort failures by kind: 2 for anything wrong with the input,
-1 for a mathematical check that did not hold, 3 for exhausted search or
-step budgets.  A crash with a traceback is a bug, not an exit code.
+1 for a mathematical check that did not hold, 3 for an exhausted search,
+step budget or memory; ``EXIT_CODES`` is that map.  Every failure names
+its script line, and a command's failure also names the command.  A
+crash with a traceback is a bug, not an exit code.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _fmt_center(cs: CenterSpec, rational: bool = False) -> str:
 # -- parsing ----------------------------------------------------------------------
 
 
-def _check_balance(line: str, ln: int):
+def _check_balance(line: str):
     """Refuse a script line whose parentheses do not balance; a column
     counts from the start of the line."""
     depth = 0
@@ -102,9 +104,9 @@ def _check_balance(line: str, ln: int):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                _err(ln, f"unbalanced ')' at column {i + 1}")
+                _err(f"unbalanced ')' at column {i + 1}")
     if depth:
-        _err(ln, "unbalanced '(' in statement")
+        _err("unbalanced '(' in statement")
 
 
 def _split_top_level(text: str, sep: str):
@@ -141,79 +143,93 @@ def _tokens(text: str):
     return [t for t in _split_top_level(text.replace("\t", " "), " ") if t]
 
 
-def _err(ln: int, msg: str):
-    raise ScriptSyntaxError(f"line {ln}: {msg}")
+def _err(msg: str):
+    raise ScriptSyntaxError(msg)
 
 
-def _parse_const(text: str, domain: Domain, ln: int):
+# The one map from a failure to its exit code (an OverflowError is an input
+# number too large for a machine-sized index).  parse_script and run catch
+# these classes and add where the failure happened; main reads the code.
+EXIT_CODES = {MathCheckFailed: 1, InputError: 2, ValueError: 2, OverflowError: 2,
+              ResourceExhausted: 3, MemoryError: 3}
+_FAILURES = tuple(EXIT_CODES)
+
+
+def _located(e: Exception, where: str) -> Exception:
+    """``e`` again, its message led by ``where``; of these classes only a
+    MemoryError comes without a message."""
+    return type(e)(where + (str(e) or "out of memory"))
+
+
+def _parse_const(text: str, domain: Domain):
     text = text.strip()
     try:
         if domain.p:
             return domain.coerce(int(text))
         return domain.coerce(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        _err(ln, f"bad constant {text!r} for this ring")
+        _err(f"bad constant {text!r} for this ring")
 
 
-def _parse_rational(text: str, ln: int) -> Fraction:
+def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        _err(ln, f"bad rational {text!r}")
+        _err(f"bad rational {text!r}")
 
 
-def _parse_step(token_text: str, t: Tower, domain: Domain, n: int, ln: int):
+def _parse_step(token_text: str, t: Tower, domain: Domain, n: int):
     tokens = _tokens(token_text)
     if not tokens or tokens[0] != "blowup":
-        _err(ln, f"tower steps start with 'blowup', got {token_text.strip()!r}")
+        _err(f"tower steps start with 'blowup', got {token_text.strip()!r}")
     chart = None
     assignment = None
     for tok in tokens[1:]:
         if "=" not in tok:
-            _err(ln, f"expected key=value in tower step, got {tok!r}")
+            _err(f"expected key=value in tower step, got {tok!r}")
         key, _, val = tok.partition("=")
         if key == "chart":
             try:
                 value = 0 if val == "root" else int(val)
             except ValueError:
-                _err(ln, f"chart must be 'root' or an integer, got {val!r}")
+                _err(f"chart must be 'root' or an integer, got {val!r}")
             if chart is not None:
-                _err(ln, "tower step gives chart= twice")
+                _err("tower step gives chart= twice")
             chart = value
             continue
         if key == "point":
             inner = _group(val)
             if inner is None:
-                _err(ln, "point wants a parenthesized coordinate list")
+                _err("point wants a parenthesized coordinate list")
             coords = _split_top_level(inner, ",")
             if len(coords) != n:
-                _err(ln, f"point has {len(coords)} coordinates, ring has {n}")
-            center = {i: _parse_const(c, domain, ln) for i, c in enumerate(coords)}
+                _err(f"point has {len(coords)} coordinates, ring has {n}")
+            center = {i: _parse_const(c, domain) for i, c in enumerate(coords)}
         elif key == "set":
             inner = _group(val)
             if inner is None:
-                _err(ln, "set wants a parenthesized list like (x1=0,x2=0)")
+                _err("set wants a parenthesized list like (x1=0,x2=0)")
             center = {}
             for item in _split_top_level(inner, ","):
                 m = re.fullmatch(r"\s*x(\d+)\s*=\s*([^\s]+)\s*", item)
                 if not m:
-                    _err(ln, f"bad constraint {item.strip()!r} in set=")
+                    _err(f"bad constraint {item.strip()!r} in set=")
                 idx = int(m.group(1)) - 1
                 if not 0 <= idx < n:
-                    _err(ln, f"variable x{m.group(1)} out of range (ring has {n} variables)")
-                c = _parse_const(m.group(2), domain, ln)
+                    _err(f"variable x{m.group(1)} out of range (ring has {n} variables)")
+                c = _parse_const(m.group(2), domain)
                 if idx in center:
-                    _err(ln, f"x{idx + 1} is set twice in set=")
+                    _err(f"x{idx + 1} is set twice in set=")
                 center[idx] = c
         else:
-            _err(ln, f"unknown tower step key {key!r}")
+            _err(f"unknown tower step key {key!r}")
         if assignment is not None:
-            _err(ln, "tower step gives more than one point= or set=")
+            _err("tower step gives more than one point= or set=")
         assignment = center
     if chart is None:
-        _err(ln, "tower step is missing chart=")
+        _err("tower step is missing chart=")
     if assignment is None:
-        _err(ln, "tower step needs point=(...) or set=(...)")
+        _err("tower step needs point=(...) or set=(...)")
     return blow_up(t, CenterSpec.make(chart, assignment, domain))
 
 
@@ -226,70 +242,73 @@ def parse_script(text: str) -> SessionScript:
         line = code.strip()
         if not line:
             continue
-        _check_balance(code, ln)
-        head = line.split(None, 1)[0]
+        try:
+            _check_balance(code)
+            head = line.split(None, 1)[0]
 
-        if head == "ring":
-            if script is not None:
-                _err(ln, "ring is already declared; scripts hold a single ring")
-            m = re.fullmatch(r"ring\s+N=(\d+)\s+p=(\d+)", line)
-            if not m:
-                _err(ln, "ring wants the form 'ring N=<int> p=<prime or 0>'")
-            n, p = int(m.group(1)), int(m.group(2))
-            if n < 2:
-                _err(ln, f"ring needs N >= 2 variables, got N={n}")
-            domain = QQ if p == 0 else GF(p)
-            script = SessionScript(n, p, domain, {}, {}, [])
-            continue
+            if head == "ring":
+                if script is not None:
+                    _err("ring is already declared; scripts hold a single ring")
+                m = re.fullmatch(r"ring\s+N=(\d+)\s+p=(\d+)", line)
+                if not m:
+                    _err("ring wants the form 'ring N=<int> p=<prime or 0>'")
+                n, p = int(m.group(1)), int(m.group(2))
+                if n < 2:
+                    _err(f"ring needs N >= 2 variables, got N={n}")
+                domain = QQ if p == 0 else GF(p)
+                script = SessionScript(n, p, domain, {}, {}, [])
+                continue
 
-        if script is None:
-            _err(ln, "the ring must be declared before anything else")
+            if script is None:
+                _err("the ring must be declared before anything else")
 
-        if head == "ideal":
-            m = re.fullmatch(r"ideal\s+([A-Za-z_]\w*)\s*:\s*(.+)", line)
-            if not m:
-                _err(ln, "ideal wants the form 'ideal <name>: gen, gen, ...'")
-            name = m.group(1)
-            if name in names:
-                _err(ln, f"the name {name!r} is already taken")
-            gens = []
-            for part in _split_top_level(m.group(2), ","):
-                try:
-                    gens.append(parse_polynomial(part.strip(), script.domain, script.n))
-                except ScriptSyntaxError as e:
-                    _err(ln, f"in generator {part.strip()!r}: {e}")
-            script.ideals[name] = Ideal(script.domain, script.n, gens)
-            names.add(name)
-            continue
+            if head == "ideal":
+                m = re.fullmatch(r"ideal\s+([A-Za-z_]\w*)\s*:\s*(.+)", line)
+                if not m:
+                    _err("ideal wants the form 'ideal <name>: gen, gen, ...'")
+                name = m.group(1)
+                if name in names:
+                    _err(f"the name {name!r} is already taken")
+                gens = []
+                for part in _split_top_level(m.group(2), ","):
+                    try:
+                        gens.append(parse_polynomial(part.strip(), script.domain, script.n))
+                    except ScriptSyntaxError as e:
+                        _err(f"in generator {part.strip()!r}: {e}")
+                script.ideals[name] = Ideal(script.domain, script.n, gens)
+                names.add(name)
+                continue
 
-        if head == "tower":
-            m = re.fullmatch(r"tower\s+([A-Za-z_]\w*)\s*:\s*(.+)", line)
-            if not m:
-                _err(ln, "tower wants the form 'tower <name>: blowup ...; blowup ...'")
-            name = m.group(1)
-            if name in names:
-                _err(ln, f"the name {name!r} is already taken")
-            t = new_tower(script.n, script.domain)
-            for step_text in _split_top_level(m.group(2), ";"):
-                t, _ = _parse_step(step_text, t, script.domain, script.n, ln)
-            script.towers[name] = t
-            names.add(name)
-            continue
+            if head == "tower":
+                m = re.fullmatch(r"tower\s+([A-Za-z_]\w*)\s*:\s*(.+)", line)
+                if not m:
+                    _err("tower wants the form 'tower <name>: blowup ...; blowup ...'")
+                name = m.group(1)
+                if name in names:
+                    _err(f"the name {name!r} is already taken")
+                t = new_tower(script.n, script.domain)
+                for step_text in _split_top_level(m.group(2), ";"):
+                    t, _ = _parse_step(step_text, t, script.domain, script.n)
+                script.towers[name] = t
+                names.add(name)
+                continue
 
-        if head in _HANDLERS:
-            tokens = _tokens(line)[1:]
-            _check_references(script, head, tokens, ln)
-            script.commands.append((ln, head, tokens, line))
-            continue
+            if head in _HANDLERS:
+                tokens = _tokens(line)[1:]
+                _check_references(script, tokens)
+                script.commands.append((ln, head, tokens, line))
+                continue
 
-        _err(ln, f"unknown statement {head!r}")
+            _err(f"unknown statement {head!r}")
+        except _FAILURES as e:
+            raise _located(e, f"line {ln}: ") from None
 
     if script is None:
         raise ScriptSyntaxError("empty script: no ring declaration found")
     return script
 
 
-def _check_references(script: SessionScript, name: str, tokens, ln: int):
+def _check_references(script: SessionScript, tokens):
     """Declared-name validation only; value checks happen at run time."""
     for tok in tokens:
         base = tok.split(":", 1)[0]
@@ -297,25 +316,25 @@ def _check_references(script: SessionScript, name: str, tokens, ln: int):
             continue
         if base in script.ideals or base in script.towers:
             continue
-        raise UnknownName(f"line {ln}: {base!r} is not a declared ideal or tower")
+        raise UnknownName(f"{base!r} is not a declared ideal or tower")
 
 
 # -- command execution ---------------------------------------------------------------
 
 
-def _ideal(script, name, ln):
+def _ideal(script, name):
     if name not in script.ideals:
-        raise UnknownName(f"line {ln}: {name!r} is not a declared ideal")
+        raise UnknownName(f"{name!r} is not a declared ideal")
     return script.ideals[name]
 
 
-def _tower(script, name, ln):
+def _tower(script, name):
     if name not in script.towers:
-        raise UnknownName(f"line {ln}: {name!r} is not a declared tower")
+        raise UnknownName(f"{name!r} is not a declared tower")
     return script.towers[name]
 
 
-def _divisor_arg(tokens, t, ln):
+def _divisor_arg(tokens, t):
     """Pull an optional divisor=<id> token; default is the last divisor."""
     rest = []
     did = None
@@ -325,9 +344,9 @@ def _divisor_arg(tokens, t, ln):
             try:
                 value = int(val)
             except ValueError:
-                _err(ln, f"divisor wants an integer id, got {val!r}")
+                _err(f"divisor wants an integer id, got {val!r}")
             if did is not None:
-                _err(ln, "divisor= given twice")
+                _err("divisor= given twice")
             did = value
         else:
             rest.append(tok)
@@ -336,48 +355,48 @@ def _divisor_arg(tokens, t, ln):
     return did, rest
 
 
-def _factor_args(script, tokens, ln):
+def _factor_args(script, tokens):
     """Parse name:exponent tokens into a MultiIdeal."""
     factors = []
     for tok in tokens:
         name, _, etext = tok.partition(":")
-        e = _parse_rational(etext, ln) if etext else Fraction(1)
-        factors.append((_ideal(script, name, ln), e))
+        e = _parse_rational(etext) if etext else Fraction(1)
+        factors.append((_ideal(script, name), e))
     return MultiIdeal(factors)
 
 
-def _cmd_keval(script, tokens, opt, block, ln):
-    t = _tower(script, tokens[0], ln)
-    did, _ = _divisor_arg(tokens[1:], t, ln)
+def _cmd_keval(script, tokens, opt, block):
+    t = _tower(script, tokens[0])
+    did, _ = _divisor_arg(tokens[1:], t)
     block.add(("divisor", did), ("k", t.divisor(did).k))
 
 
-def _cmd_veval(script, tokens, opt, block, ln):
-    t = _tower(script, tokens[0], ln)
-    did, rest = _divisor_arg(tokens[1:], t, ln)
-    a = _ideal(script, rest[0], ln)
+def _cmd_veval(script, tokens, opt, block):
+    t = _tower(script, tokens[0])
+    did, rest = _divisor_arg(tokens[1:], t)
+    a = _ideal(script, rest[0])
     block.add(("divisor", did), ("v", valuation(t, did, a)))
 
 
-def _cmd_logdisc(script, tokens, opt, block, ln):
-    t = _tower(script, tokens[0], ln)
-    did, rest = _divisor_arg(tokens[1:], t, ln)
-    report = log_discrepancy(t, did, _factor_args(script, rest, ln))
+def _cmd_logdisc(script, tokens, opt, block):
+    t = _tower(script, tokens[0])
+    did, rest = _divisor_arg(tokens[1:], t)
+    report = log_discrepancy(t, did, _factor_args(script, rest))
     block.add(("divisor", did), ("k", report.k))
     for idx, v in report.valuations:
         block.add((f"v_{idx}", v))
     block.add(("a", report.a))
 
 
-def _cmd_zeval(script, tokens, opt, block, ln):
-    t = _tower(script, tokens[0], ln)
-    did, rest = _divisor_arg(tokens[1:], t, ln)
-    w = lct_witness(t, did, _ideal(script, rest[0], ln))
+def _cmd_zeval(script, tokens, opt, block):
+    t = _tower(script, tokens[0])
+    did, rest = _divisor_arg(tokens[1:], t)
+    w = lct_witness(t, did, _ideal(script, rest[0]))
     block.add(("divisor", did), ("k", w.k), ("v", w.v), ("z", w.z))
 
 
-def _cmd_lct(script, tokens, opt, block, ln):
-    a = _ideal(script, tokens[0], ln)
+def _cmd_lct(script, tokens, opt, block):
+    a = _ideal(script, tokens[0])
     value, depth = lct_estimate_at_origin(a, opt["cap"], budget=opt["gb_budget"])
     block.add(("lct_estimate", value), ("lct_depth", depth))
     if a.nvars in (2, 3) and a.is_monomial():
@@ -385,14 +404,14 @@ def _cmd_lct(script, tokens, opt, block, ln):
         block.add(("toric_z", w.z), ("toric_weights", w.weights))
 
 
-def _cmd_mld(script, tokens, opt, block, ln):
-    ma = _factor_args(script, tokens, ln)
+def _cmd_mld(script, tokens, opt, block):
+    ma = _factor_args(script, tokens)
     value, depths = mld_estimate(ma, opt["cap"], budget=opt["gb_budget"], nvars=script.n)
     block.add(("mld_estimate", value), ("mld_depths", depths))
 
 
-def _cmd_notlc(script, tokens, opt, block, ln):
-    ma = _factor_args(script, tokens, ln)
+def _cmd_notlc(script, tokens, opt, block):
+    ma = _factor_args(script, tokens)
     cert = certify_not_log_canonical(ma, opt["cap"], budget=opt["gb_budget"])
     if cert is None:
         block.add(("certificate", "unknown"))
@@ -405,8 +424,8 @@ def _cmd_notlc(script, tokens, opt, block, ln):
         )
 
 
-def _cmd_heights(script, tokens, opt, block, ln):
-    a = _ideal(script, tokens[0], ln)
+def _cmd_heights(script, tokens, opt, block):
+    a = _ideal(script, tokens[0])
     if script.p:
         hp, hq = compare_heights(a, budget=opt["gb_budget"])
         block.add(("height_p", hp), ("height_q", hq))
@@ -414,12 +433,12 @@ def _cmd_heights(script, tokens, opt, block, ln):
         block.add(("height", height_of_ideal(a, budget=opt["gb_budget"])))
 
 
-def _cmd_jets(script, tokens, opt, block, ln):
-    a = _ideal(script, tokens[0], ln)
+def _cmd_jets(script, tokens, opt, block):
+    a = _ideal(script, tokens[0])
     level = opt["cap"]
     if len(tokens) > 1:
         if not re.fullmatch(r"\d+", tokens[1]):
-            _err(ln, f"jets level must be a nonnegative integer, got {tokens[1]!r}")
+            _err(f"jets level must be a nonnegative integer, got {tokens[1]!r}")
         level = int(tokens[1])
     js = jet_equations(a, level)
     names = js.var_names()
@@ -428,8 +447,8 @@ def _cmd_jets(script, tokens, opt, block, ln):
             block.add((f"F{i}_{j}", c.text(names)))
 
 
-def _cmd_bridge(script, tokens, opt, block, ln):
-    t = _tower(script, tokens[0], ln)
+def _cmd_bridge(script, tokens, opt, block):
+    t = _tower(script, tokens[0])
     ideal_names, evecs, tamper = [], [], False
     for tok in tokens[1:]:
         if tok == "tamper":
@@ -438,23 +457,19 @@ def _cmd_bridge(script, tokens, opt, block, ln):
             val = tok[2:]
             inner = _group(val)
             if inner is not None:
-                evecs.append(tuple(_parse_rational(x, ln) for x in _split_top_level(inner, ",")))
+                evecs.append(tuple(_parse_rational(x) for x in _split_top_level(inner, ",")))
             else:
-                evecs.append((_parse_rational(val, ln),))
+                evecs.append((_parse_rational(val),))
         else:
             ideal_names.append(tok)
-    ideals = [_ideal(script, name, ln) for name in ideal_names]
+    ideals = [_ideal(script, name) for name in ideal_names]
     report = bridge_construct(t, ideals, tamper=tamper)
     if not evecs:
         evecs = [(Fraction(1),) * len(ideals)]
     report = shifted_log_discrepancy_check(report, evecs)
     block.add(("n", report.n), ("p", report.p))
-    block.add(
-        ("k_E", report.k_e),
-        ("k_F", report.k_f),
-        ("shift_ok", True),
-        ("v_ok", report.v_identity_ok),
-    )
+    block.add(("k_E", report.k_e), ("k_F", report.k_f), ("shift_ok", True),
+              ("v_ok", report.v_identity_ok))
     block.add(("E", report.input_divisor), ("F1", report.middle_divisor), ("F", report.final_divisor))
     block.add(("P1", _fmt_center(report.point_1)), ("P2", _fmt_center(report.point_2)))
     block.add(
@@ -467,8 +482,8 @@ def _cmd_bridge(script, tokens, opt, block, ln):
         block.add((f"shift_{i}_e", evec), (f"shift_{i}_a_p", a_p), (f"shift_{i}_a_q", a_q))
 
 
-def _cmd_crosschar(script, tokens, opt, block, ln):
-    ma = _factor_args(script, tokens, ln)
+def _cmd_crosschar(script, tokens, opt, block):
+    ma = _factor_args(script, tokens)
     rep = cross_characteristic_suite(ma, opt["cap"], budget=opt["gb_budget"])
     for cell in rep.cells:
         pairs = [
@@ -480,16 +495,12 @@ def _cmd_crosschar(script, tokens, opt, block, ln):
             pairs.append(("note", cell.note))
         block.add(*pairs)
     block.add(("mld_p", rep.mld_p), ("mld_q", rep.mld_q), ("mld_ordered", rep.mld_ordered))
-    block.add(
-        ("lct_p", rep.lct_p),
-        ("lct_q", rep.lct_q),
-        ("lct_ordered", rep.lct_ordered),
-    )
+    block.add(("lct_p", rep.lct_p), ("lct_q", rep.lct_q), ("lct_ordered", rep.lct_ordered))
 
 
-def _cmd_suspend(script, tokens, opt, block, ln):
-    t = _tower(script, tokens[0], ln)
-    a = _ideal(script, tokens[1], ln) if len(tokens) > 1 else None
+def _cmd_suspend(script, tokens, opt, block):
+    t = _tower(script, tokens[0])
+    a = _ideal(script, tokens[1]) if len(tokens) > 1 else None
     t2, padded = suspend(t, a)
     for rec in t.divisors:
         pairs = [
@@ -503,7 +514,7 @@ def _cmd_suspend(script, tokens, opt, block, ln):
         block.add(*pairs)
 
 
-def _cmd_selftest(script, tokens, opt, block, ln):
+def _cmd_selftest(script, tokens, opt, block):
     failed = []
     corpus = acceptance_corpus()
     for case in corpus:
@@ -554,19 +565,16 @@ def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bou
         block = _Block(index, raw, [])
         handler, least, most, takes_divisor = _HANDLERS[name]
         try:
-            args = [tok for tok in tokens
-                    if not (takes_divisor and tok.startswith("divisor="))]
+            args = [t for t in tokens if not (takes_divisor and t.startswith("divisor="))]
             if len(args) < least:
-                raise ScriptSyntaxError("missing arguments")
+                _err("missing arguments")
             if most is not None and len(args) > most:
-                _err(ln, f"surplus argument {args[most]!r}: {name} takes at most {most}")
-            handler(script, tokens, opt, block, ln)
-        except MathCheckFailed as e:
-            if name == "selftest":
-                raise
-            raise type(e)(f"command {index} ({name}): {e}") from None
-        except (InputError, ResourceExhausted, ValueError, OverflowError) as e:
-            raise type(e)(f"command {index} ({name}): {e}") from None
+                _err(f"surplus argument {args[most]!r}: {name} takes at most {most}")
+            handler(script, tokens, opt, block)
+        except _FAILURES as e:
+            if name == "selftest" and isinstance(e, MathCheckFailed):
+                raise  # the case list it prints says where
+            raise _located(e, f"command {index} ({name}): line {ln}: ") from None
         blocks.append(block)
 
     if fmt == "json":
@@ -613,23 +621,13 @@ def main(argv=None) -> int:
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+        out = run(parse_script(text), **opts)
+    except OSError as e:  # the script file could not be read
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    try:
-        out = run(parse_script(text), **opts)
-    except MathCheckFailed as e:
+    except _FAILURES as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except (InputError, ValueError, OverflowError) as e:
-        # An OverflowError is an input number too large for a machine-sized
-        # index (a ring dimension or a jet level): the package has no floats.
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except ResourceExhausted as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls))
     try:
         print(out)
         sys.stdout.flush()

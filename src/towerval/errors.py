@@ -98,18 +98,20 @@ class UnknownName(InputError):
     pass
 
 
+class LiftHypothesisFailed(InputError):
+    """The lift from F_p to Q does not meet the bridge's hypothesis.
+
+    The lifted tower must keep every step's containments and discrepancy,
+    and each lifted ideal its valuation on the input divisor.  Lifting a
+    nonzero center constant to its representative in 0..p-1 can break
+    either; the input is then outside what the bridge can check.
+    """
+
+
 # -- failed mathematical checks ---------------------------------------------
 
 class BridgeIdentityFailed(MathCheckFailed):
     """A lifting identity did not verify; the message carries the trace."""
-
-
-class ContainmentBroken(MathCheckFailed):
-    """A lifted center does not lie on exactly the lifted divisors.
-
-    Fires when a nonzero center constant, lifted to its representative in
-    0..p-1, changes which divisors the center lies on.
-    """
 
 
 # -- resource errors ---------------------------------------------------------

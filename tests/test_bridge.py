@@ -189,6 +189,28 @@ def test_tampered_lift_is_refused():
         bridge_construct(t, [coordinate_ideal(GF(5), 2)], tamper=True)
 
 
+def point_tower(dom, *steps):
+    t = new_tower(2, dom)
+    for chart, point in steps:
+        t, _ = blow_up(t, CenterSpec.make(chart, dict(enumerate(point)), dom))
+    return t
+
+
+def test_a_lift_that_breaks_the_hypothesis_is_an_input_error():
+    """Lifting 4 in F_5 to 4 moves these centers: off E1 in the first
+    tower, and off a's weak transform on E3 in the second."""
+    assert issubclass(errors.LiftHypothesisFailed, errors.InputError)
+    dom = GF(5)
+    t = point_tower(dom, (0, (0, 0)), (1, (1, 0)), (3, (4, 0)))
+    with pytest.raises(errors.LiftHypothesisFailed,
+                       match=r"^step 3: lifted center lies on divisors \(\), original lay on \(1,\)$"):
+        lift_tower(t)
+    t = point_tower(dom, (0, (0, 0)), (2, (1, 1)), (3, (4, 0)))
+    with pytest.raises(errors.LiftHypothesisFailed,
+                       match=r"^the lift changes ideal 0's valuation on divisor 3: 1 over F_5, 0 over Q$"):
+        bridge_construct(t, [I(dom, 2, "4*x2 + x1^2*x2^2 + x2^2")], tamper=True)
+
+
 def test_small_field_exhaustion_is_reported():
     dom = GF(2)
     t = origin_tower(dom)

@@ -306,7 +306,7 @@ def test_notlc_refuses_a_zero_factor_in_any_position(tmp_path, capsys, factors):
     text = "ring N=2 p=5\nideal a: x1, x2\nideal z: 0\nnotlc " + factors + "\n"
     code, out, err = run_main(tmp_path, capsys, text)
     assert (code, out, err) == (
-        2, "", "error: ZeroIdeal: command 1 (notlc): operation rejects the zero ideal\n"
+        2, "", "error: ZeroIdeal: command 1 (notlc): line 4: operation rejects the zero ideal\n"
     )
 
 
@@ -341,16 +341,45 @@ def test_a_command_refuses_surplus_or_malformed_arguments(tmp_path, capsys, comm
 ])
 def test_a_command_refuses_missing_arguments(tmp_path, capsys, command, message):
     code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    located = message.replace("): ", "): line 4: ", 1)  # the command's script line
+    assert (code, out, err) == (2, "", f"error: {located}\n")
 
 
 def test_an_index_error_inside_a_handler_propagates(monkeypatch):
-    def broken(script, tokens, opt, block, ln):
+    def broken(script, tokens, opt, block):
         return [][0]
 
     monkeypatch.setitem(towerval.cli._HANDLERS, "keval", (broken, 1, 1, True))
     with pytest.raises(IndexError):
         run(parse_script(BASIC + "keval T\n"))
+
+
+@pytest.mark.parametrize("text, flags, code, kind, line", [
+    ("ring N=2 p=5\ntower T: blowup chart=5 point=(0,0)", [], 2, "UnknownChart", 2),
+    ("ring N=2 p=5\ntower T: blowup chart=root set=(x1=0)", [], 2, "Codim1Center", 2),
+    ("ring N=2 p=5\nideal a: 1/2*x1", [], 2, "ConstantNotInField", 2),
+    ("ring N=2 p=5\nideal a: (x1+x2)^999999", [], 3, "BudgetExceeded", 2),
+    (BASIC + "veval T", [], 2, "ScriptSyntaxError", 4),
+    (BASIC + "keval T a", [], 2, "ScriptSyntaxError", 4),
+    (BASIC + "veval T missing", [], 2, "UnknownName", 4),
+    (BASIC + "veval T T", [], 2, "UnknownName", 4),
+    ("ring N=2 p=5\nideal z: 0\nnotlc z:1", [], 2, "ZeroIdeal", 3),
+    (BASIC + "bridge T a tamper", [], 1, "BridgeIdentityFailed", 4),
+    ("ring N=2 p=0\nideal c: x1^2 + x2^3\nlct c", ["--cap", "5", "--gb-budget", "1"], 3,
+     "BudgetExceeded", 3),
+    (BASIC + "keval T\njets a 3", [], 3, "MemoryError", 5),
+])
+def test_every_failure_names_its_line_once(tmp_path, capsys, monkeypatch, text, flags, code, kind, line):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError  # bare, as the interpreter raises it; nothing is allocated
+
+    monkeypatch.setattr(towerval.cli, "jet_equations", out_of_memory)
+    got, out, err = run_main(tmp_path, capsys, text + "\n", *flags)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {kind}: ") and err.endswith("\n") and err.count("\n") == 1
+    assert re.findall(r"line \d+: ", err) == [f"line {line}: "]
+    if kind == "MemoryError":
+        assert err == "error: MemoryError: command 2 (jets): line 5: out of memory\n"
 
 
 def test_zero_denominator_exponent_is_an_input_error(tmp_path, capsys):
@@ -368,7 +397,7 @@ def test_bridge_vector_of_the_wrong_length_prints_num_den(tmp_path, capsys):
     code, out, err = run_main(tmp_path, capsys, BASIC + "bridge T a e=(1,2)\n")
     assert code == 2 and out == ""
     assert err == (
-        "error: DimensionMismatch: command 1 (bridge): exponent vector (1/1,2/1)"
+        "error: DimensionMismatch: command 1 (bridge): line 4: exponent vector (1/1,2/1)"
         " has 2 entries for 1 ideals\n"
     )
 
@@ -407,13 +436,31 @@ def test_ring_with_fewer_than_two_variables_is_an_input_error(tmp_path, capsys, 
 def test_negative_cap_is_an_input_error(tmp_path, capsys, command):
     code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n", "--cap", "-1")
     name = command.split()[0]
-    assert (code, out, err) == (2, "", f"error: ValueError: command 1 ({name}): "
+    assert (code, out, err) == (2, "", f"error: ValueError: command 1 ({name}): line 4: "
                                        "depth caps must be nonnegative integers, got -1\n")
 
 
 def test_exit_code_one_for_failed_identities(tmp_path, capsys):
     code, _, err = run_main(tmp_path, capsys, BASIC + "bridge T a tamper\n")
     assert code == 1 and "BridgeIdentityFailed" in err
+
+
+LIFT_BREAKS_E = (
+    "ring N=2 p=5\nideal a: 4*x2 + x1^2*x2^2 + x2^2\n"
+    "tower T: blowup chart=root point=(0,0); blowup chart=2 point=(1,1); blowup chart=3 point=(4,0)\n"
+)
+
+
+def test_a_lift_that_breaks_the_bridge_hypothesis_is_an_input_error(tmp_path, capsys):
+    """Over F_5 a has valuations (1, 0, 1) along E1..E3; lifting 4 to 4
+    gives (1, 0, 0), so the bridge has nothing to check on E = E3.  The
+    hypothesis is checked before tamper bends the lift."""
+    message = (
+        "error: LiftHypothesisFailed: command 1 (bridge): line 4: "
+        "the lift changes ideal 0's valuation on divisor 3: 1 over F_5, 0 over Q\n"
+    )
+    for command in ("bridge T a", "bridge T a tamper"):
+        assert run_main(tmp_path, capsys, LIFT_BREAKS_E + command + "\n") == (2, "", message)
 
 
 def test_exit_code_three_for_exhaustion(tmp_path, capsys):
@@ -532,6 +579,15 @@ def test_missing_script_file(tmp_path, capsys):
     code = main(["--script", str(tmp_path / "absent.tv")])
     captured = capsys.readouterr()
     assert code == 2 and "error" in captured.err
+
+
+def test_a_script_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "script.tv"
+    path.write_bytes(b"ring N=2 p=5\n\xff\n")
+    code = main(["--script", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: UnicodeDecodeError: ") and "Traceback" not in captured.err
 
 
 def test_closed_stdout_exits_zero_without_a_traceback(tmp_path):
@@ -670,7 +726,7 @@ def tower_command_scripts(draw):
 @settings(max_examples=150, deadline=None)
 @given(script=tower_command_scripts(), budget=st.sampled_from([0, 1, 8, 100_000]))
 @example(script=BASIC + "jets a 99999999999999999999\n", budget=100_000)
-@example(  # a lift outside the class it covers; the test asks only for a contract code
+@example(  # a lift that breaks the bridge's hypothesis: exit 2, asserted exactly above
     script="ring N=2 p=5\nideal d: 4*x2 + x1^2*x2^2 + x2^2\ntower T: " + FUZZ_TOWERS[-1]
     + "\nbridge T d\n",
     budget=100_000,
