@@ -135,7 +135,9 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     ``tamper`` deliberately bends the first lifted generator by adding the
     characteristic (a different valid pointwise lift, but not the
     coefficient-wise one) so that callers can watch the verification
-    refuse it; it needs at least one ideal (InputError otherwise).
+    refuse it.  It needs at least one ideal, and the first must have a
+    positive valuation on E: no identity could see a bent ideal of
+    valuation 0 (InputError otherwise).
     """
     if not t.domain.p:
         raise RingMismatch("bridge runs start over a prime field")
@@ -174,6 +176,9 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
                 f"{v} over F_{p}, {vq} over Q"
             )
     if tamper:
+        if not v_e[0]:
+            raise InputError(f"tamper bends ideal 0, whose valuation on divisor {e_did} is 0: "
+                             "no identity can see the bend")
         bent = lifted[0].gens[0] + Polynomial.constant(QQ, n, p)
         lifted = (Ideal(QQ, n, (bent,) + lifted[0].gens[1:]),) + lifted[1:]
 

@@ -6,11 +6,15 @@ same data as json) so runs can be diffed byte for byte; rationals print
 as num/den, booleans as lowercase words, and nothing ever prints a
 timestamp.
 
+``parse_script`` binds every command's arguments to values once, by the
+kinds ``_COMMANDS`` lists, so ``run`` only computes and a bad argument is
+refused before any command runs.
+
 Exit codes sort failures by kind: 2 for anything wrong with the input,
 1 for a mathematical check that did not hold, 3 for an exhausted search,
 step budget or memory; ``EXIT_CODES`` is that map.  Every failure names
-its script line, and a command's failure also names the command.  A
-crash with a traceback is a bug, not an exit code.
+its script line, and a failure while a command runs also names the
+command.  A crash with a traceback is a bug, not an exit code.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .tower import CenterSpec, Tower, blow_up, new_tower, suspend, valuation
 
 class SessionScript(namedtuple("SessionScript", "n p domain ideals towers commands")):
     """A parsed script; ``commands`` holds (line number, command name,
-    argument tokens, raw text) tuples."""
+    bound argument values, raw text) tuples."""
 
     __slots__ = ()
 
@@ -293,10 +297,8 @@ def parse_script(text: str) -> SessionScript:
                 names.add(name)
                 continue
 
-            if head in _HANDLERS:
-                tokens = _tokens(line)[1:]
-                _check_references(script, tokens)
-                script.commands.append((ln, head, tokens, line))
+            if head in _COMMANDS:
+                script.commands.append((ln, head, _bind(script, head, _tokens(line)[1:]), line))
                 continue
 
             _err(f"unknown statement {head!r}")
@@ -308,38 +310,48 @@ def parse_script(text: str) -> SessionScript:
     return script
 
 
-def _check_references(script: SessionScript, tokens):
-    """Declared-name validation only; value checks happen at run time."""
+# -- binding command arguments --------------------------------------------------------
+
+
+def _lookup(script, name, kind):
+    table = script.towers if kind == "tower" else script.ideals
+    if name not in table:
+        raise UnknownName(f"{name!r} is not a declared {kind}")
+    return table[name]
+
+
+def _factors(script, tokens):
+    """name:exponent tokens as one MultiIdeal; a bare name has exponent 1."""
+    factors = []
     for tok in tokens:
-        base = tok.split(":", 1)[0]
-        if "=" in base or base in ("tamper",) or re.fullmatch(r"-?\d+", base):
-            continue
-        if base in script.ideals or base in script.towers:
-            continue
-        raise UnknownName(f"{base!r} is not a declared ideal or tower")
+        name, _, etext = tok.partition(":")
+        e = _parse_rational(etext) if etext else Fraction(1)
+        factors.append((_lookup(script, name, "ideal"), e))
+    return MultiIdeal(factors)
 
 
-# -- command execution ---------------------------------------------------------------
-
-
-def _ideal(script, name):
-    if name not in script.ideals:
-        raise UnknownName(f"{name!r} is not a declared ideal")
-    return script.ideals[name]
-
-
-def _tower(script, name):
-    if name not in script.towers:
-        raise UnknownName(f"{name!r} is not a declared tower")
-    return script.towers[name]
-
-
-def _divisor_arg(tokens, t):
-    """Pull an optional divisor=<id> token; default is the last divisor."""
-    rest = []
-    did = None
+def _bridge_args(script, tokens):
+    """The ideals, exponent vectors (default: all ones) and tamper flag."""
+    ideals, evecs, tamper = [], [], False
     for tok in tokens:
-        if tok.startswith("divisor="):
+        if tok == "tamper":
+            tamper = True
+        elif tok.startswith("e="):
+            inner = _group(tok[2:])
+            parts = [tok[2:]] if inner is None else _split_top_level(inner, ",")
+            evecs.append(tuple(_parse_rational(x) for x in parts))
+        else:
+            ideals.append(_lookup(script, tok, "ideal"))
+    return ideals, evecs or [(Fraction(1),) * len(ideals)], tamper
+
+
+def _bind(script, name, tokens):
+    """A command's argument values, in its handler's order.  A command
+    that reads divisor= gets the divisor id last, by default the newest."""
+    kinds, takes_divisor = _COMMANDS[name][1:]
+    did, words = None, []
+    for tok in tokens:
+        if takes_divisor and tok.startswith("divisor="):
             val = tok.split("=", 1)[1]
             try:
                 value = int(val)
@@ -349,54 +361,59 @@ def _divisor_arg(tokens, t):
                 _err("divisor= given twice")
             did = value
         else:
-            rest.append(tok)
-    if did is None:
-        did = t.last_divisor_id()
-    return did, rest
+            words.append(tok)
+    words = iter(words)
+    args = []
+    for kind in kinds:
+        if kind == "factors":
+            args.append(_factors(script, words))
+        elif kind == "bridge":
+            args += _bridge_args(script, words)
+        else:
+            tok = next(words, None)
+            if tok is None:
+                if kind in ("tower", "ideal"):
+                    least = sum(k in ("tower", "ideal") for k in kinds)
+                    _err(f"missing arguments: {name} takes at least {least}")
+                args.append(None)  # an optional argument left out
+            elif kind == "level?":
+                if not re.fullmatch(r"\d+", tok):
+                    _err(f"jets level must be a nonnegative integer, got {tok!r}")
+                args.append(int(tok))
+            else:
+                args.append(_lookup(script, tok, kind.rstrip("?")))
+    for tok in words:
+        _err(f"surplus argument {tok!r}: {name} takes at most {len(kinds)}")
+    if takes_divisor:
+        args.append(args[0].last_divisor_id() if did is None else did)
+    return args
 
 
-def _factor_args(script, tokens):
-    """Parse name:exponent tokens into a MultiIdeal."""
-    factors = []
-    for tok in tokens:
-        name, _, etext = tok.partition(":")
-        e = _parse_rational(etext) if etext else Fraction(1)
-        factors.append((_ideal(script, name), e))
-    return MultiIdeal(factors)
+# -- command execution ---------------------------------------------------------------
 
 
-def _cmd_keval(script, tokens, opt, block):
-    t = _tower(script, tokens[0])
-    did, _ = _divisor_arg(tokens[1:], t)
+def _cmd_keval(script, opt, block, t, did):
     block.add(("divisor", did), ("k", t.divisor(did).k))
 
 
-def _cmd_veval(script, tokens, opt, block):
-    t = _tower(script, tokens[0])
-    did, rest = _divisor_arg(tokens[1:], t)
-    a = _ideal(script, rest[0])
+def _cmd_veval(script, opt, block, t, a, did):
     block.add(("divisor", did), ("v", valuation(t, did, a)))
 
 
-def _cmd_logdisc(script, tokens, opt, block):
-    t = _tower(script, tokens[0])
-    did, rest = _divisor_arg(tokens[1:], t)
-    report = log_discrepancy(t, did, _factor_args(script, rest))
+def _cmd_logdisc(script, opt, block, t, ma, did):
+    report = log_discrepancy(t, did, ma)
     block.add(("divisor", did), ("k", report.k))
     for idx, v in report.valuations:
         block.add((f"v_{idx}", v))
     block.add(("a", report.a))
 
 
-def _cmd_zeval(script, tokens, opt, block):
-    t = _tower(script, tokens[0])
-    did, rest = _divisor_arg(tokens[1:], t)
-    w = lct_witness(t, did, _ideal(script, rest[0]))
+def _cmd_zeval(script, opt, block, t, a, did):
+    w = lct_witness(t, did, a)
     block.add(("divisor", did), ("k", w.k), ("v", w.v), ("z", w.z))
 
 
-def _cmd_lct(script, tokens, opt, block):
-    a = _ideal(script, tokens[0])
+def _cmd_lct(script, opt, block, a):
     value, depth = lct_estimate_at_origin(a, opt["cap"], budget=opt["gb_budget"])
     block.add(("lct_estimate", value), ("lct_depth", depth))
     if a.nvars in (2, 3) and a.is_monomial():
@@ -404,14 +421,12 @@ def _cmd_lct(script, tokens, opt, block):
         block.add(("toric_z", w.z), ("toric_weights", w.weights))
 
 
-def _cmd_mld(script, tokens, opt, block):
-    ma = _factor_args(script, tokens)
+def _cmd_mld(script, opt, block, ma):
     value, depths = mld_estimate(ma, opt["cap"], budget=opt["gb_budget"], nvars=script.n)
     block.add(("mld_estimate", value), ("mld_depths", depths))
 
 
-def _cmd_notlc(script, tokens, opt, block):
-    ma = _factor_args(script, tokens)
+def _cmd_notlc(script, opt, block, ma):
     cert = certify_not_log_canonical(ma, opt["cap"], budget=opt["gb_budget"])
     if cert is None:
         block.add(("certificate", "unknown"))
@@ -424,8 +439,7 @@ def _cmd_notlc(script, tokens, opt, block):
         )
 
 
-def _cmd_heights(script, tokens, opt, block):
-    a = _ideal(script, tokens[0])
+def _cmd_heights(script, opt, block, a):
     if script.p:
         hp, hq = compare_heights(a, budget=opt["gb_budget"])
         block.add(("height_p", hp), ("height_q", hq))
@@ -433,39 +447,16 @@ def _cmd_heights(script, tokens, opt, block):
         block.add(("height", height_of_ideal(a, budget=opt["gb_budget"])))
 
 
-def _cmd_jets(script, tokens, opt, block):
-    a = _ideal(script, tokens[0])
-    level = opt["cap"]
-    if len(tokens) > 1:
-        if not re.fullmatch(r"\d+", tokens[1]):
-            _err(f"jets level must be a nonnegative integer, got {tokens[1]!r}")
-        level = int(tokens[1])
-    js = jet_equations(a, level)
+def _cmd_jets(script, opt, block, a, level):
+    js = jet_equations(a, opt["cap"] if level is None else level)
     names = js.var_names()
     for i, coeffs in enumerate(js.coefficients):
         for j, c in enumerate(coeffs):
             block.add((f"F{i}_{j}", c.text(names)))
 
 
-def _cmd_bridge(script, tokens, opt, block):
-    t = _tower(script, tokens[0])
-    ideal_names, evecs, tamper = [], [], False
-    for tok in tokens[1:]:
-        if tok == "tamper":
-            tamper = True
-        elif tok.startswith("e="):
-            val = tok[2:]
-            inner = _group(val)
-            if inner is not None:
-                evecs.append(tuple(_parse_rational(x) for x in _split_top_level(inner, ",")))
-            else:
-                evecs.append((_parse_rational(val),))
-        else:
-            ideal_names.append(tok)
-    ideals = [_ideal(script, name) for name in ideal_names]
+def _cmd_bridge(script, opt, block, t, ideals, evecs, tamper):
     report = bridge_construct(t, ideals, tamper=tamper)
-    if not evecs:
-        evecs = [(Fraction(1),) * len(ideals)]
     report = shifted_log_discrepancy_check(report, evecs)
     block.add(("n", report.n), ("p", report.p))
     block.add(("k_E", report.k_e), ("k_F", report.k_f), ("shift_ok", True),
@@ -482,8 +473,7 @@ def _cmd_bridge(script, tokens, opt, block):
         block.add((f"shift_{i}_e", evec), (f"shift_{i}_a_p", a_p), (f"shift_{i}_a_q", a_q))
 
 
-def _cmd_crosschar(script, tokens, opt, block):
-    ma = _factor_args(script, tokens)
+def _cmd_crosschar(script, opt, block, ma):
     rep = cross_characteristic_suite(ma, opt["cap"], budget=opt["gb_budget"])
     for cell in rep.cells:
         pairs = [
@@ -498,9 +488,7 @@ def _cmd_crosschar(script, tokens, opt, block):
     block.add(("lct_p", rep.lct_p), ("lct_q", rep.lct_q), ("lct_ordered", rep.lct_ordered))
 
 
-def _cmd_suspend(script, tokens, opt, block):
-    t = _tower(script, tokens[0])
-    a = _ideal(script, tokens[1]) if len(tokens) > 1 else None
+def _cmd_suspend(script, opt, block, t, a):
     t2, padded = suspend(t, a)
     for rec in t.divisors:
         pairs = [
@@ -514,7 +502,7 @@ def _cmd_suspend(script, tokens, opt, block):
         block.add(*pairs)
 
 
-def _cmd_selftest(script, tokens, opt, block):
+def _cmd_selftest(script, opt, block):
     failed = []
     corpus = acceptance_corpus()
     for case in corpus:
@@ -537,40 +525,35 @@ def _cmd_selftest(script, tokens, opt, block):
         raise MathCheckFailed(f"selftest failed on: {', '.join(failed)}")
 
 
-# name -> (handler, least and most arguments besides divisor= (most None: no
-# bound), whether it reads divisor=); elsewhere divisor= is one more argument
-_HANDLERS = {
-    "keval": (_cmd_keval, 1, 1, True),
-    "veval": (_cmd_veval, 2, 2, True),
-    "logdisc": (_cmd_logdisc, 1, None, True),
-    "zeval": (_cmd_zeval, 2, 2, True),
-    "lct": (_cmd_lct, 1, 1, False),
-    "mld": (_cmd_mld, 0, None, False),
-    "notlc": (_cmd_notlc, 0, None, False),
-    "heights": (_cmd_heights, 1, 1, False),
-    "jets": (_cmd_jets, 1, 2, False),
-    "bridge": (_cmd_bridge, 1, None, False),
-    "crosschar": (_cmd_crosschar, 0, None, False),
-    "suspend": (_cmd_suspend, 1, 2, False),
-    "selftest": (_cmd_selftest, 0, 0, False),
+# name -> (handler, the kinds of its arguments in order, whether it reads
+# divisor=).  A kind ending in ? may be left out; factors (name:exponent
+# tokens) and bridge (ideals, e= vectors, tamper) read the rest of the line.
+_COMMANDS = {
+    "keval": (_cmd_keval, ("tower",), True),
+    "veval": (_cmd_veval, ("tower", "ideal"), True),
+    "logdisc": (_cmd_logdisc, ("tower", "factors"), True),
+    "zeval": (_cmd_zeval, ("tower", "ideal"), True),
+    "lct": (_cmd_lct, ("ideal",), False),
+    "mld": (_cmd_mld, ("factors",), False),
+    "notlc": (_cmd_notlc, ("factors",), False),
+    "heights": (_cmd_heights, ("ideal",), False),
+    "jets": (_cmd_jets, ("ideal", "level?"), False),
+    "bridge": (_cmd_bridge, ("tower", "bridge"), False),
+    "crosschar": (_cmd_crosschar, ("factors",), False),
+    "suspend": (_cmd_suspend, ("tower", "ideal?"), False),
+    "selftest": (_cmd_selftest, (), False),
 }
 
 
 def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bound=8, fmt="text") -> str:
     if gb_budget < 0:
-        raise ValueError(f"gb_budget must be >= 0, got {gb_budget}")
+        raise ValueError(f"gb_budget must be >= 0 (--gb-budget), got {gb_budget}")
     opt = {"cap": cap, "gb_budget": gb_budget, "weight_bound": weight_bound}
     blocks = []
-    for index, (ln, name, tokens, raw) in enumerate(script.commands, start=1):
+    for index, (ln, name, args, raw) in enumerate(script.commands, start=1):
         block = _Block(index, raw, [])
-        handler, least, most, takes_divisor = _HANDLERS[name]
         try:
-            args = [t for t in tokens if not (takes_divisor and t.startswith("divisor="))]
-            if len(args) < least:
-                _err("missing arguments")
-            if most is not None and len(args) > most:
-                _err(f"surplus argument {args[most]!r}: {name} takes at most {most}")
-            handler(script, tokens, opt, block)
+            _COMMANDS[name][0](script, opt, block, *args)
         except _FAILURES as e:
             if name == "selftest" and isinstance(e, MathCheckFailed):
                 raise  # the case list it prints says where
@@ -611,9 +594,6 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("text", "json"), dest="fmt")
     opts = vars(ap.parse_args(argv))
     path = opts.pop("script", None)
-    if opts.get("gb_budget", 0) < 0:
-        print(f"error: --gb-budget must be >= 0, got {opts['gb_budget']}", file=sys.stderr)
-        return 2
 
     try:
         if not path or path == "-":

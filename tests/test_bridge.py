@@ -211,6 +211,18 @@ def test_a_lift_that_breaks_the_hypothesis_is_an_input_error():
         bridge_construct(t, [I(dom, 2, "4*x2 + x1^2*x2^2 + x2^2")], tamper=True)
 
 
+def test_a_tamper_no_identity_can_see_is_an_input_error():
+    """a has valuation 0 on E3, and so on both appended divisors, over
+    F_5 and over Q: bending its lift would leave every triple (0, 0, 0)."""
+    dom = GF(5)
+    t = point_tower(dom, (0, (0, 0)), (2, (1, 1)), (3, (0, 0)))
+    a = I(dom, 2, "4*x2 + x1^2*x2^2 + x2^2")
+    assert bridge_construct(t, [a]).valuations == ((0, 0, 0),)
+    with pytest.raises(errors.InputError, match=r"^tamper bends ideal 0, whose valuation on "
+                                                r"divisor 3 is 0: no identity can see the bend$"):
+        bridge_construct(t, [a], tamper=True)
+
+
 def test_small_field_exhaustion_is_reported():
     dom = GF(2)
     t = origin_tower(dom)

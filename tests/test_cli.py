@@ -293,7 +293,7 @@ def test_an_unbalanced_parenthesis_names_its_line(tmp_path, capsys, statement, m
      "line 4: point wants a parenthesized coordinate list"),
     ("tower S: blowup chart=root set=(x1=0),(x2=0)",
      "line 4: set wants a parenthesized list like (x1=0,x2=0)"),
-    ("bridge T a e=(1),(2)", "command 1 (bridge): line 4: bad rational '(1),(2)'"),
+    ("bridge T a e=(1),(2)", "line 4: bad rational '(1),(2)'"),
 ])
 def test_a_value_of_two_groups_is_refused_as_a_whole(tmp_path, capsys, statement, message):
     code, out, err = run_main(tmp_path, capsys, BASIC + statement + "\n")
@@ -326,30 +326,29 @@ def test_notlc_refuses_a_zero_factor_in_any_position(tmp_path, capsys, factors):
 def test_a_command_refuses_surplus_or_malformed_arguments(tmp_path, capsys, command, message):
     text = "ring N=2 p=5\nideal a: x1, x2\nideal b: x1\ntower T: blowup chart=root point=(0,0)\n"
     code, out, err = run_main(tmp_path, capsys, text + command + "\n")
-    name = command.split()[0]
-    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: command 1 ({name}): line 5: {message}\n")
+    assert (code, out, err) == (2, "", f"error: ScriptSyntaxError: line 5: {message}\n")
 
 
 @pytest.mark.parametrize("command, message", [
-    ("lct", "ScriptSyntaxError: command 1 (lct): missing arguments"),
-    ("keval", "ScriptSyntaxError: command 1 (keval): missing arguments"),
-    ("veval T", "ScriptSyntaxError: command 1 (veval): missing arguments"),
-    ("veval T divisor=1", "ScriptSyntaxError: command 1 (veval): missing arguments"),
-    ("zeval T", "ScriptSyntaxError: command 1 (zeval): missing arguments"),
-    ("suspend", "ScriptSyntaxError: command 1 (suspend): missing arguments"),
+    ("lct", "ScriptSyntaxError: line 4: missing arguments: lct takes at least 1"),
+    ("keval", "ScriptSyntaxError: line 4: missing arguments: keval takes at least 1"),
+    ("veval T", "ScriptSyntaxError: line 4: missing arguments: veval takes at least 2"),
+    ("veval T divisor=1", "ScriptSyntaxError: line 4: missing arguments: veval takes at least 2"),
+    ("zeval T", "ScriptSyntaxError: line 4: missing arguments: zeval takes at least 2"),
+    ("suspend", "ScriptSyntaxError: line 4: missing arguments: suspend takes at least 1"),
     ("bridge T tamper", "InputError: command 1 (bridge): tamper needs at least one ideal to bend"),
 ])
 def test_a_command_refuses_missing_arguments(tmp_path, capsys, command, message):
     code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n")
-    located = message.replace("): ", "): line 4: ", 1)  # the command's script line
+    located = message.replace("): ", "): line 4: ", 1)  # bridge's check runs with the command
     assert (code, out, err) == (2, "", f"error: {located}\n")
 
 
 def test_an_index_error_inside_a_handler_propagates(monkeypatch):
-    def broken(script, tokens, opt, block):
+    def broken(script, opt, block, t, did):
         return [][0]
 
-    monkeypatch.setitem(towerval.cli._HANDLERS, "keval", (broken, 1, 1, True))
+    monkeypatch.setitem(towerval.cli._COMMANDS, "keval", (broken, ("tower",), True))
     with pytest.raises(IndexError):
         run(parse_script(BASIC + "keval T\n"))
 
@@ -380,6 +379,21 @@ def test_every_failure_names_its_line_once(tmp_path, capsys, monkeypatch, text, 
     assert re.findall(r"line \d+: ", err) == [f"line {line}: "]
     if kind == "MemoryError":
         assert err == "error: MemoryError: command 2 (jets): line 5: out of memory\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("keval T c", "ScriptSyntaxError: line 5: surplus argument 'c': keval takes at most 1"),
+    ("veval T T", "UnknownName: line 5: 'T' is not a declared ideal"),
+])
+def test_a_bad_argument_is_refused_before_any_command_runs(tmp_path, capsys, monkeypatch,
+                                                             command, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("lct ran before the script was refused")
+
+    monkeypatch.setattr(towerval.cli, "lct_estimate_at_origin", must_not_run)
+    text = ("ring N=2 p=0\nideal c: x1^2 + x2^3\ntower T: blowup chart=root point=(0,0)\n"
+            f"lct c\n{command}\n")
+    assert run_main(tmp_path, capsys, text) == (2, "", f"error: {message}\n")
 
 
 def test_zero_denominator_exponent_is_an_input_error(tmp_path, capsys):
@@ -461,6 +475,15 @@ def test_a_lift_that_breaks_the_bridge_hypothesis_is_an_input_error(tmp_path, ca
     )
     for command in ("bridge T a", "bridge T a tamper"):
         assert run_main(tmp_path, capsys, LIFT_BREAKS_E + command + "\n") == (2, "", message)
+
+
+def test_a_tamper_no_identity_can_see_is_an_input_error(tmp_path, capsys):
+    """The same ideal on a tower where its valuation on E = E3 is 0."""
+    text = LIFT_BREAKS_E.replace("point=(4,0)", "point=(0,0)") + "bridge T a tamper\n"
+    assert run_main(tmp_path, capsys, text) == (2, "", (
+        "error: InputError: command 1 (bridge): line 4: tamper bends ideal 0, whose valuation "
+        "on divisor 3 is 0: no identity can see the bend\n"
+    ))
 
 
 def test_exit_code_three_for_exhaustion(tmp_path, capsys):

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from towerval import invariants, tower
@@ -28,7 +28,7 @@ from towerval.tower import (
     valuation_of_poly,
 )
 
-from oracles import center_images, chart_images
+from oracles import center_images, chart_images, equivalent_center_specs
 
 DOMAINS = (GF(2), GF(3), GF(5), QQ)
 
@@ -225,6 +225,37 @@ def test_valuations_match_the_expanded_total_transform(data):
         assert v_g == expanded_valuation(t, did, g)
         assert valuation_of_poly(t, did, f * g) == v_f + v_g
         assert (valuation_of_poly(s, did, f_s), valuation_of_poly(s, did, g_s)) == (v_f, v_g)
+
+
+@given(st.data())
+def test_a_point_blows_up_alike_in_every_chart_that_sees_it(data):
+    """A full point center in a non-root chart, and the same point named in
+    a sibling chart: both blow-ups give the same k, the same containing
+    divisors and the same valuations.  Each ideal is a random polynomial
+    less its value at the point's image in the root chart, so it vanishes
+    there and its valuation is positive."""
+    t = data.draw(towers())
+    dom, n = t.domain, t.n
+    # a chart of the first four steps: past them, towers() is an origin chain,
+    # whose charts would pull each polynomial through dozens of steps
+    cid = data.draw(st.integers(1, t.steps[min(4, len(t.steps)) - 1].chart_ids[-1]))
+    point = data.draw(st.tuples(*[st.sampled_from(center_constants(dom))] * n))
+    spec = CenterSpec.make(cid, dict(enumerate(point)), dom)
+    views = equivalent_center_specs(t, spec)
+    assume(views)  # the point has a nonzero coordinate at some sibling's pivot
+    image = [g.evaluate(point) for g in t.chart(cid).frame]
+    ideals = []
+    for f in data.draw(st.lists(sparse_polys(dom, n), min_size=2, max_size=2)):
+        f = f - Polynomial.constant(dom, n, f.evaluate(image))
+        assume(not f.is_zero())
+        ideals.append(Ideal(dom, n, [f]))
+    t_main, did_main = blow_up(t, spec)
+    main = t_main.steps[-1]
+    for alt in views:
+        t_alt, did_alt = blow_up(t, alt)
+        assert (t_alt.steps[-1].k, t_alt.steps[-1].contained_in) == (main.k, main.contained_in)
+        for a in ideals:
+            assert valuation(t_alt, did_alt, a) == valuation(t_main, did_main, a) > 0
 
 
 def test_chart_attributes_are_read_only():
