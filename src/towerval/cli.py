@@ -548,6 +548,8 @@ _COMMANDS = {
 def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bound=8, fmt="text") -> str:
     if gb_budget < 0:
         raise ValueError(f"gb_budget must be >= 0 (--gb-budget), got {gb_budget}")
+    if weight_bound < 1:
+        raise ValueError(f"weight_bound must be >= 1 (--weight-bound), got {weight_bound}")
     opt = {"cap": cap, "gb_budget": gb_budget, "weight_bound": weight_bound}
     blocks = []
     for index, (ln, name, args, raw) in enumerate(script.commands, start=1):

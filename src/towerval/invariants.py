@@ -7,11 +7,11 @@ to the derived rational so every number can be rechecked by eye.
 
 The toric weight search is the one genuinely independent oracle here.
 It never touches a jet space, yet on monomial ideals its minimum agrees
-with the contact-locus estimate.  Every candidate weight vector is
-realized as an actual tower of coordinate blow-ups, and the closed-form
-predictions for k and for the coordinate valuations are asserted
-against the tower's own answers before the candidate may report a
-value.
+with the contact-locus estimate.  Candidate weight vectors are scored
+by arithmetic alone; the winner is then realized as an actual tower of
+coordinate blow-ups, and the closed-form predictions for k, for the
+coordinate valuations and for the ideal's valuation are asserted
+against the tower's own answers before the witness is reported.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .errors import (
     BadDimension,
+    BudgetExceeded,
     DivisorMissesIdeal,
     IdealNotAtOrigin,
     MathCheckFailed,
@@ -45,7 +46,7 @@ class LctWitness(namedtuple("LctWitness", "z k v divisor weights", defaults=(Non
 
     Exactly one of ``divisor`` and ``weights`` is set, recording whether
     the bound came from a divisor of an explicit tower or from the toric
-    weight grid.
+    weight search, whose winning weight has been realized by a tower.
     """
 
     __slots__ = ()
@@ -81,7 +82,10 @@ def lct_witness(t: Tower, did: int, a: Ideal) -> LctWitness:
 
 # -- toric weight search ------------------------------------------------------
 
-def realize_toric_weight(domain: Domain, w: tuple, *, _built=None) -> tuple:
+_TORIC_BOX_BOUND = 100_000  # weights in {1..B}^N: B <= 316 for N = 2, B <= 46 for N = 3
+
+
+def realize_toric_weight(domain: Domain, w: tuple) -> tuple:
     """Build a tower whose last divisor is the monomial valuation of weight w.
 
     The walk keeps the coordinates of w in the basis of the current
@@ -89,32 +93,22 @@ def realize_toric_weight(domain: Domain, w: tuple, *, _built=None) -> tuple:
     those coordinates, and passing to the chart of a smallest positive
     coordinate, leaves the coordinate vector nonnegative while strictly
     dropping its sum, so the loop stops, and it can only stop when the
-    newest ray is w itself.  Returns (tower, divisor id).
-
-    Walks sharing a ``_built`` map build each common prefix once: it holds
-    the root tower under (domain, n) and each blow-up result under (tower,
-    chart, support), the tower keyed by identity.
+    newest ray is w itself.  Returns (tower, divisor id), once its k is
+    sum(w) - 1 and each v(x_j) is w_j.
     """
     n = len(w)
     if any(not isinstance(c, int) or c < 1 for c in w):
         raise ValueError(f"weights must be positive integers, got {w!r}")
     if math.gcd(*w) != 1:
         raise ValueError(f"weight vector {w!r} is not primitive")
-    built = {} if _built is None else _built
-    t = built.get((domain, n))
-    if t is None:
-        t = built[domain, n] = new_tower(n, domain)
+    t = new_tower(n, domain)
     cid = 0
     lam = list(w)
     did = None
     while sorted(lam) != [0] * (n - 1) + [1]:
         support = tuple(i for i in range(n) if lam[i] > 0)
         pivot = min(i for i in support if lam[i] == min(lam[j] for j in support))
-        hit = built.get((t, cid, support))
-        if hit is None:
-            center = CenterSpec.make(cid, dict.fromkeys(support, 0), domain)
-            hit = built[t, cid, support] = blow_up(t, center)
-        t, did = hit
+        t, did = blow_up(t, CenterSpec.make(cid, dict.fromkeys(support, 0), domain))
         cid = t.steps[-1].chart_ids[support.index(pivot)]
         for i in support:
             if i != pivot:
@@ -137,10 +131,11 @@ def realize_toric_weight(domain: Domain, w: tuple, *, _built=None) -> tuple:
 def toric_weight_search(a: Ideal, weight_bound: int) -> LctWitness:
     """Best lct bound over monomial valuations with weights up to the bound.
 
-    Every primitive candidate is realized through ``realize_toric_weight``,
-    so the reported (k, v) pair has been produced twice: once by the
-    closed formula on the grid and once by an explicit tower.  Ties go
-    to the lexicographically smallest weight vector.
+    Each primitive w in {1..weight_bound}^N scores z = sum(w)/v, where v
+    is min <w, m> over the generators' exponents m; ties go to the first
+    w in lexicographic order.  Only the winner is realized, and its tower
+    must give the same v, so the reported (k, v) is produced twice.  A box
+    of more than _TORIC_BOX_BOUND weights raises ``BudgetExceeded``.
     """
     a.require_nonzero()
     if a.nvars not in (2, 3):
@@ -154,22 +149,24 @@ def toric_weight_search(a: Ideal, weight_bound: int) -> LctWitness:
         raise IdealNotAtOrigin("ideal contains a unit; no weight vector bounds it")
     if not isinstance(weight_bound, int) or weight_bound < 1:
         raise ValueError(f"weight bound must be a positive integer, got {weight_bound!r}")
+    if weight_bound ** a.nvars > _TORIC_BOX_BOUND:
+        raise BudgetExceeded(f"the toric box for weight bound {weight_bound} in {a.nvars} "
+                             f"variables holds more than {_TORIC_BOX_BOUND} weights")
 
     best = None
-    built = {}  # the root tower and every blow-up, shared by the walks below
     for w in itertools.product(range(1, weight_bound + 1), repeat=a.nvars):
         if math.gcd(*w) != 1:
             continue
-        v_grid = min(sum(wj * mj for wj, mj in zip(w, m)) for m in exponents)
-        t, did = realize_toric_weight(a.domain, w, _built=built)
-        v_tower = valuation(t, did, a)
-        if v_tower != v_grid:
-            raise MathCheckFailed(
-                f"weight {w!r}: grid valuation {v_grid} != tower valuation {v_tower}"
-            )
-        z = Fraction(sum(w), v_grid)
+        v = min(sum(wj * mj for wj, mj in zip(w, m)) for m in exponents)
+        z = Fraction(sum(w), v)
         if best is None or z < best.z:
-            best = LctWitness(z=z, k=sum(w) - 1, v=v_grid, weights=w)
+            best = LctWitness(z=z, k=sum(w) - 1, v=v, weights=w)
+    t, did = realize_toric_weight(a.domain, best.weights)
+    v_tower = valuation(t, did, a)
+    if v_tower != best.v:
+        raise MathCheckFailed(
+            f"weight {best.weights!r}: grid valuation {best.v} != tower valuation {v_tower}"
+        )
     return best
 
 

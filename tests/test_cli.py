@@ -520,6 +520,33 @@ def test_run_refuses_a_negative_gb_budget(ideal):
         run(script, gb_budget=-1)
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("ideal", ["x1^2 + x2^3", "x1^2, x2"])
+def test_a_weight_bound_below_one_is_refused_before_any_command(tmp_path, capsys, monkeypatch,
+                                                                  bound, ideal):
+    """Whether or not the ideal is monomial, so whether or not lct would search."""
+    monkeypatch.setattr(towerval.cli, "lct_estimate_at_origin", None)  # never reached
+    text = f"ring N=2 p=0\nideal c: {ideal}\nlct c\n"
+    code, out, err = run_main(tmp_path, capsys, text, "--weight-bound", bound)
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: weight_bound must be >= 1 (--weight-bound), got {bound}\n"
+
+
+def test_a_toric_box_past_the_bound_exits_three_quickly(tmp_path):
+    path = tmp_path / "script.tv"
+    path.write_text("ring N=3 p=0\nideal a: x1^2, x2^2, x3^2\nlct a\n")
+    src = str(Path(towerval.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerval.cli", "--script", str(path), "--weight-bound", "100000000"],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: BudgetExceeded: command 1 (lct): line 3: the toric box for weight bound "
+        "100000000 in 3 variables holds more than 100000 weights\n"
+    )
+
+
 @pytest.mark.parametrize("text", [
     "ring N=99999999999999999999 p=0\nideal a: x1\n",
     "ring N=2 p=0\nideal a: x1\njets a 99999999999999999999\n",
@@ -665,38 +692,51 @@ def test_json_format_is_sorted_and_parseable(tmp_path, capsys):
 # -- fuzzing the estimator commands ------------------------------------------------
 
 FUZZ_IDEALS = "ideal a: x1^2 + x2^3\nideal b: x1*x2\nideal c: x1 + 1"  # c misses the origin
-# well-formed choices are listed more than once so that most scripts get past parsing
-NAMES = ["a", "a", "b", "b", "c", "undeclared"]
-EXPONENTS = ["", "", "", ":1", ":2", ":1/2", ":0", ":-1", ":x", ":1/0"]
+FACTORS = ["a", "b", "c", "a:2", "b:1/2", "c:1"]
+# One script in eight gets a malformed line, and flags are mostly in range, so
+# that most scripts reach a command: one malformed token stops the whole script.
+MALFORMED = [
+    "lct", "lct a b", "lct a:2", "mld", "mld undeclared", "notlc a:0", "crosschar b:-1",
+    "mld a:x", "notlc b:1/0",
+]
+CAPS = [1, 2, 3] * 4 + [-2, -1, 0]
+WEIGHT_BOUNDS = [1, 2, 8, 100, 10**8] * 3 + [0, -1]  # lct b searches the toric box
 
 
 @st.composite
 def estimator_scripts(draw):
     lines = [f"ring N=2 p={draw(st.sampled_from([0, 2, 3, 5, 7]))}", FUZZ_IDEALS]
     for _ in range(draw(st.integers(1, 2))):
-        tokens = [
-            draw(st.sampled_from(NAMES)) + draw(st.sampled_from(EXPONENTS))
-            for _ in range(draw(st.integers(0, 2)))
-        ]
         command = draw(st.sampled_from(["lct", "mld", "notlc", "crosschar"]))
+        if command == "lct":
+            tokens = [draw(st.sampled_from(["a", "b", "c"]))]
+        else:
+            tokens = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2))
         lines.append(" ".join([command] + tokens))
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(draw(st.integers(2, len(lines))), draw(st.sampled_from(MALFORMED)))
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=150)
 @given(
     script=estimator_scripts(),
-    cap=st.integers(-2, 3),
+    cap=st.sampled_from(CAPS),
     budget=st.one_of(st.integers(-1, 8), st.integers(-1, 100_000)),
+    weight_bound=st.sampled_from(WEIGHT_BOUNDS),
 )
-def test_estimator_commands_exit_with_a_contract_code(script, cap, budget):
+@example(  # before the box was bounded, this searched 10^16 weights
+    script=f"ring N=2 p=0\n{FUZZ_IDEALS}\nlct b\n", cap=1, budget=100_000, weight_bound=10**8,
+)
+def test_estimator_commands_exit_with_a_contract_code(script, cap, budget, weight_bound):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "script.tv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(script)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--script", path, "--cap", str(cap), "--gb-budget", str(budget)])
+            code = main(["--script", path, "--cap", str(cap), "--gb-budget", str(budget),
+                         "--weight-bound", str(weight_bound)])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code:
@@ -728,6 +768,14 @@ REST_TOKENS = [
     "0", "2", "-1", "99999999999999999999",
     "e=(1/2)", "e=1", "e=(1,1)", "e=1/0", "tamper",
 ]
+# Most lines are drawn whole from these, so that most scripts reach a command;
+# one line in eight is drawn token by token above and is mostly malformed.
+WELL_FORMED = [
+    "keval T", "keval T divisor=1", "veval T a", "veval T d divisor=1", "logdisc T a:1/2 b:2",
+    "logdisc T d", "zeval T a", "zeval T b divisor=1", "bridge T a", "bridge T a b e=(1,1/2)",
+    "bridge T d tamper", "suspend T", "suspend T b", "heights a", "heights d", "jets b",
+    "jets a 2", "selftest",
+]
 
 
 @st.composite
@@ -739,6 +787,9 @@ def tower_command_scripts(draw):
         f"tower T: {draw(st.sampled_from(FUZZ_TOWERS))}",
     ]
     for _ in range(draw(st.integers(1, 2))):
+        if draw(st.integers(0, 7)):
+            lines.append(draw(st.sampled_from(WELL_FORMED)))
+            continue
         command = draw(st.sampled_from(sorted(OTHER_COMMANDS)))
         tokens = [draw(st.sampled_from(OTHER_COMMANDS[command]))] if OTHER_COMMANDS[command] else []
         tokens += [draw(st.sampled_from(REST_TOKENS)) for _ in range(draw(st.integers(0, 3)))]

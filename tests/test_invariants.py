@@ -211,6 +211,16 @@ def test_search_rejects_bad_inputs():
         toric_weight_search(I(QQ, 2, "3"), 3)
     with pytest.raises(ValueError):
         toric_weight_search(coordinate_ideal(QQ, 2), 0)
+    with pytest.raises(errors.BudgetExceeded, match="weight bound 317 in 2 variables"):
+        toric_weight_search(coordinate_ideal(QQ, 2), 317)
+    with pytest.raises(errors.BudgetExceeded, match="weight bound 47 in 3 variables"):
+        toric_weight_search(coordinate_ideal(QQ, 3), 47)
+    with pytest.raises(errors.BudgetExceeded, match="weight bound 100000000 in 3 variables"):
+        toric_weight_search(coordinate_ideal(QQ, 3), 10**8)  # 10^24 weights: no loop could end
+
+
+def test_search_scores_a_box_at_the_bound():
+    assert toric_weight_search(coordinate_ideal(QQ, 3), 46).weights == (1, 1, 1)
 
 
 # -- non log canonical certificates ------------------------------------------------

@@ -1,7 +1,8 @@
 """Charts derive their frames and divisor equations on first read; toric
-searches build each blow-up prefix once.  Neither may change a result.
-The Jacobian check of k, which expands the frame's full determinant,
-agrees with the containment recursion on every step."""
+searches score weights by arithmetic and build only the winner's tower.
+Neither may change a result.  The Jacobian check of k, which expands the
+frame's full determinant, agrees with the containment recursion on every
+step."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from towerval import invariants, tower
+from towerval import errors, invariants, tower
 from towerval.invariants import LctWitness, realize_toric_weight, toric_weight_search
 from towerval.polyring import GF, QQ, Ideal, Polynomial, parse_polynomial
 from towerval.tower import (
@@ -288,20 +289,20 @@ def test_deep_tower_frame_does_not_recurse_per_level():
     assert [f.text() for f in frame] == ["x1*x2^200", "x2"]
 
 
-# -- toric prefixes --------------------------------------------------------------
+# -- toric search ----------------------------------------------------------------
 
 
 def monomial_ideal(dom, n, text):
     return Ideal(dom, n, [parse_polynomial(g, dom, n) for g in text.split(",")])
 
 
-def test_toric_search_builds_each_prefix_once(monkeypatch):
+def test_toric_search_realizes_only_the_winner(monkeypatch):
     centers = []
     real = invariants.blow_up
     monkeypatch.setattr(invariants, "blow_up", lambda t, c: centers.append(c) or real(t, c))
     witness = toric_weight_search(monomial_ideal(GF(101), 3, "x1^2, x2^2, x3^3"), 5)
     assert (witness.z, witness.weights) == (Fraction(4, 3), (3, 3, 2))
-    assert len(centers) == 115
+    assert len(centers) == 3
 
 
 def fresh_search(a, bound):
@@ -318,7 +319,7 @@ def fresh_search(a, bound):
     return best
 
 
-def test_shared_prefixes_give_the_fresh_witness():
+def test_the_arithmetic_search_gives_the_fresh_witness():
     cases = [
         (QQ, 2, "x1^2, x2^3"),
         (GF(7), 2, "x1*x2^2, x1^5"),
@@ -329,3 +330,25 @@ def test_shared_prefixes_give_the_fresh_witness():
         a = monomial_ideal(dom, n, text)
         for bound in range(1, 6):
             assert toric_weight_search(a, bound) == fresh_search(a, bound), (text, bound)
+
+
+@st.composite
+def monomial_ideals(draw):
+    dom = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = draw(st.integers(2, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    gens = draw(st.lists(exponents, min_size=1, max_size=3, unique=True))
+    return Ideal(dom, n, [Polynomial(dom, n, {m: 1}) for m in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=monomial_ideals(), bound=st.integers(1, 4))
+def test_the_toric_search_equals_the_fresh_search(a, bound):
+    assert toric_weight_search(a, bound) == fresh_search(a, bound)
+
+
+def test_a_tower_valuation_off_the_arithmetic_fails_the_search(monkeypatch):
+    real = invariants.valuation
+    monkeypatch.setattr(invariants, "valuation", lambda t, did, a: real(t, did, a) + 1)
+    with pytest.raises(errors.MathCheckFailed, match="grid valuation 6 != tower valuation 7"):
+        toric_weight_search(monomial_ideal(QQ, 2, "x1^2, x2^3"), 4)
