@@ -222,10 +222,12 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
 def shifted_log_discrepancy_check(report: BridgeReport, exponent_vectors) -> BridgeReport:
     """Verify the 2(n-1) shift of log discrepancies for each exponent vector.
 
-    Both sides are evaluated from scratch, one over the prime field on
-    the input divisor and one over the rationals on the final divisor,
-    rather than being derived from the k and v identities already in
-    the report.
+    Both sides recompute a from the towers' discrepancies and valuations,
+    one over the prime field on the input divisor and one over the
+    rationals on the final divisor, rather than deriving it from the k and
+    v identities already in the report.  The valuations may read total
+    transforms that ``bridge_construct`` left in the charts' memos: those
+    equal a pull from the root.
     """
     shifted = list(report.shifted)
     for evec in exponent_vectors:

@@ -21,7 +21,10 @@ map with a sign (``+``, ``-``, negation and the sum of substituted
 terms), ``_add_multiple`` adds a monomial multiple of a map without
 its leading term and returns the monomials that entered (the reduction
 step of ``jets``), ``_chart_pullback`` pulls a map back through one
-blow-up chart by rewriting its exponents, and ``_vanishes_on`` restricts
+blow-up chart by rewriting its exponents (a coordinate with a nonzero
+center constant is expanded by a binomial row, which ``_binomial_row``
+keeps in a table bounded by ``_ROW_TABLE_SIZE`` and keyed by the field,
+the constant and the power), and ``_vanishes_on`` restricts
 a map to a blow-up center and tests the result for zero (containment of
 a center in a divisor).  The pullback kernel is the one pullback of the
 package: frames, divisor equations, weak transforms and valuations all
@@ -40,6 +43,7 @@ No floating point appears anywhere in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -527,10 +531,13 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     x_j -> c_j + u_pivot*u_j for the other constrained j, and x_j -> u_j
     off the center.  Each term's exponent tuple is rewritten: u_pivot takes
     the degree over the constrained coordinates whose constant is 0, and
-    only a coordinate with a nonzero constant is expanded, binomially.
-    Sums are reduced as in ``_add_into``.  A binomial coefficient that
-    vanishes mod p (C(p, k) for 0 < k < p) is dropped from its row, so a
-    product of row entries is never zero and never stored.
+    only a coordinate with a nonzero constant is expanded, binomially, by
+    the row ``_binomial_row`` keeps for it: one choice of k_j per such
+    coordinate gives u_j^k_j (u_pivot^k_pivot for the pivot) times
+    u_pivot^(sum of the k_j), and each output monomial is built once, in
+    one list.  Sums are reduced as in ``_add_into``.  A binomial
+    coefficient that vanishes mod p (C(p, k) for 0 < k < p) is not in its
+    row, so a product of row entries is never zero and never stored.
     """
     p = dom.p
     flat = [j for j, c in center if not c]
@@ -545,18 +552,21 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     get = acc.get
     for m, c in terms.items():
         base = list(m)
-        base[pivot] = sum([m[j] for j in flat])
-        factors = []
+        low = sum([m[j] for j in flat])
+        js, rows = [], []
         for j, cj in shifted:
             e = m[j]
             if e:
-                if j != pivot:
-                    base[j] = 0
-                factors.append(_binomial_row(p, len(m), pivot, j, cj, e))
-        pieces = [(tuple(base), c)]
-        for row in factors:
-            pieces = [(tuple(map(_add, mono, d)), a * b) for mono, a in pieces for d, b in row]
-        for mono, a in pieces:
+                js.append(j)
+                rows.append(_binomial_row(p, cj, e))
+        for choice in itertools.product(*rows):
+            deg, a = low, c
+            for j, (k, b) in zip(js, choice):
+                base[j] = k
+                deg += k
+                a *= b
+            base[pivot] = deg  # after the loop: the pivot may be one of js
+            mono = tuple(base)
             old = get(mono)
             if old is not None:
                 a += old
@@ -599,19 +609,29 @@ def _vanishes_on(dom: Domain, terms: dict, center: tuple) -> bool:
     return not any(c % p if p else c for c in acc.values())
 
 
-def _binomial_row(p, n: int, pivot: int, j: int, c, e: int) -> list:
-    """(c + u_pivot*u_j)^e, or (c + u_pivot)^e when j is the pivot, as
-    (exponent shift, coefficient) pairs with the coefficients that vanish
-    mod p left out."""
-    row = []
-    for k in range(e + 1):
-        b = math.comb(e, k) * pow(c, e - k, p)
-        if p:
-            b %= p
-        if b:
-            shift = [0] * n
-            shift[pivot] = shift[j] = k
-            row.append((tuple(shift), b))
+# The rows of _chart_pullback, keyed by (p, c, e): the charts of a tower expand
+# the same few powers of the same center constants over and over.  The table
+# holds at most _ROW_TABLE_SIZE rows and drops its oldest one when full.
+_ROW_TABLE_SIZE = 256
+_row_table: dict = {}
+
+
+def _binomial_row(p, c, e: int) -> tuple:
+    """(c + u)^e as (k, coefficient of u^k) pairs, with the coefficients
+    that vanish mod p left out; p is None over QQ."""
+    key = (p, c, e)
+    row = _row_table.get(key)
+    if row is None:
+        row = []
+        for k in range(e + 1):
+            b = math.comb(e, k) * pow(c, e - k, p)
+            if p:
+                b %= p
+            if b:
+                row.append((k, b))
+        if len(_row_table) >= _ROW_TABLE_SIZE:
+            del _row_table[next(iter(_row_table))]
+        row = _row_table[key] = tuple(row)
     return row
 
 

@@ -16,19 +16,23 @@ equation for the proper transform of every divisor that meets the chart
 (one that becomes a nonzero constant is dropped: it never vanishes on a
 center or at a point, so a tower costs time linear in depth).  A blow-up
 records only each new chart's pivot and center constraints, which fix its
-pullback; the frame and the equations are pulled back from the parent chart
-by one exponent-rewriting kernel the first time they are read, and then kept.
-Towers are immutable and share their charts with every tower extended from
-them, so a chart's frame is computed at most once.  The pivot orders of
-the frame's coordinates, kept per chart like the frame, give a divisorial
-valuation term by term: a unique lowest term order is the answer, and only
-on a tie is the polynomial pulled down the chart chain from the root, as
-weak transforms are.  ``Chart.pull`` is the one pullback: nothing here
-calls ``Polynomial.substitute``, which stays in ``polyring`` as the
-reference ring map.  The local equations make containment of a center in
-an earlier divisor an exact test: the equation is restricted to the center
-(x_j = c_j on the constrained coordinates) and the restriction checked for
-zero, which is the same as u_l dividing its pullback.  Containment drives
+pullback.  Everything else a chart knows sits in one memo per chart, filled
+by one rule: walk up to the nearest chart that holds the value, pull it down
+one chart at a time by one exponent-rewriting kernel, and keep it in every
+chart on the way.  The frame and the equations are filled so on first read,
+and so are the total transforms that valuations read on a tie and the weak
+transforms of ideals.  Towers are immutable and share their charts with
+every tower extended from them, so each value is pulled through a chart at
+most once, and the memo lives exactly as long as its chart.  The pivot
+orders of the frame's coordinates, kept per chart like the frame, give a
+divisorial valuation term by term: a unique lowest term order is the
+answer, and only on a tie is the total transform read.  ``Chart.pull`` is
+the one pullback: nothing here calls ``Polynomial.substitute``, which stays
+in ``polyring`` as the reference ring map.  The local equations make
+containment of a center in an earlier divisor an exact test: the equation
+is restricted to the center (x_j = c_j on the constrained coordinates) and
+the restriction checked for zero, which is the same as u_l dividing its
+pullback.  Containment drives
 the discrepancy recursion
 
     k_new = (|S| - 1) + sum of k over divisors containing the center.
@@ -74,23 +78,21 @@ class Chart:
     center's (index, constant) pairs) fix the pullback from the parent chart
     (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
     local equation, never a constant, of each divisor meeting the chart;
-    ``pivot_orders``: the pivot's order on each frame coordinate (all three
-    derived on first read).
+    ``pivot_orders``: the pivot's order on each frame coordinate.  These,
+    and the total and weak transforms read through the chart, are derived
+    on first read and kept in the chart's one memo, filled by ``_derive``.
     """
 
-    __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_frame", "_eqs",
-                 "_orders")
+    __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_memo")
 
-    def __init__(self, cid, up, pivot, step, constraints, ring, frame=None, divisor_eqs=None):
+    def __init__(self, cid, up, pivot, step, constraints, ring, memo=None):
         _set_cid(self, cid)
         _set_up(self, up)
         _set_pivot(self, pivot)
         _set_step(self, step)
         _set_constraints(self, constraints)
         _set_ring(self, ring)
-        _set_frame(self, frame)
-        _set_eqs(self, divisor_eqs)
-        _set_orders(self, None)
+        _set_memo(self, {} if memo is None else memo)
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -101,31 +103,37 @@ class Chart:
 
     @property
     def frame(self) -> tuple:
-        return self._frame if self._frame is not None else self._derive("_frame", _pull_frame)
+        return self._derive("frame", _pull_frame)
 
     @property
     def divisor_eqs(self) -> dict:
-        return self._eqs if self._eqs is not None else self._derive("_eqs", _pull_divisor_eqs)
+        return self._derive("eqs", _pull_divisor_eqs)
 
     @property
     def pivot_orders(self) -> tuple:
         """The pivot's order on each frame coordinate: v(x_i) for the
         divisor of the step that made this chart."""
-        if self._orders is None:
+        orders = self._memo.get("orders")
+        if orders is None:
             pivot = self.pivot
-            _set_orders(self, tuple(g.var_min_exponent(pivot) for g in self.frame))
-        return self._orders
+            orders = self._memo["orders"] = tuple(g.var_min_exponent(pivot) for g in self.frame)
+        return orders
 
-    def _derive(self, slot, pull):
-        """Walk up to the nearest chart that has the slot, then fill it downward."""
+    def _derive(self, key, pull, base=None):
+        """The memo's value at ``key``: walk up to the nearest chart that
+        holds it (or to the root, whose value is ``base`` if it holds none),
+        then pull it down one chart at a time with ``pull(chart, value)``,
+        keeping it in every chart on the way."""
         path, chart = [], self
-        while getattr(chart, slot) is None:
+        value = chart._memo.get(key)
+        while value is None and chart._up is not None:
             path.append(chart)
             chart = chart._up
-        value = getattr(chart, slot)
+            value = chart._memo.get(key)
+        if value is None:
+            value = base
         for chart in reversed(path):
-            value = pull(chart, value)
-            object.__setattr__(chart, slot, value)
+            value = chart._memo[key] = pull(chart, value)
         return value
 
     def pull(self, f: Polynomial) -> Polynomial:
@@ -135,16 +143,14 @@ class Chart:
 
 
 # The slot descriptors' setters, bound once: ``__setattr__`` raises, and
-# these and ``_derive`` are the only writers of a Chart's fields.
+# these are the only writers of a Chart's fields.
 _set_cid = Chart.cid.__set__
 _set_up = Chart._up.__set__
 _set_pivot = Chart.pivot.__set__
 _set_step = Chart.step.__set__
 _set_constraints = Chart.constraints.__set__
 _set_ring = Chart._ring.__set__
-_set_frame = Chart._frame.__set__
-_set_eqs = Chart._eqs.__set__
-_set_orders = Chart._orders.__set__
+_set_memo = Chart._memo.__set__
 
 
 def _pull_frame(chart: Chart, frame: tuple) -> tuple:
@@ -163,6 +169,18 @@ def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
             out[did] = g
     out[chart.step] = Polynomial.variable(*chart._ring, pivot)
     return out
+
+
+def _pull_weak(chart: Chart, value: tuple) -> tuple:
+    """Pull the parent's weak transform back and strip the new divisor:
+    divide every generator by the least power of the pivot they carry.
+    Returns the generators and that power."""
+    pivot = chart.pivot
+    gens = [chart.pull(g) for g in value[0]]
+    drop = min(g.var_min_exponent(pivot) for g in gens)
+    if drop:
+        gens = [g.divide_var_power(pivot, drop) for g in gens]
+    return tuple(gens), drop
 
 
 class Step(namedtuple("Step", "did k home_chart contained_in center chart_ids")):
@@ -226,7 +244,7 @@ def new_tower(n: int, domain: Domain) -> Tower:
     if not isinstance(n, int) or n < 2:
         raise BadDimension(f"towers need ambient dimension >= 2, got {n!r}")
     frame = tuple(Polynomial.variable(domain, n, i) for i in range(n))
-    root = Chart(0, None, None, 0, None, (domain, n), frame=frame, divisor_eqs={})
+    root = Chart(0, None, None, 0, None, (domain, n), memo={"frame": frame, "eqs": {}})
     return Tower(domain, n, (root,), ())
 
 
@@ -271,16 +289,6 @@ def blow_up(t: Tower, center: CenterSpec):
 # -- valuations ---------------------------------------------------------------
 
 
-def _chain(chart: Chart) -> list:
-    """The charts from the root (excluded) down to ``chart``, in pull order."""
-    path = []
-    while chart._up is not None:
-        path.append(chart)
-        chart = chart._up
-    path.reverse()
-    return path
-
-
 def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     """Order of the total transform of f along the divisor, in its home chart.
 
@@ -288,9 +296,11 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     so a term c*x^m pulls back to order <m, o>, where o_i is the pivot order
     of the frame's i-th coordinate (kept per chart, ``Chart.pivot_orders``,
     so each chart computes it once).  A unique lowest term order is the
-    answer; on a tie the lowest terms may cancel, so f is pulled chart by
-    chart down to the home chart and the total transform read instead (as
-    it is for the zero polynomial, which raises).
+    answer; on a tie the lowest terms may cancel, so the total transform
+    of f is read instead (as it is for the zero polynomial, which raises).
+    It comes from the home chart's memo, keyed by f: a repeated tie pulls
+    nothing, and a first one pulls f only through the charts below the
+    nearest one that already holds it.
     """
     rec = t.divisor(did)
     if f.domain != t.domain or f.nvars != t.n:
@@ -301,9 +311,7 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     low = min(orders, default=None)
     if low is not None and orders.count(low) == 1:
         return low
-    for ch in _chain(chart):
-        f = ch.pull(f)
-    return f.var_min_exponent(chart.pivot)
+    return chart._derive(f, Chart.pull, f).var_min_exponent(chart.pivot)
 
 
 def valuation(t: Tower, did: int, a: Ideal) -> int:
@@ -315,22 +323,24 @@ def valuation(t: Tower, did: int, a: Ideal) -> int:
 def weak_transform(t: Tower, a: Ideal, chart_id: int):
     """Transform a base ideal into a chart, stripping each step's divisor.
 
-    Walks the chart's parent chain from the root.  At every step the
+    Follows the chart's parent chain from the root.  At every step the
     generators are pulled back and then all divided by the step's pivot to
     the minimal power it carries, so the zero locus of the result contains
-    no whole exceptional divisor of the chain.
+    no whole exceptional divisor of the chain.  Each chart keeps its
+    generators and stripped power in its memo, keyed by the generator
+    tuple, so a later call pulls only through the charts below the nearest
+    one that holds them.
 
     Returns (Ideal in chart coordinates, [(divisor id, stripped power)]).
     """
     t._check_base_ideal(a)
-    gens = list(a.gens)
+    key, chart = a.gens, t.chart(chart_id)
+    gens = chart._derive(key, _pull_weak, (key, 0))[0]
     removed = []
-    for ch in _chain(t.chart(chart_id)):
-        gens = [ch.pull(g) for g in gens]
-        drop = min(g.var_min_exponent(ch.pivot) for g in gens)
-        if drop:
-            gens = [g.divide_var_power(ch.pivot, drop) for g in gens]
-        removed.append((ch.step, drop))
+    while chart._up is not None:
+        removed.append((chart.step, chart._memo[key][1]))
+        chart = chart._up
+    removed.reverse()
     return Ideal(t.domain, t.n, gens), removed
 
 

@@ -120,6 +120,17 @@ def center_images(dom, n, constraints) -> list:
             for j in range(n)]
 
 
+def chart_chain(t: Tower, cid: int) -> list:
+    """The reference walk: the charts from the root (excluded) down to
+    chart cid, in the order a polynomial is pulled through them."""
+    path, chart = [], t.chart(cid)
+    while chart.parent is not None:
+        path.append(chart)
+        chart = t.chart(chart.parent)
+    path.reverse()
+    return path
+
+
 def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:
     """Other-chart views of a point center, for chart-independence checks.
 

@@ -22,7 +22,7 @@ from towerval.polyring import (
     coordinate_ideal,
     parse_polynomial,
 )
-from towerval.tower import CenterSpec, blow_up, new_tower, point_on_divisor_avoiding
+from towerval.tower import Chart, CenterSpec, blow_up, new_tower, point_on_divisor_avoiding
 
 from oracles import describe
 
@@ -130,6 +130,31 @@ def test_bridge_points_stay_off_everything_else():
     tp = report.tower_p
     assert tp.divisor(report.middle_divisor).contained_in == (report.input_divisor,)
     assert tp.divisor(report.final_divisor).contained_in == (report.middle_divisor,)
+
+
+def test_the_second_weak_transform_pulls_through_the_new_chart_only(monkeypatch):
+    # the first walk keeps each weak transform in E's home chart, and the
+    # second point's home chart is a child of it
+    pulls, walks = [], []
+    real_pull, real_weak = Chart.pull, bridge.weak_transform
+    monkeypatch.setattr(Chart, "pull", lambda ch, f: pulls.append(ch.cid) or real_pull(ch, f))
+
+    def weak(t, a, cid):
+        start = len(pulls)
+        out = real_weak(t, a, cid)
+        walks.append((t.chart(cid), len(a.gens), pulls[start:]))
+        return out
+
+    monkeypatch.setattr(bridge, "weak_transform", weak)
+    dom = GF(5)
+    ideals = [I(dom, 2, "x1^2 + x2^3"), coordinate_ideal(dom, 2)]
+    report = bridge_construct(origin_tower(dom, depth=2), ideals)
+    assert report.k_f == 4
+    assert len(walks) == 4
+    first, second = walks[:2], walks[2:]
+    for (home, _, _), (chart, ngens, pulled) in zip(first, second):
+        assert chart.parent == home.cid
+        assert pulled == [chart.cid] * ngens
 
 
 def test_bridge_rejects_bad_inputs():

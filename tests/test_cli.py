@@ -140,6 +140,20 @@ def test_bridge_on_a_branching_tower(tmp_path, capsys):
     assert "E=3 F1=4 F=5" in out
 
 
+def test_a_repeated_bridge_reads_its_charts_memos_and_prints_the_same_block(tmp_path, capsys):
+    # the general point x2 = 1 is a shifted center
+    text = (
+        "ring N=2 p=5\nideal a: x1^2 + x2^3\n"
+        "tower T: blowup chart=root point=(0,0); blowup chart=2 point=(1,0)\n"
+        "bridge T a\nbridge T a\n"
+    )
+    code, out, err = run_main(tmp_path, capsys, text)
+    assert (code, err) == (0, "")
+    one, two = out.split("# command 1: bridge T a\n")[1].split("\n# command 2: bridge T a\n")
+    assert one.rstrip("\n") == two.rstrip("\n")
+    assert "k_E=2 k_F=4" in one and "P1=(chart=3,x1=0,x2=1)" in one
+
+
 def test_logdisc_and_zeval(tmp_path, capsys):
     text = BASIC + "logdisc T a:3\nzeval T a\n"
     code, out, _ = run_main(tmp_path, capsys, text)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from towerval import acceptance_corpus, build_case, errors
+from towerval import acceptance_corpus, build_case, errors, polyring
 from towerval.jets import grevlex_key
 from towerval.polyring import (
     GF,
@@ -33,9 +33,9 @@ from towerval.polyring import (
     mono_lcm,
     parse_polynomial,
 )
-from towerval.tower import CenterSpec, _chain, blow_up, new_tower
+from towerval.tower import CenterSpec, blow_up, new_tower
 
-from oracles import center_images, chart_images
+from oracles import center_images, chart_chain, chart_images
 
 DOMAINS = {"GF2": GF(2), "GF7": GF(7), "GF101": GF(101), "QQ": QQ}
 
@@ -208,7 +208,7 @@ def tower_digest(case):
         for f in chart.frame:
             h.update(f"frame {f.text()}\n".encode())
         # a divisor of the chain that has left the chart reads as its unit equation 1
-        for did in sorted(ch.step for ch in _chain(chart)):
+        for did in sorted(ch.step for ch in chart_chain(t, chart.cid)):
             eq = chart.divisor_eqs.get(did)
             h.update(f"E{did} {'1' if eq is None else eq.text()}\n".encode())
     return h.hexdigest()[:16]
@@ -372,6 +372,21 @@ def test_binomial_coefficients_that_vanish_mod_p_are_not_stored():
     assert chart.pivot == 0
     assert chart.pull(parse_polynomial("x1^5", dom, 2)).text() == "x1^5 + 1"
     assert chart.pull(parse_polynomial("x1^5 - 1", dom, 2)).text() == "x1^5"
+
+
+def test_each_field_expands_the_same_power_by_its_own_row():
+    # (c + u)^5 at c = 1 is one row over every field, keyed by the field
+    polyring._row_table.clear()
+    expected = {
+        GF(5): "x1^5 + 1",
+        GF(7): "x1^5 + 5*x1^4 + 3*x1^3 + 3*x1^2 + 5*x1 + 1",
+        QQ: "x1^5 + 5*x1^4 + 10*x1^3 + 10*x1^2 + 5*x1 + 1",
+    }
+    for dom in (GF(5), GF(7), QQ, GF(5)):
+        f = parse_polynomial("x1^5", dom, 2)
+        pulled = blowup_pull(f, 0, (1, 0))
+        assert pulled == f.substitute(blowup_images(dom, 2, 0, (1, 0)))
+        assert pulled.text() == expected[dom]
 
 
 @given(chart_pullback_inputs())

@@ -179,9 +179,14 @@ def test_tied_lowest_terms_can_cancel(dom, monkeypatch):
     calls = _record_pullbacks(monkeypatch)
     assert valuation_of_poly(t, did, P("x2 - x1", dom)) == 2
     assert valuation_of_poly(t, did, P("x2 + x1", dom)) == 1
-    # each tie pulls f once through every chart from the root to the home chart
+    # the first tie of an f pulls it once through every chart from the root
+    # to the home chart, which keep it: a repeated tie pulls nothing
     home = t.chart(t.divisor(did).home_chart)
     assert calls == {"pull": [home.parent, home.cid] * 2, "substitute": []}
+    calls["pull"].clear()
+    assert valuation_of_poly(t, did, P("x2 - x1", dom)) == 2
+    assert valuation_of_poly(t, did, P("x2 + x1", dom)) == 1
+    assert calls == {"pull": [], "substitute": []}
 
 
 def test_unique_lowest_term_expands_nothing(monkeypatch):

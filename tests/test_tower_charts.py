@@ -1,8 +1,8 @@
-"""Charts derive their frames and divisor equations on first read; toric
-searches score weights by arithmetic and build only the winner's tower.
-Neither may change a result.  The Jacobian check of k, which expands the
-frame's full determinant, agrees with the containment recursion on every
-step."""
+"""Charts derive their frames, divisor equations and the transforms read
+through them on first read and keep them; toric searches score weights by
+arithmetic and build only the winner's tower.  Neither may change a result.
+The Jacobian check of k, which expands the frame's full determinant,
+agrees with the containment recursion on every step."""
 
 from __future__ import annotations
 
@@ -27,9 +27,10 @@ from towerval.tower import (
     suspend,
     valuation,
     valuation_of_poly,
+    weak_transform,
 )
 
-from oracles import center_images, chart_images, equivalent_center_specs
+from oracles import center_images, chart_chain, chart_images, equivalent_center_specs
 
 DOMAINS = (GF(2), GF(3), GF(5), QQ)
 
@@ -226,6 +227,62 @@ def test_valuations_match_the_expanded_total_transform(data):
         assert v_g == expanded_valuation(t, did, g)
         assert valuation_of_poly(t, did, f * g) == v_f + v_g
         assert (valuation_of_poly(s, did, f_s), valuation_of_poly(s, did, g_s)) == (v_f, v_g)
+
+
+def walked_valuation(t, did, f):
+    """The order along the divisor of f pulled from the root to its home
+    chart, every time: no memo and no pivot orders."""
+    chart = t.chart(t.divisor(did).home_chart)
+    for ch in chart_chain(t, chart.cid):
+        f = ch.pull(f)
+    return f.var_min_exponent(chart.pivot)
+
+
+def walked_weak_transform(t, a, cid):
+    """The weak transform pulled from the root to chart cid, every time."""
+    gens, removed = list(a.gens), []
+    for ch in chart_chain(t, cid):
+        gens = [ch.pull(g) for g in gens]
+        drop = min(g.var_min_exponent(ch.pivot) for g in gens)
+        gens = [g.divide_var_power(ch.pivot, drop) for g in gens]
+        removed.append((ch.step, drop))
+    return Ideal(t.domain, t.n, gens), removed
+
+
+def replayed(t):
+    """The same tower, blown up afresh: charts with empty memos."""
+    out = new_tower(t.n, t.domain)
+    for step in t.steps:
+        out, _ = blow_up(out, step.center)
+    return out
+
+
+@given(st.data())
+def test_memoized_transforms_equal_a_walk_from_the_root(data):
+    """Valuations and weak transforms, each asked twice in a drawn order on
+    one tower, so that memo hits come both before and after misses, equal
+    the walk from the root and the answers of a fresh tower."""
+    t = data.draw(towers())
+    dom, n = t.domain, t.n
+    polys = data.draw(st.lists(sparse_polys(dom, n), min_size=1, max_size=3))
+    dids = data.draw(st.lists(st.integers(1, len(t.steps)), min_size=1, max_size=3))
+    cids = data.draw(st.lists(st.integers(0, len(t.charts) - 1), min_size=1, max_size=3))
+    ideals = [Ideal(dom, n, polys[:k]) for k in sorted({1, len(polys)})]
+    asks = ([("v", did, a) for did in dids for a in ideals]
+            + [("w", cid, a) for cid in cids for a in ideals])
+    asks = data.draw(st.permutations(asks * 2))
+    answers = []
+    for kind, where, a in asks:
+        if kind == "v":
+            got = valuation(t, where, a)
+            assert got == min(walked_valuation(t, where, g) for g in a.gens)
+        else:
+            got = weak_transform(t, a, where)
+            assert got == walked_weak_transform(t, a, where)
+        answers.append(got)
+    fresh = replayed(t)
+    assert answers == [valuation(fresh, where, a) if kind == "v" else weak_transform(fresh, a, where)
+                       for kind, where, a in asks]
 
 
 @given(st.data())
