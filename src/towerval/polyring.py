@@ -24,12 +24,12 @@ step of ``jets``), ``_chart_pullback`` pulls a map back through one
 blow-up chart by rewriting its exponents (a coordinate with a nonzero
 center constant is expanded by a binomial row, which ``_binomial_row``
 keeps in a table bounded by ``_ROW_TABLE_SIZE`` and keyed by the field,
-the constant and the power), and ``_vanishes_on`` restricts
-a map to a blow-up center and tests the result for zero (containment of
-a center in a divisor).  The pullback kernel is the one pullback of the
-package: frames, divisor equations, weak transforms and valuations all
-go through ``tower.Chart.pull``.  ``substitute``, the general ring map,
-is the reference the tests check both kernels against; nothing else in
+the constant and the power), and ``_order_on`` gives the order of a map
+along a blow-up center (the valuation of the divisor the center makes;
+order >= 1 is containment).  The pullback kernel is the one pullback of
+the package: frames, divisor equations, weak and total transforms all go
+through ``tower.Chart.pull``.  ``substitute``, the general ring map, is the
+reference the tests check both kernels against; nothing else in
 the package calls it.  ``Domain`` keeps only
 ``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
 ``evaluate`` end with it), and ``inv``.  ``lift_to_q`` is the one map
@@ -579,34 +579,40 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     return acc
 
 
-def _vanishes_on(dom: Domain, terms: dict, center: tuple) -> bool:
-    """Whether the term map is zero on the center {x_j = c_j}.
+def _order_on(dom: Domain, terms: dict, center: tuple) -> int:
+    """The order of the term map along the center {x_j = c_j}, given as
+    (index, constant) pairs: its least degree in the x_j - c_j.
 
-    ``center`` holds (index, constant) pairs.  A term with a positive
-    exponent on a coordinate whose constant is 0 drops out; every other term
-    becomes c * prod c_j^m_j times its monomial off the center, and the
-    restriction is zero exactly when those sums all vanish.  This is the
-    pullback to a chart over the center with u_pivot set to 0, so it decides
-    whether u_pivot divides that pullback.
+    A coordinate whose constant is 0 gives its whole exponent, so when all
+    are 0, or one term alone has the least such degree, that degree is the
+    answer.  Otherwise the shifted coordinates are expanded one degree d at
+    a time (u^k in (c + u)^e has coefficient C(e, k) c^(e-k)) up to the
+    first d whose part does not cancel: the pivot order of the pullback to
+    a chart over the center.
     """
+    if not terms:
+        raise ZeroPolynomial("order of the zero polynomial along a center")
     p = dom.p  # None over QQ, where pow(c, e, None) is c ** e
     flat = [j for j, c in center if not c]
     shifted = [(j, c) for j, c in center if c]
-    acc: dict = {}
-    for m, c in terms.items():
-        if any(m[j] for j in flat):
-            continue
-        if not shifted:  # surviving monomials are distinct and keep their coefficients
-            return False
-        rest = list(m)
-        for j, cj in shifted:
-            e = m[j]
-            if e:
-                c *= pow(cj, e, p)
-                rest[j] = 0
-        rest = tuple(rest)
-        acc[rest] = acc.get(rest, 0) + c
-    return not any(c % p if p else c for c in acc.values())
+    lows = [sum([m[j] for j in flat]) for m in terms]
+    d = min(lows)
+    if not shifted or lows.count(d) == 1:  # nothing can cancel at degree d
+        return d
+    while True:
+        acc: dict = {}
+        for (m, c), low in zip(terms.items(), lows):
+            parts = [(m, c, d - low)]  # (monomial, coefficient, degree left)
+            for j, cj in shifted:
+                e = m[j]
+                parts = [(q[:j] + (k,) + q[j + 1:], a * math.comb(e, k) * pow(cj, e - k, p), r - k)
+                         for q, a, r in parts for k in range(min(e, r) + 1)]
+            for q, a, r in parts:
+                if not r:
+                    acc[q] = acc.get(q, 0) + a
+        if any(a % p if p else a for a in acc.values()):
+            return d
+        d += 1
 
 
 # The rows of _chart_pullback, keyed by (p, c, e): the charts of a tower expand

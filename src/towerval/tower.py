@@ -23,17 +23,15 @@ chart on the way.  The frame and the equations are filled so on first read,
 and so are the total transforms that valuations read on a tie and the weak
 transforms of ideals.  Towers are immutable and share their charts with
 every tower extended from them, so each value is pulled through a chart at
-most once, and the memo lives exactly as long as its chart.  The pivot
-orders of the frame's coordinates, kept per chart like the frame, give a
-divisorial valuation term by term: a unique lowest term order is the
-answer, and only on a tie is the total transform read.  ``Chart.pull`` is
-the one pullback: nothing here calls ``Polynomial.substitute``, which stays
-in ``polyring`` as the reference ring map.  The local equations make
-containment of a center in an earlier divisor an exact test: the equation
-is restricted to the center (x_j = c_j on the constrained coordinates) and
-the restriction checked for zero, which is the same as u_l dividing its
-pullback.  Containment drives
-the discrepancy recursion
+most once, and the memo lives exactly as long as its chart.  A step's
+divisor E has v_E(f) = ord_Z(f), the order of f's total transform along
+the center Z in the center's chart (``polyring._order_on``).  So the
+orders of that chart's frame coordinates give v_E term by term: a unique
+lowest term order is the answer, and only a tie takes the order of the
+total transform.  ``Chart.pull`` is the one pullback: nothing here calls
+``Polynomial.substitute``, the reference ring map.  A center lies in an
+earlier divisor exactly when the divisor's local equation has order >= 1
+along it.  Containment drives the discrepancy recursion
 
     k_new = (|S| - 1) + sum of k over divisors containing the center.
 
@@ -56,7 +54,7 @@ from .errors import (
     UnknownDivisor,
     ZeroIdeal,
 )
-from .polyring import Domain, Ideal, Polynomial, _chart_pullback, _vanishes_on
+from .polyring import Domain, Ideal, Polynomial, _chart_pullback, _order_on
 
 
 class CenterSpec(namedtuple("CenterSpec", "chart constraints")):
@@ -78,7 +76,7 @@ class Chart:
     center's (index, constant) pairs) fix the pullback from the parent chart
     (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
     local equation, never a constant, of each divisor meeting the chart;
-    ``pivot_orders``: the pivot's order on each frame coordinate.  These,
+    ``pivot_orders``: v(x_i) for the divisor of the chart's step.  These,
     and the total and weak transforms read through the chart, are derived
     on first read and kept in the chart's one memo, filled by ``_derive``.
     """
@@ -111,12 +109,12 @@ class Chart:
 
     @property
     def pivot_orders(self) -> tuple:
-        """The pivot's order on each frame coordinate: v(x_i) for the
-        divisor of the step that made this chart."""
+        """The order of each of the parent's frame coordinates along the
+        center: v(x_i) for the divisor of the step that made this chart."""
         orders = self._memo.get("orders")
         if orders is None:
-            pivot = self.pivot
-            orders = self._memo["orders"] = tuple(g.var_min_exponent(pivot) for g in self.frame)
+            orders = self._memo["orders"] = tuple(
+                _order_on(g.domain, g.terms, self.constraints) for g in self._up.frame)
         return orders
 
     def _derive(self, key, pull, base=None):
@@ -273,12 +271,8 @@ def blow_up(t: Tower, center: CenterSpec):
         Chart(base_cid + i, chart, pivot, step_no, constraints, (dom, n))
         for i, pivot in enumerate(S)
     )
-    # A divisor contains the center exactly when its local equation restricts
-    # to zero there (which is u_pivot dividing its pullback to a new chart).
-    contained = tuple(
-        did for did, eq in sorted(chart.divisor_eqs.items())
-        if _vanishes_on(dom, eq.terms, constraints)
-    )
+    contained = tuple(did for did, eq in sorted(chart.divisor_eqs.items())
+                      if _order_on(dom, eq.terms, constraints) >= 1)
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
     step = Step(step_no, k, base_cid, contained, CenterSpec(center.chart, constraints),
@@ -290,17 +284,16 @@ def blow_up(t: Tower, center: CenterSpec):
 
 
 def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
-    """Order of the total transform of f along the divisor, in its home chart.
+    """v_E(f) = ord_Z(f): the order of f's total transform along the
+    center Z of E's step, read in the center's chart.
 
-    The pivot order is a valuation on the chart's ring (an integral domain),
-    so a term c*x^m pulls back to order <m, o>, where o_i is the pivot order
-    of the frame's i-th coordinate (kept per chart, ``Chart.pivot_orders``,
-    so each chart computes it once).  A unique lowest term order is the
-    answer; on a tie the lowest terms may cancel, so the total transform
-    of f is read instead (as it is for the zero polynomial, which raises).
-    It comes from the home chart's memo, keyed by f: a repeated tie pulls
-    nothing, and a first one pulls f only through the charts below the
-    nearest one that already holds it.
+    v_E is a valuation, so a term c*x^m has order <m, o>, where o_i =
+    v_E(x_i) (``Chart.pivot_orders``, kept per chart).  A unique lowest
+    term order is the answer; on a tie the lowest terms may cancel, so the
+    order of f's total transform is taken (the zero polynomial raises).
+    That transform comes from the center's chart's memo, keyed by f: a
+    repeated tie pulls nothing, and a first one pulls f only through the
+    charts below the nearest one that holds it, never through E's own.
     """
     rec = t.divisor(did)
     if f.domain != t.domain or f.nvars != t.n:
@@ -311,7 +304,7 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     low = min(orders, default=None)
     if low is not None and orders.count(low) == 1:
         return low
-    return chart._derive(f, Chart.pull, f).var_min_exponent(chart.pivot)
+    return _order_on(t.domain, chart._up._derive(f, Chart.pull, f).terms, chart.constraints)
 
 
 def valuation(t: Tower, did: int, a: Ideal) -> int:

@@ -120,6 +120,17 @@ def center_images(dom, n, constraints) -> list:
             for j in range(n)]
 
 
+def order_along(f, constraints) -> int:
+    """The order of f along the center {x_j = c_j} by the plain route:
+    substitute x_j -> c_j + x_j for the (j, c_j) in ``constraints`` and
+    take the least degree of a term of the result in those x_j."""
+    dom, n = f.domain, f.nvars
+    images = [Polynomial.variable(dom, n, j) for j in range(n)]
+    for j, c in constraints:
+        images[j] = images[j] + Polynomial.constant(dom, n, c)
+    return min(sum(m[j] for j, _ in constraints) for m in f.substitute(images).terms)
+
+
 def chart_chain(t: Tower, cid: int) -> list:
     """The reference walk: the charts from the root (excluded) down to
     chart cid, in the order a polynomial is pulled through them."""

@@ -5,7 +5,8 @@ before it moved onto the term-map helpers (``_mul_terms``/``_add_into``).
 Products, powers and substitutions are determined by their inputs, so the
 kernel must reproduce them byte for byte.  The chart-pullback kernel
 (``_chart_pullback``) must equal ``substitute`` with the chart's images,
-and the restriction kernel (``_vanishes_on``) must say zero exactly when
+and the order kernel (``_order_on``) must equal the order of ``substitute``
+with the center shifted to the origin, which is >= 1 exactly when
 ``substitute`` with the center's images gives zero.
 """
 
@@ -26,16 +27,16 @@ from towerval.polyring import (
     QQ,
     Polynomial,
     _chart_pullback,
-    _vanishes_on,
+    _order_on,
     grlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
     parse_polynomial,
 )
-from towerval.tower import CenterSpec, blow_up, new_tower
+from towerval.tower import CenterSpec, blow_up, new_tower, valuation_of_poly
 
-from oracles import center_images, chart_chain, chart_images
+from oracles import center_images, chart_chain, chart_images, order_along
 
 DOMAINS = {"GF2": GF(2), "GF7": GF(7), "GF101": GF(101), "QQ": QQ}
 
@@ -389,12 +390,35 @@ def test_each_field_expands_the_same_power_by_its_own_row():
         assert pulled.text() == expected[dom]
 
 
+@given(chart_pullback_inputs(), st.integers(0, 3))
+def test_order_on_the_center_equals_the_order_of_the_shifted_substitution(data, k):
+    """And the order adds on products: times the k-th power of the sum of
+    the x_j - c_j, whose lowest parts cancel in the expansion, it grows by k."""
+    f, _, center = data
+    dom, n = f.domain, f.nvars
+    if f.is_zero():
+        with pytest.raises(errors.ZeroPolynomial):
+            _order_on(dom, f.terms, center)
+        return
+    order = order_along(f, center)
+    assert _order_on(dom, f.terms, center) == order
+    line = Polynomial.zero(dom, n)
+    for j, c in center:
+        line = line + Polynomial.variable(dom, n, j) - Polynomial.constant(dom, n, c)
+    assert _order_on(dom, (f * line**k).terms, center) == order + k
+
+
 @given(chart_pullback_inputs())
 def test_vanishing_on_the_center_equals_the_center_substitution(data):
     f, _, center = data
     dom, n = f.domain, f.nvars
     on_center = f.substitute(center_images(dom, n, center))
-    assert _vanishes_on(dom, f.terms, center) == on_center.is_zero()
+    if f.is_zero():  # the zero map has no order, and vanishes everywhere
+        assert on_center.is_zero()
+        with pytest.raises(errors.ZeroPolynomial):
+            _order_on(dom, f.terms, center)
+    else:
+        assert (_order_on(dom, f.terms, center) >= 1) == on_center.is_zero()
 
 
 @pytest.mark.parametrize("dom, text, center, vanishes", [
@@ -409,8 +433,18 @@ def test_vanishing_on_the_center_equals_the_center_substitution(data):
 ])
 def test_vanishing_on_the_center_examples(dom, text, center, vanishes):
     f = parse_polynomial(text, dom, 3)
-    assert _vanishes_on(dom, f.terms, center) is vanishes
+    assert (_order_on(dom, f.terms, center) >= 1) is vanishes
     assert f.substitute(center_images(dom, 3, center)).is_zero() is vanishes
+
+
+@pytest.mark.parametrize("dom", [GF(5), QQ])
+def test_the_zero_polynomial_has_no_valuation(dom):
+    # a point center with a nonzero constant, then the origin of a new chart
+    t, _ = blow_up(new_tower(2, dom), CenterSpec.make(0, {0: 1, 1: 2}, dom))
+    t, _ = blow_up(t, CenterSpec.make(1, {0: 0, 1: 0}, dom))
+    for did in (1, 2):
+        with pytest.raises(errors.ZeroPolynomial):
+            valuation_of_poly(t, did, Polynomial.zero(dom, 2))
 
 
 # -- monomial kernels ------------------------------------------------------------------

@@ -180,18 +180,43 @@ def test_tied_lowest_terms_can_cancel(dom, monkeypatch):
     assert valuation_of_poly(t, did, P("x2 - x1", dom)) == 2
     assert valuation_of_poly(t, did, P("x2 + x1", dom)) == 1
     # the first tie of an f pulls it once through every chart from the root
-    # to the home chart, which keep it: a repeated tie pulls nothing
+    # to the center's chart, which keep it, and takes its order along the
+    # center there: a repeated tie pulls nothing
     home = t.chart(t.divisor(did).home_chart)
-    assert calls == {"pull": [home.parent, home.cid] * 2, "substitute": []}
+    assert calls == {"pull": [home.parent] * 2, "substitute": []}
     calls["pull"].clear()
     assert valuation_of_poly(t, did, P("x2 - x1", dom)) == 2
     assert valuation_of_poly(t, did, P("x2 + x1", dom)) == 1
     assert calls == {"pull": [], "substitute": []}
+    # pivot orders are read off the parent's frame: the home chart's is never built
+    assert "frame" not in home._memo
+
+
+def test_a_tie_at_a_shifted_point_below_an_origin_chain_stops_in_the_center_chart(monkeypatch):
+    # Over Q: the origin, a line in chart 1, 24 origin steps in the newest
+    # chart, then a point with nonzero coordinates in chart 75.  Pulling
+    # g^2 (degree 858 in chart 75) through the shifted chart of step 27
+    # expands every power binomially; its order along the point does not.
+    n = 3
+    t, _ = blow_up(new_tower(n, QQ), CenterSpec.make(0, origin(n), QQ))
+    t, _ = blow_up(t, CenterSpec.make(1, {0: 0, 1: 1}, QQ))
+    for _ in range(24):
+        t, _ = blow_up(t, CenterSpec.make(len(t.charts) - 1, origin(n), QQ))
+    point = (2, -1, 3)
+    t, did = blow_up(t, CenterSpec.make(75, dict(enumerate(point)), QQ))
+    assert did == 27
+    g = P("x1^2*x2 + 3*x3^2 - x1*x2*x3 + x2^3", QQ, n)
+    image = [x.evaluate(point) for x in t.chart(75).frame]
+    g = g - Polynomial.constant(QQ, n, g.evaluate(image))
+    calls = _record_pullbacks(monkeypatch)
+    assert valuation_of_poly(t, did, g * g) == 2
+    assert not set(calls["pull"]) & set(t.divisor(did).chart_ids)
 
 
 def test_unique_lowest_term_expands_nothing(monkeypatch):
     t = chain_tower(QQ, 2, 4)
-    t.chart(t.divisor(4).home_chart).frame  # build the frame first
+    # build the frame that the pivot orders read: the center's chart's
+    t.chart(t.chart(t.divisor(4).home_chart).parent).frame
     calls = _record_pullbacks(monkeypatch)
     assert valuation_of_poly(t, 4, P("x1^2 + x2^3", QQ)) == 2
     assert calls == {"pull": [], "substitute": []}
