@@ -112,7 +112,7 @@ def _check_ideals(t: Tower, ideals) -> tuple:
     for a in out:
         t._check_base_ideal(a)
         for g in a.gens:
-            if g.order_at_origin() < 1:
+            if g.constant_term():
                 raise IdealNotAtOrigin(
                     "bridge inputs must vanish at the origin; "
                     f"generator {g.text()} does not"

@@ -4,13 +4,14 @@ The geometric quantity everything here feeds is the codimension, at a
 finite truncation level, of a contact locus intersected with the fiber of
 arcs through the origin.  That codimension turns into a Krull dimension
 computation for an explicit polynomial ideal in the jet variables
-x_l^(q), which a small Buchberger implementation handles in its one
-monomial order, grevlex.  Over Q the engine keeps primitive integer
-polynomials and reduces without dividing; the dimension reads only the
-leading monomials of the basis its pair loop leaves, and never
-interreduces it.  Purely monomial inputs take a combinatorial fast path
-that never touches a Groebner basis, giving the test suite two
-independent routes to the same numbers.
+x_l^(q).  The dimension depends only on the radical, so every coordinate
+that a generator is a power of is cut first, at no step; what remains goes
+to a small Buchberger implementation in its one monomial order, grevlex.
+Over Q the engine keeps primitive integer polynomials and reduces without
+dividing; the dimension reads only the leading monomials of the basis its
+pair loop leaves, and never interreduces it.  Purely monomial inputs take
+a combinatorial fast path that never touches a Groebner basis, giving the
+test suite two independent routes to the same numbers.
 
 Estimates produced here are upper bounds by construction: enlarging the
 truncation cap can only lower them.
@@ -66,8 +67,9 @@ class StepBudget:
     A step is one pair taken from the pair queue of ``groebner_basis`` and
     reduced, or one reduction step of ``normal_form`` (subtracting a
     multiple of a basis element to cancel a leading term).  Pairs that the
-    criteria of ``groebner_basis`` drop cost nothing, and so does the
-    interreduction that the dimension path skips (``reduced=False``).
+    criteria of ``groebner_basis`` drop cost nothing, and so do the
+    interreduction that the dimension path skips (``reduced=False``) and
+    its cut of the coordinates a generator is a power of.
     Steps do not count coefficient size, which over Q grows with them.
     """
 
@@ -313,28 +315,41 @@ def _min_hitting_set_size(supports) -> int:
 def ideal_dimension(gens, budget=DEFAULT_GB_BUDGET) -> int:
     """Krull dimension of the quotient by the ideal the generators span.
 
-    Computed from the leading-term ideal of a Groebner basis as the largest
-    number of variables no leading monomial lives entirely inside (via the
-    complement, a minimum hitting set).  Those monomials are read off the
-    basis as the pair loop leaves it (``reduced=False``): interreducing it
-    would cost steps and leave the ideal they span as it is.  The zero
-    ideal has the dimension of the whole space; the unit ideal, where a
-    leading monomial is 1, is rejected distinctly.  The answer does not
-    depend on the monomial order; the engine's grevlex gives far smaller
-    bases of jet ideals than grlex (Bayer & Stillman 1987).
+    The dimension depends only on the radical, and a generator c * x_v^k
+    puts x_v in it.  So every such coordinate is cut first: x_v is set to
+    0 in every generator, and the cut repeats while it exposes new powers.
+    A cut costs no step.  What remains goes to a Groebner basis, and its
+    dimension is the largest number of the uncut variables that no leading
+    monomial lives entirely inside (via the complement, a minimum hitting
+    set).  Those monomials are read off the basis as the pair loop leaves
+    it (``reduced=False``): interreducing it would cost steps and leave the
+    ideal they span as it is.  The zero ideal has the dimension of the
+    whole space; the unit ideal, a nonzero constant among the cut
+    generators or a leading monomial 1, is rejected distinctly.  The
+    answer does not depend on the monomial order; the engine's grevlex
+    gives far smaller bases of jet ideals than grlex (Bayer & Stillman 1987).
     """
     gens = list(gens)
     if not gens:
         raise ValueError("cannot infer the ring from an empty generator list")
-    nvars = gens[0].nvars
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        return nvars
-    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(nonzero, budget, reduced=False)]
-    if (0,) * nvars in lms:
+    nvars, unit = gens[0].nvars, (0,) * gens[0].nvars
+    cut: set = set()
+    while True:
+        lone = [m for g in gens if len(g.terms) == 1 for m in g.terms]
+        if unit in lone:
+            raise UnitIdeal("the generators span the whole ring")
+        powers = {m.index(max(m)) for m in lone if nvars - m.count(0) == 1}
+        if not powers:
+            break
+        cut |= powers
+        gens = [Polynomial(g.domain, g.nvars, {m: c for m, c in g.terms.items()
+                                               if not any(m[v] for v in powers)}) for g in gens]
+    if not (gens := [g for g in gens if not g.is_zero()]):
+        return nvars - len(cut)
+    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(gens, budget, reduced=False)]
+    if unit in lms:
         raise UnitIdeal("the generators span the whole ring")
-    supports = _minimal_supports(lms)
-    return nvars - _min_hitting_set_size(supports)
+    return nvars - len(cut) - _min_hitting_set_size(_minimal_supports(lms))
 
 
 def height_of_ideal(a: Ideal, budget=DEFAULT_GB_BUDGET) -> int:

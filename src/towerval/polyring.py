@@ -252,12 +252,6 @@ class Polynomial:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
 
-    def order_at_origin(self) -> int:
-        """Min total degree among terms (the vanishing order at 0)."""
-        if not self.terms:
-            raise ZeroPolynomial("order of the zero polynomial")
-        return min(mono_deg(m) for m in self.terms)
-
     def _check_ring(self, other: "Polynomial"):
         if self.domain != other.domain or self.nvars != other.nvars:
             raise RingMismatch(

@@ -10,8 +10,18 @@ from fractions import Fraction
 
 import sympy
 
-from towerval.jets import DEFAULT_GB_BUDGET, _as_budget, _spoly, grevlex_key, normal_form
-from towerval.polyring import Polynomial, default_names
+from towerval.errors import UnitIdeal, ZeroPolynomial
+from towerval.jets import (
+    DEFAULT_GB_BUDGET,
+    _as_budget,
+    _min_hitting_set_size,
+    _minimal_supports,
+    _spoly,
+    grevlex_key,
+    groebner_basis,
+    normal_form,
+)
+from towerval.polyring import Polynomial, default_names, mono_deg
 from towerval.tower import CenterSpec, Tower
 
 
@@ -69,6 +79,29 @@ def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
         if not normal_form(g, basis, budget, lms).is_zero():
             return False
     return True
+
+
+def dimension_by_groebner(gens, budget=DEFAULT_GB_BUDGET) -> int:
+    """The Krull dimension by the uncut route: every generator goes into the
+    pair loop, and the dimension is read off the leading monomials of the
+    basis it leaves.  Raises UnitIdeal, with the package's message, where
+    a leading monomial is 1."""
+    gens = list(gens)
+    nvars = gens[0].nvars
+    nonzero = [g for g in gens if not g.is_zero()]
+    if not nonzero:
+        return nvars
+    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(nonzero, budget, reduced=False)]
+    if (0,) * nvars in lms:
+        raise UnitIdeal("the generators span the whole ring")
+    return nvars - _min_hitting_set_size(_minimal_supports(lms))
+
+
+def order_at_origin(f) -> int:
+    """Min total degree among the terms of f (its vanishing order at 0)."""
+    if not f.terms:
+        raise ZeroPolynomial("order of the zero polynomial")
+    return min(mono_deg(m) for m in f.terms)
 
 
 def fraction_normal_form(f, basis, lms):

@@ -337,11 +337,12 @@ def test_crosschar_cusp_over_f7():
 
 
 def test_crosschar_budget_blowups_are_cells_not_errors():
-    rep = cross_characteristic_suite(MultiIdeal([(I(GF(5), 2, "x1^2 + x2^3"), 1)]), 6, budget=1)
+    # x1^3 + x2^3 spends 3 steps at depth 5 and 32 at depth 6, none below
+    rep = cross_characteristic_suite(MultiIdeal([(I(GF(5), 2, "x1^3 + x2^3"), 1)]), 6, budget=1)
     notes = {c.mvec[0]: c.note for c in rep.cells}
     assert notes == {1: None, 2: None, 3: None, 4: None, 5: "budget", 6: "budget"}
     # estimates fall back to the cells that did complete
-    assert rep.mld_p == 0 and rep.lct_p == 1
+    assert rep.mld_p == -1 and rep.lct_p == Fraction(2, 3)
 
 
 def test_crosschar_multi_factor_grid():

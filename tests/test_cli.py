@@ -180,6 +180,13 @@ def test_heights_in_both_characteristics(tmp_path, capsys):
     assert code == 0 and "height=1" in out
 
 
+def test_heights_of_an_ideal_a_cut_makes_the_unit_ideal(tmp_path, capsys):
+    # cutting x1 leaves the constant 1 of x1*x2 + 1
+    text = "ring N=2 p=0\nideal a: x1, x1*x2 + 1\nheights a\n"
+    assert run_main(tmp_path, capsys, text) == (2, "", (
+        "error: UnitIdeal: command 1 (heights): line 3: the generators span the whole ring\n"))
+
+
 def test_jets_dump(tmp_path, capsys):
     code, out, _ = run_main(tmp_path, capsys, BASIC + "jets a 1\n")
     assert code == 0
@@ -378,7 +385,7 @@ def test_an_index_error_inside_a_handler_propagates(monkeypatch):
     (BASIC + "veval T T", [], 2, "UnknownName", 4),
     ("ring N=2 p=5\nideal z: 0\nnotlc z:1", [], 2, "ZeroIdeal", 3),
     (BASIC + "bridge T a tamper", [], 1, "BridgeIdentityFailed", 4),
-    ("ring N=2 p=0\nideal c: x1^2 + x2^3\nlct c", ["--cap", "5", "--gb-budget", "1"], 3,
+    ("ring N=2 p=0\nideal c: x1^3 + x2^3\nlct c", ["--cap", "5", "--gb-budget", "1"], 3,
      "BudgetExceeded", 3),
     (BASIC + "keval T\njets a 3", [], 3, "MemoryError", 5),
 ])
@@ -512,9 +519,17 @@ def test_exit_code_three_for_exhaustion(tmp_path, capsys):
 
 
 def test_exit_code_three_for_budget_exhaustion(tmp_path, capsys):
-    text = "ring N=2 p=0\nideal c: x1^2 + x2^3\nlct c\n"
+    text = "ring N=2 p=0\nideal c: x1^3 + x2^3\nlct c\n"
     code, _, err = run_main(tmp_path, capsys, text, "--cap", "5", "--gb-budget", "1")
     assert code == 3 and "BudgetExceeded" in err
+
+
+def test_the_cusp_spends_no_step_up_to_depth_five(tmp_path, capsys):
+    # every contact cell of x1^2 + x2^3 through L7 is cut down to nothing
+    # before a Groebner basis is needed
+    text = "ring N=2 p=0\nideal c: x1^2 + x2^3\nlct c\n"
+    code, out, _ = run_main(tmp_path, capsys, text, "--cap", "5", "--gb-budget", "0")
+    assert (code, out) == (0, "# command 1: lct c\nlct_estimate=1/1 lct_depth=2\n")
 
 
 @pytest.mark.parametrize("ideal", ["x1^2 + x2^3", "x1^2, x2"])

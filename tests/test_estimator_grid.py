@@ -27,6 +27,9 @@ NODE = ("x1*x2",)
 MAX = ("x1", "x2")
 SQUARE = ("x1^2 + x2^2",)
 MONO = ("x1^2", "x2^3")
+# Spends Groebner steps from depth 5 on (3 at L5, 32 at L6), where the cusp's
+# cells up to L7 spend none: the budget rows run out on it.
+FERMAT = ("x1^3 + x2^3",)
 OFF = ("x1 + 1",)  # misses the origin
 
 
@@ -74,7 +77,8 @@ CASES = {
     "lct-mono-F3": ("lct", "F3", 2, [(MONO, 1)], 3, B),
     "lct-off-F5": ("lct", "F5", 2, [(OFF, 1)], 3, B),
     "lct-cap0-Q": ("lct", "Q", 2, [(CUSP, 1)], 0, B),
-    "lct-budget-Q": ("lct", "Q", 2, [(CUSP, 1)], 5, 3),
+    "lct-budget-Q": ("lct", "Q", 2, [(FERMAT, 1)], 5, 2),
+    "lct-budget-cusp-Q": ("lct", "Q", 2, [(CUSP, 1)], 5, 3),
     "lct-three-vars-F2": ("lct", "F2", 3, [(("x1^2 + x2^2 + x3^2",), 1)], 3, B),
     # mld: one and two factors, ties, cap 0, factors off the origin
     **{f"mld-cusp-{d}": ("mld", d, 2, [(CUSP, 1)], 3, B) for d in DOMAINS},
@@ -89,8 +93,9 @@ CASES = {
     "mld-off-alone-Q": ("mld", "Q", 2, [(OFF, 1)], 3, B),
     "mld-square-F2": ("mld", "F2", 2, [(SQUARE, 1)], 4, B),
     "mld-mono-F7": ("mld", "F7", 2, [(MONO, "3/2")], 3, B),
-    "mld-budget-Q": ("mld", "Q", 2, [(CUSP, 1)], 5, 1),
-    "mld-budget-roomy-Q": ("mld", "Q", 2, [(CUSP, 1)], 5, 27),
+    "mld-budget-Q": ("mld", "Q", 2, [(FERMAT, 1)], 5, 1),
+    "mld-budget-cusp-Q": ("mld", "Q", 2, [(CUSP, 1)], 5, 1),
+    "mld-budget-roomy-Q": ("mld", "Q", 2, [(FERMAT, 1)], 5, 3),
     # notlc: first violating cell by total depth, then lexicographically
     **{f"notlc-cusp-{d}": ("notlc", d, 2, [(CUSP, 3)], 3, B) for d in DOMAINS},
     **{f"notlc-node-{d}": ("notlc", d, 2, [(NODE, 1)], 3, B) for d in DOMAINS},
@@ -100,7 +105,8 @@ CASES = {
     "notlc-off-alone-F7": ("notlc", "F7", 2, [(OFF, 9)], 3, B),
     "notlc-empty-Q": ("notlc", "Q", 2, [], 3, B),
     "notlc-cap0-Q": ("notlc", "Q", 2, [(CUSP, 3)], 0, B),
-    "notlc-budget-Q": ("notlc", "Q", 2, [(CUSP, 1)], 5, 1),
+    "notlc-budget-Q": ("notlc", "Q", 2, [(FERMAT, "1/2")], 5, 1),
+    "notlc-budget-cusp-Q": ("notlc", "Q", 2, [(CUSP, 1)], 5, 1),
     "notlc-budget-found-F5": ("notlc", "F5", 2, [(CUSP, "3/2")], 3, 1),
     # crosschar: single and two factors, caps per factor, budget notes
     **{f"crosschar-cusp-{d}": ("crosschar", d, 2, [(CUSP, 1)], 4, B) for d in PRIMES},
@@ -110,10 +116,12 @@ CASES = {
     "crosschar-twin-F5": ("crosschar", "F5", 2, [(MAX, 1), (MAX, 1)], 2, B),
     "crosschar-off-F3": ("crosschar", "F3", 2, [(OFF, 1), (CUSP, 1)], (1, 3), B),
     "crosschar-off-alone-F7": ("crosschar", "F7", 2, [(OFF, 1)], 2, B),
-    "crosschar-budget-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 6, 1),
-    # over F_2 x1^2 + x1^4 has one contact condition below depth 4, its lift two:
-    # at depth 4 the F_2 side finishes without a step and the Q side needs one
-    "crosschar-budget-lift-F2": ("crosschar", "F2", 1, [(("x1^2 + x1^4",), 1)], 5, 0),
+    "crosschar-budget-F5": ("crosschar", "F5", 2, [(FERMAT, 1)], 6, 1),
+    "crosschar-budget-cusp-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 6, 1),
+    # over F_2 x1^2 + x2^2 is (x1 + x2)^2: from depth 4 on the F_2 side
+    # finishes without a step, and its lift needs 3 steps at depth 4, 13 at 5
+    "crosschar-budget-lift-F2": ("crosschar", "F2", 2, [(SQUARE, 1)], 5, 0),
+    "crosschar-budget-lift-N1-F2": ("crosschar", "F2", 1, [(("x1^2 + x1^4",), 1)], 5, 0),
     "crosschar-budget-pair-F3": ("crosschar", "F3", 2, [(CUSP, 1), (NODE, 1)], 2, 1),
     "crosschar-caps-mismatch-F5": ("crosschar", "F5", 2, [(CUSP, 1)], (1, 2), B),
     "crosschar-rational-Q": ("crosschar", "Q", 2, [(CUSP, 1)], 2, B),
@@ -121,8 +129,10 @@ CASES = {
 }
 
 EXPECTED = {
-    'crosschar-budget-F5': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None;(5,):None:None:budget;(6,):None:None:budget|mld=0,0|lct=1,1',
-    'crosschar-budget-lift-F2': '(1,):1:1:None;(2,):1:1:None;(3,):2:2:None;(4,):2:None:budget;(5,):None:None:budget|mld=-1,-1|lct=1/2,1/2',
+    'crosschar-budget-F5': '(1,):2:2:None;(2,):2:2:None;(3,):2:2:None;(4,):3:3:None;(5,):None:None:budget;(6,):None:None:budget|mld=-1,-1|lct=2/3,2/3',
+    'crosschar-budget-cusp-F5': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None;(5,):5:5:None;(6,):5:5:None|mld=-1,-1|lct=5/6,5/6',
+    'crosschar-budget-lift-F2': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):3:None:budget;(5,):4:None:budget|mld=0,0|lct=1,1',
+    'crosschar-budget-lift-N1-F2': '(1,):1:1:None;(2,):1:1:None;(3,):2:2:None;(4,):2:2:None;(5,):3:3:None|mld=-2,-2|lct=1/2,1/2',
     'crosschar-budget-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-2,-2|lct=None,None',
     'crosschar-cap0-F5': '|mld=2,2|lct=None,None',
     'crosschar-caps-mismatch-F5': 'DimensionMismatch',
@@ -141,6 +151,7 @@ EXPECTED = {
     'crosschar-square-F3': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
     'crosschar-twin-F5': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):4:4:None;(1, 1):2:2:None;(2, 0):4:4:None;(1, 2):4:4:None;(2, 1):4:4:None;(2, 2):4:4:None|mld=0,0|lct=None,None',
     'lct-budget-Q': 'BudgetExceeded',
+    'lct-budget-cusp-Q': '1 2',
     'lct-cap0-Q': 'ValueError',
     'lct-cusp-F2': '1 2',
     'lct-cusp-F3': '1 2',
@@ -162,7 +173,8 @@ EXPECTED = {
     'lct-square-Q': '1 2',
     'lct-three-vars-F2': '4/3 3',
     'mld-budget-Q': 'BudgetExceeded',
-    'mld-budget-roomy-Q': '0 (2,)',
+    'mld-budget-cusp-Q': '0 (2,)',
+    'mld-budget-roomy-Q': '-1 (3,)',
     'mld-cap0-Q': '2 (0,)',
     'mld-cap0-pair-F7': '2 (0, 0)',
     'mld-cusp-F2': '0 (2,)',
@@ -184,6 +196,7 @@ EXPECTED = {
     'mld-twin-tie-F3': '-2 (2, 2)',
     'mld-twin-tie-Q': '0 (1, 1)',
     'notlc-budget-Q': 'BudgetExceeded',
+    'notlc-budget-cusp-Q': 'none',
     'notlc-budget-found-F5': '(2,) 2 -1',
     'notlc-cap0-Q': 'ValueError',
     'notlc-cusp-F2': '(1,) 2 -1',

@@ -18,6 +18,7 @@ import pytest
 
 from towerval import errors
 from towerval.jets import (
+    DEFAULT_GB_BUDGET,
     StepBudget,
     _contact_generators,
     _min_hitting_set_size,
@@ -28,7 +29,7 @@ from towerval.jets import (
 )
 from towerval.polyring import GF, QQ, Ideal, parse_polynomial
 
-from oracles import sympy_groebner
+from oracles import dimension_by_groebner, sympy_groebner
 
 # (p, nvars, generators, reduced grevlex basis, StepBudget.used); p = 0 is Q.
 # The last four are contact systems of jet ideals at the origin:
@@ -150,31 +151,33 @@ def test_contact_codims_match_the_recorded_engine(gens, n, level, codim):
 
 
 # The dimension path's step counts pin the grevlex engine's work: losing the
-# gain (grlex in the dimension path, a dropped pair criterion) moves them,
-# and so does any change to the Groebner input of a contact cell.  Rows are
-# (generators, N, level, steps before the pair criteria and before the
-# x_l^(0) left the contact ideal, steps while the dimension path still
-# interreduced its basis, steps now); the first two were pinned first, the
-# rest cover every other cell of CELLS.  The last two counts differ by the
+# gain (grlex in the dimension path, a dropped pair criterion, a coordinate
+# left uncut) moves them, and so does any change to the Groebner input of a
+# contact cell.  Rows are (generators, N, level, steps before the pair
+# criteria and before the x_l^(0) left the contact ideal, steps while the
+# dimension path still interreduced its basis, steps of the pair loop on
+# the uncut cell, steps now that the dimension path cuts every coordinate
+# a generator is a power of); the first two were pinned first, the rest
+# cover every other cell of CELLS.  The middle two counts differ by the
 # interreduction steps alone (test_only_interreduction_left_the_dimension_path).
 DIMENSION_STEPS = (
-    (("x1^3 + x2^3",), 2, 6, 113, 32, 32),
-    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178, 71, 70),
-    (("x1^2 + x2^3",), 2, 4, 6, 0, 0),
-    (("x1^2 + x2^3",), 2, 5, 60, 27, 27),
-    (("x1^2 + x2^3",), 2, 6, 724, 220, 218),
-    (("x1*x2 + x3^2",), 3, 4, 17, 4, 4),
-    (("x1*x2 + x3^2",), 3, 5, 84, 34, 34),
-    (("x1*x2 + x3^2",), 3, 6, 603, 189, 189),
-    (("x1^2 + x2^5",), 2, 5, 11, 3, 3),
-    (("x1^2 + x2^5",), 2, 6, 16, 3, 3),
-    (("x1^3 + x2^3",), 2, 5, 11, 3, 3),
-    (("x1^2 + x2^2 + x3^2",), 3, 3, 6, 0, 0),
-    (("x1^2 + x2^2 + x3^2",), 3, 4, 18, 5, 5),
-    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10, 0, 0),
-    (("x1^2 + x2^3",), 2, 7, 5663, 1235, 1231),
-    (("x1^2 + x2^2 + x3^2",), 3, 5, 44, 21, 21),
-    (("x1^2 + x2^3 + x3^4",), 3, 6, 273357, 10922, 10920),
+    (("x1^3 + x2^3",), 2, 6, 113, 32, 32, 32),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178, 71, 70, 70),
+    (("x1^2 + x2^3",), 2, 4, 6, 0, 0, 0),
+    (("x1^2 + x2^3",), 2, 5, 60, 27, 27, 0),
+    (("x1^2 + x2^3",), 2, 6, 724, 220, 218, 0),
+    (("x1*x2 + x3^2",), 3, 4, 17, 4, 4, 4),
+    (("x1*x2 + x3^2",), 3, 5, 84, 34, 34, 34),
+    (("x1*x2 + x3^2",), 3, 6, 603, 189, 189, 189),
+    (("x1^2 + x2^5",), 2, 5, 11, 3, 3, 0),
+    (("x1^2 + x2^5",), 2, 6, 16, 3, 3, 0),
+    (("x1^3 + x2^3",), 2, 5, 11, 3, 3, 3),
+    (("x1^2 + x2^2 + x3^2",), 3, 3, 6, 0, 0, 0),
+    (("x1^2 + x2^2 + x3^2",), 3, 4, 18, 5, 5, 5),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10, 0, 0, 0),
+    (("x1^2 + x2^3",), 2, 7, 5663, 1235, 1231, 0),
+    (("x1^2 + x2^2 + x3^2",), 3, 5, 44, 21, 21, 21),
+    (("x1^2 + x2^3 + x3^4",), 3, 6, 273357, 10922, 10920, 12),
 )
 
 
@@ -187,7 +190,7 @@ def test_every_contact_cell_has_a_step_pin():
 def test_dimension_path_step_counts_are_pinned(gens, n, level, before):
     budget = StepBudget(10**6)
     contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget)
-    assert budget.used == {pin[:4]: pin[5] for pin in DIMENSION_STEPS}[gens, n, level, before]
+    assert budget.used == {pin[:4]: pin[6] for pin in DIMENSION_STEPS}[gens, n, level, before]
     assert budget.used < before
 
 
@@ -195,10 +198,60 @@ def test_dimension_path_step_counts_are_pinned(gens, n, level, before):
 def test_only_interreduction_left_the_dimension_path(gens, n, level, before):
     # The dimension path stopped interreducing its basis and nothing else:
     # each row's drop is exactly the steps _reduce_basis spends on the cell.
-    _, _, _, _, interreduced, now = {pin[:4]: pin for pin in DIMENSION_STEPS}[gens, n, level, before]
+    _, _, _, _, interreduced, now, _ = {pin[:4]: pin for pin in DIMENSION_STEPS}[gens, n, level, before]
     cell = _contact_generators([(_ideal(gens, n), level)])
     full, loop_only = StepBudget(10**6), StepBudget(10**6)
     groebner_basis(cell, full)
     groebner_basis(cell, loop_only, reduced=False)
     assert interreduced - now == full.used - loop_only.used
     assert now == loop_only.used
+
+
+# The mixed cells of the session's `mld d:1/2 m:1/2` over F_7, for
+# d = x1^3 + x2^3 and the maximal ideal m: rows are (m1, m2, codim, steps
+# of the pair loop on the uncut cell, steps now).  Every jet of m is a bare
+# coordinate, so the cut leaves only (5, 1) any Groebner work.
+MIXED_STEPS = (
+    (4, 2, 4, 2, 0),
+    (4, 3, 6, 2, 0),
+    (4, 4, 8, 2, 0),
+    (4, 5, 10, 2, 0),
+    (5, 1, 4, 3, 3),
+    (5, 2, 4, 4, 0),
+    (5, 3, 6, 4, 0),
+    (5, 4, 8, 4, 0),
+    (5, 5, 10, 4, 0),
+)
+
+
+@pytest.mark.parametrize("m1, m2, codim, uncut, now", MIXED_STEPS)
+def test_mixed_session_cells_are_pinned(m1, m2, codim, uncut, now):
+    dom = GF(7)
+    factors = [
+        (Ideal(dom, 2, _gens(7, 2, ("x1^3 + x2^3",))), m1),
+        (Ideal(dom, 2, _gens(7, 2, ("x1", "x2"))), m2),
+    ]
+    budget, loop_only = StepBudget(10**6), StepBudget(10**6)
+    assert contact_codim_at_origin(factors, budget=budget) == codim
+    assert budget.used == now
+    dim = dimension_by_groebner(_contact_generators(factors), loop_only)
+    assert 2 * max(m1, m2) - dim == codim and loop_only.used == uncut
+
+
+# Cells the uncut path could not finish in a test, or at all, within
+# DEFAULT_GB_BUDGET: x1^2 + x2^3 at L8 took 40 202 steps and L9 ran out, and
+# x1^2 + x2^3 + x3^4 at L7 ran out.  Rows are (generators, N, level, codim,
+# steps); both codims past L7 match the Newton-polygon closed form.
+DEEP_CELLS = (
+    (("x1^2 + x2^3",), 2, 8, 7, 9),
+    (("x1^2 + x2^3",), 2, 9, 8, 180),
+    (("x1^2 + x2^3 + x3^4",), 3, 6, 7, 12),
+    (("x1^2 + x2^3 + x3^4",), 3, 7, 8, 125),
+)
+
+
+@pytest.mark.parametrize("gens, n, level, codim, steps", DEEP_CELLS)
+def test_deep_cells_finish_within_the_default_budget(gens, n, level, codim, steps):
+    budget = StepBudget(DEFAULT_GB_BUDGET)
+    assert contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget) == codim
+    assert budget.used == steps

@@ -37,7 +37,13 @@ from towerval.polyring import (
     parse_polynomial,
 )
 
-from oracles import fraction_normal_form, sympy_groebner, to_sympy, verify_groebner
+from oracles import (
+    dimension_by_groebner,
+    fraction_normal_form,
+    sympy_groebner,
+    to_sympy,
+    verify_groebner,
+)
 
 
 def P(text, domain, nvars=2):
@@ -290,6 +296,80 @@ def test_unit_ideal_is_reported_distinctly():
         ideal_dimension([P("x1 + 1", QQ), P("x1", QQ)])
 
 
+# -- the cut: coordinates a generator is a power of ----------------------------------
+
+
+def test_a_cut_that_leaves_a_constant_is_the_unit_ideal():
+    with pytest.raises(errors.UnitIdeal, match="^the generators span the whole ring$"):
+        ideal_dimension([P("x1^2", QQ), P("x1*x2 + 1", QQ)])
+    # Found before any pair is reduced: in the pair loop the constant would
+    # not drop the pair of x2^3 + x3^2 and x2^2 + x3, whose lcm is x2^3.
+    gens = [P(t, QQ, 3) for t in ("x2^3 + x3^2", "x2^2 + x3", "x1^2", "x1*x2 + 1")]
+    with pytest.raises(errors.UnitIdeal, match="^the generators span the whole ring$"):
+        ideal_dimension(gens, budget=0)
+
+
+def test_a_cut_can_expose_a_new_power():
+    # x3 is cut first; x1 + x2^2*x3 then becomes x1, which is cut in turn
+    gens = [P("x1 + x2^2*x3", QQ, 4), P("x3^4", QQ, 4)]
+    budget = StepBudget(10**6)
+    assert ideal_dimension(gens, budget) == 4 - 2
+    assert budget.used == 0
+
+
+def test_a_cut_that_leaves_nothing_runs_no_groebner_basis(monkeypatch):
+    calls = counting_groebner(monkeypatch)
+    assert ideal_dimension([P("3*x1^2", GF(5), 3), P("x2 + x1*x3", GF(5), 3)]) == 1
+    assert calls == []
+
+
+@st.composite
+def cut_inputs(draw):
+    """Generators over Q or F_p with work for the cut: powers c * x_v^k,
+    pairs where cutting a power exposes a new one, and sparse polynomials
+    of up to three terms that may hold a constant."""
+    domain = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(101)]))
+    nvars = draw(st.integers(2, 4))
+    coeffs = st.integers(1, domain.p - 1) if domain.p else st.integers(-4, 4).filter(bool)
+    var, k = st.integers(0, nvars - 1), st.integers(1, 3)
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+
+    def mono(v, e):
+        return tuple(e if i == v else 0 for i in range(nvars))
+
+    def poly(terms):
+        return Polynomial.from_terms(domain, nvars, terms)
+
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(poly([(mono(draw(var), draw(k)), draw(coeffs))]))
+    for _ in range(draw(st.integers(0, 2))):
+        # c1 * x_v^k + c2 * x_w * x^e: x_v^k once x_w is cut
+        v, w, e = draw(var), draw(var), draw(exps)
+        tail = tuple(a + (i == w) for i, a in enumerate(e))
+        gens.append(poly([(mono(v, draw(k)), draw(coeffs)), (tail, draw(coeffs))]))
+        gens.append(poly([(mono(w, draw(k)), draw(coeffs))]))
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(poly(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)).items()))
+    return draw(st.permutations(gens)) or [Polynomial.zero(domain, nvars)]
+
+
+@settings(max_examples=300)
+@given(cut_inputs())
+def test_the_cut_keeps_the_dimension(gens):
+    # The uncut route sometimes needs thousands of steps; a draw where it
+    # runs out of a small budget is not compared.
+    try:
+        expected = dimension_by_groebner(gens, 2000)
+    except errors.UnitIdeal as e:
+        with pytest.raises(errors.UnitIdeal, match=f"^{e}$"):
+            ideal_dimension(gens)
+        return
+    except errors.BudgetExceeded:
+        return
+    assert ideal_dimension(gens) == expected
+
+
 def test_dimension_matches_brute_force_on_random_monomial_ideals():
     rng = random.Random(423)
     for _ in range(100):
@@ -424,9 +504,14 @@ def counting_groebner(monkeypatch):
     return calls
 
 
+# x1^3 + x2^3 at L6 spends 32 steps; the cusp's cells up to L7 spend none,
+# since the dimension path cuts every coordinate they hold a power of.
+SPENDING_CELL = [(I(QQ, 2, "x1^3 + x2^3"), 6)]
+
+
 def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
     calls = counting_groebner(monkeypatch)
-    factors = [(I(QQ, 2, "x1^2 + x2^3"), 5)]
+    factors = SPENDING_CELL
     cold, warm = StepBudget(10**6), StepBudget(10**6)
     codim = contact_codim_at_origin(factors, budget=cold)
     assert contact_codim_at_origin(factors, budget=warm) == codim
@@ -435,7 +520,7 @@ def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
 
 
 def test_a_memoised_cell_still_runs_out_of_a_smaller_budget():
-    factors = [(I(QQ, 2, "x1^2 + x2^3"), 5)]
+    factors = SPENDING_CELL
     cold = StepBudget(10**6)
     contact_codim_at_origin(factors, budget=cold)
     small = StepBudget(cold.used - 1)
@@ -445,7 +530,7 @@ def test_a_memoised_cell_still_runs_out_of_a_smaller_budget():
 
 
 def test_a_cell_that_runs_out_is_not_stored():
-    factors = [(I(QQ, 2, "x1^2 + x2^3"), 5)]
+    factors = SPENDING_CELL
     with pytest.raises(errors.BudgetExceeded, match="budget of 10 exhausted"):
         contact_codim_at_origin(factors, budget=10)
     assert not jets._cell_memo
@@ -456,7 +541,7 @@ def test_a_cell_that_runs_out_is_not_stored():
 
 def test_the_route_is_part_of_a_cells_key(monkeypatch):
     calls = counting_groebner(monkeypatch)
-    factors = [(I(GF(5), 2, "x1^2", "x2^3"), 3)]
+    factors = [(I(GF(5), 2, "x1*x2"), 3)]  # its jets hold no power of a coordinate
     fast = contact_codim_at_origin(factors)
     assert calls == []
     assert contact_codim_at_origin(factors, force_groebner=True) == fast
