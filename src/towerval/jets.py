@@ -8,8 +8,11 @@ x_l^(q).  The dimension depends only on the radical, so every coordinate
 that a generator is a power of is cut first, at no step; what remains goes
 to a small Buchberger implementation in its one monomial order, grevlex.
 Over Q the engine keeps primitive integer polynomials and reduces without
-dividing; the dimension reads only the leading monomials of the basis its
-pair loop leaves, and never interreduces it.  Purely monomial inputs take
+dividing.  It returns the basis its pair loop leaves, never interreduced,
+and the dimension reads only that basis's leading monomials.  A power
+x_l(t)^e of a jet series is built by repeated squaring, and along arcs
+through the origin a monomial of degree above the level is skipped, so a
+large exponent costs O(log e) products or none.  Purely monomial inputs take
 a combinatorial fast path that never touches a Groebner basis, giving the
 test suite two independent routes to the same numbers.
 
@@ -67,9 +70,8 @@ class StepBudget:
     A step is one pair taken from the pair queue of ``groebner_basis`` and
     reduced, or one reduction step of ``normal_form`` (subtracting a
     multiple of a basis element to cancel a leading term).  Pairs that the
-    criteria of ``groebner_basis`` drop cost nothing, and so do the
-    interreduction that the dimension path skips (``reduced=False``) and
-    its cut of the coordinates a generator is a power of.
+    criteria of ``groebner_basis`` drop cost nothing, and so does the
+    dimension path's cut of the coordinates a generator is a power of.
     Steps do not count coefficient size, which over Q grows with them.
     """
 
@@ -184,7 +186,7 @@ def _spoly(f: Polynomial, g: Polynomial, lf, lg) -> Polynomial:
     return Polynomial(dom, f.nvars, acc)
 
 
-def groebner_basis(gens, budget=DEFAULT_GB_BUDGET, *, reduced=True):
+def groebner_basis(gens, budget=DEFAULT_GB_BUDGET):
     """Grevlex Groebner basis: Buchberger with the Gebauer-Moeller
     criteria and a hard step budget.
 
@@ -203,12 +205,10 @@ def groebner_basis(gens, budget=DEFAULT_GB_BUDGET, *, reduced=True):
     Elements are kept in ``_engine_form``: monic over F_p, primitive
     integer polynomials over Q, so the loop makes no ``Fraction``.
     Deterministic: pairs leave a heap by (grevlex key of the lcm, indices),
-    and dropped ones are skipped there.  With ``reduced`` (the default)
-    the returned basis is reduced, monic and sorted by leading monomial,
-    hence unique for the ideal.  With ``reduced=False`` it is the basis as
-    the loop leaves it, in ``_engine_form`` and in the order found, neither
-    minimal nor reduced: its leading monomials span the leading-term ideal,
-    and no interreduction step is spent.
+    and dropped ones are skipped there.  Returns the basis as the loop
+    leaves it, in ``_engine_form`` and in the order found, neither minimal
+    nor reduced: its leading monomials span the leading-term ideal, which
+    is all the dimension reads.
     """
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
@@ -261,25 +261,7 @@ def groebner_basis(gens, budget=DEFAULT_GB_BUDGET, *, reduced=True):
         if not nf.is_zero():
             lm = max(nf.terms, key=grevlex_key)
             update(_engine_form(nf, lm), lm)
-    return _reduce_basis(basis, lms, budget) if reduced else basis
-
-
-def _reduce_basis(basis, lms, budget: StepBudget):
-    # minimal: drop anything whose leading monomial another one divides
-    ranked = sorted(zip(basis, lms), key=lambda gl: grevlex_key(gl[1]))
-    minimal, mlms = [], []
-    for g, lm in ranked:
-        if not any(mono_divides(h, lm) for h in mlms):
-            minimal.append(g)
-            mlms.append(lm)
-    # Reduce each tail against the others.  Whether a term is reducible
-    # depends only on the leading monomials, which never change, so one
-    # pass leaves every tail reduced; each is made monic only at the end.
-    if len(minimal) > 1:
-        for i, g in enumerate(minimal):
-            others, olms = minimal[:i] + minimal[i + 1 :], mlms[:i] + mlms[i + 1 :]
-            minimal[i] = normal_form(g, others, budget, olms)
-    return [_monic(g, lm) for g, lm in zip(minimal, mlms)]
+    return basis
 
 
 # -- dimension ------------------------------------------------------------------
@@ -321,8 +303,8 @@ def ideal_dimension(gens, budget=DEFAULT_GB_BUDGET) -> int:
     A cut costs no step.  What remains goes to a Groebner basis, and its
     dimension is the largest number of the uncut variables that no leading
     monomial lives entirely inside (via the complement, a minimum hitting
-    set).  Those monomials are read off the basis as the pair loop leaves
-    it (``reduced=False``): interreducing it would cost steps and leave the
+    set).  Those monomials are read off the basis ``groebner_basis``
+    returns, which is not interreduced: that would cost steps and leave the
     ideal they span as it is.  The zero ideal has the dimension of the
     whole space; the unit ideal, a nonzero constant among the cut
     generators or a leading monomial 1, is rejected distinctly.  The
@@ -346,7 +328,7 @@ def ideal_dimension(gens, budget=DEFAULT_GB_BUDGET) -> int:
                                                if not any(m[v] for v in powers)}) for g in gens]
     if not (gens := [g for g in gens if not g.is_zero()]):
         return nvars - len(cut)
-    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(gens, budget, reduced=False)]
+    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(gens, budget)]
     if unit in lms:
         raise UnitIdeal("the generators span the whole ring")
     return nvars - len(cut) - _min_hitting_set_size(_minimal_supports(lms))
@@ -458,20 +440,23 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
                         _mul_terms(dom, ai, bj, out[i + j])
         return out
 
-    var_series = [
-        [{}] * lo
+    power_cache = {
+        (l, 1): [{}] * lo
         + [Polynomial.variable(dom, jet_nvars, l * (width - lo) + q - lo).terms
            for q in range(lo, width)]
         for l in range(n)
-    ]
-    power_cache: dict = {}
+    }
 
     def series_power(l, e):
-        if e == 1:
-            return var_series[l]
+        """x_l(t)^e: the square of x_l(t)^(e/2) for even e, else x_l(t)^(e-1)
+        times x_l(t), so O(log e) products; every power built is kept."""
         key = (l, e)
         if key not in power_cache:
-            power_cache[key] = series_mul(series_power(l, e - 1), var_series[l], series())
+            if e % 2:
+                power_cache[key] = series_mul(series_power(l, e - 1), power_cache[l, 1], series())
+            else:
+                half = series_power(l, e // 2)
+                power_cache[key] = series_mul(half, half, series())
         return power_cache[key]
 
     one = series(1)
@@ -479,6 +464,8 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
     for g in a.gens:
         acc = series()
         for mono, c in g.terms.items():
+            if at_origin and sum(mono) > m:
+                continue  # every arc through the origin gives it order above m
             factors = [series_power(l, e) for l, e in enumerate(mono) if e] or [one]
             piece = series(c)
             for f in factors[:-1]:

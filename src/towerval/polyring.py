@@ -738,6 +738,9 @@ class MultiIdeal:
 # past the bit bound it is refused too (0, 1 and -1 never grow).
 _POWER_TERM_BOUND = 100_000
 _POWER_BIT_BOUND = 100_000
+# The parser recurses a few frames per parenthesis, so it refuses nesting
+# deeper than this, well inside Python's recursion limit.
+_NESTING_BOUND = 100
 
 
 def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
@@ -751,9 +754,11 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
         atom   := NUM | VAR | '(' expr ')'
         NUM    := digits ['/' digits]             (no spaces inside a/b)
         VAR    := 'x' digits                      (1-based, up to nvars)
+
+    Parentheses nest at most 100 deep.
     """
     tokens = _lex(text)
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
@@ -833,8 +838,15 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
                 )
             return Polynomial.variable(domain, nvars, idx - 1)
         if tok[0] == "(":
+            nonlocal depth
+            if depth == _NESTING_BOUND:
+                raise ScriptSyntaxError(
+                    f"parentheses nested deeper than {_NESTING_BOUND} at column {tok[2] + 1}"
+                )
             take()
+            depth += 1
             inner = parse_expr()
+            depth -= 1
             take(")")
             return inner
         raise ScriptSyntaxError(

@@ -77,8 +77,9 @@ class Chart:
     (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
     local equation, never a constant, of each divisor meeting the chart;
     ``pivot_orders``: v(x_i) for the divisor of the chart's step.  These,
-    and the total and weak transforms read through the chart, are derived
-    on first read and kept in the chart's one memo, filled by ``_derive``.
+    and the total transforms and weak-transform generators read through
+    the chart, are derived on first read and kept in the chart's one memo,
+    filled by ``_derive``.
     """
 
     __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_memo")
@@ -169,16 +170,15 @@ def _pull_divisor_eqs(chart: Chart, eqs: dict) -> dict:
     return out
 
 
-def _pull_weak(chart: Chart, value: tuple) -> tuple:
+def _pull_weak(chart: Chart, gens: tuple) -> tuple:
     """Pull the parent's weak transform back and strip the new divisor:
-    divide every generator by the least power of the pivot they carry.
-    Returns the generators and that power."""
+    divide every generator by the least power of the pivot they carry."""
     pivot = chart.pivot
-    gens = [chart.pull(g) for g in value[0]]
+    gens = [chart.pull(g) for g in gens]
     drop = min(g.var_min_exponent(pivot) for g in gens)
     if drop:
         gens = [g.divide_var_power(pivot, drop) for g in gens]
-    return tuple(gens), drop
+    return tuple(gens)
 
 
 class Step(namedtuple("Step", "did k home_chart contained_in center chart_ids")):
@@ -313,49 +313,45 @@ def valuation(t: Tower, did: int, a: Ideal) -> int:
     return min(valuation_of_poly(t, did, g) for g in a.gens)
 
 
-def weak_transform(t: Tower, a: Ideal, chart_id: int):
-    """Transform a base ideal into a chart, stripping each step's divisor.
+def weak_transform(t: Tower, a: Ideal, chart_id: int) -> Ideal:
+    """Transform a base ideal into a chart, stripping each step's divisor;
+    returns the ideal in the chart's coordinates.
 
     Follows the chart's parent chain from the root.  At every step the
     generators are pulled back and then all divided by the step's pivot to
     the minimal power it carries, so the zero locus of the result contains
-    no whole exceptional divisor of the chain.  Each chart keeps its
-    generators and stripped power in its memo, keyed by the generator
-    tuple, so a later call pulls only through the charts below the nearest
-    one that holds them.
-
-    Returns (Ideal in chart coordinates, [(divisor id, stripped power)]).
+    no whole exceptional divisor of the chain.  Each chart keeps the
+    generators in its memo, keyed by the base generator tuple, so a later
+    call pulls only through the charts below the nearest one that holds
+    them.
     """
     t._check_base_ideal(a)
-    key, chart = a.gens, t.chart(chart_id)
-    gens = chart._derive(key, _pull_weak, (key, 0))[0]
-    removed = []
-    while chart._up is not None:
-        removed.append((chart.step, chart._memo[key][1]))
-        chart = chart._up
-    removed.reverse()
-    return Ideal(t.domain, t.n, gens), removed
+    return Ideal(t.domain, t.n, t.chart(chart_id)._derive(a.gens, _pull_weak, a.gens))
 
 
 # -- general points ------------------------------------------------------------
 
 
-def _value_stream(domain: Domain, radius: int):
+# The point search tries each free coordinate at 2 * _RADIUS + 1 values.
+_RADIUS = 50
+
+
+def _value_stream(domain: Domain):
     if domain.p:
-        return range(min(domain.p, 2 * radius + 1))
+        return range(min(domain.p, 2 * _RADIUS + 1))
     out = [0]
-    for v in range(1, radius + 1):
+    for v in range(1, _RADIUS + 1):
         out += (v, -v)
     return out
 
 
-def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=(), radius: int = 50) -> CenterSpec:
+def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=()) -> CenterSpec:
     """First point on the divisor off every other divisor and every locus.
 
     The point lives in the divisor's home chart with the pivot coordinate
     pinned to 0; the free coordinates run through a fixed enumeration of
-    2*radius + 1 values (0, 1, 2, ... over F_p, at most p of them; 0, 1,
-    -1, 2, -2, ... over Q), first coordinate slowest.  A point is accepted
+    101 values (0, 1, 2, ... over F_p, at most p of them; 0, 1, -1, 2, -2,
+    ..., 50, -50 over Q), first coordinate slowest.  A point is accepted
     when the local equation of every other divisor that meets the home
     chart (``Chart.divisor_eqs``) is nonzero there, and every ideal in
     ``avoid_loci`` (in the home chart's coordinates; a zero ideal raises
@@ -371,7 +367,7 @@ def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=(), radius: int = 5
     if not all(loci):
         raise ZeroIdeal("cannot avoid the zero locus of the zero ideal")
 
-    stream = _value_stream(dom, radius)
+    stream = _value_stream(dom)
     free = [i for i in range(n) if i != chart.pivot]
     for combo in itertools.product(stream, repeat=len(free)):
         pt = [0] * n

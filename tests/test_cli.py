@@ -194,6 +194,25 @@ def test_jets_dump(tmp_path, capsys):
     assert "F1_0=x2_0" in out and "F1_1=x2_1" in out
 
 
+def test_parentheses_nested_too_deep_are_refused_with_their_line(tmp_path, capsys):
+    text = "ring N=2 p=5\nideal a: " + "(" * 400 + "x1" + ")" * 400 + "\n"
+    code, out, err = run_main(tmp_path, capsys, text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ScriptSyntaxError: line 2: ")
+    assert err.endswith("parentheses nested deeper than 100 at column 101\n")
+
+
+@pytest.mark.parametrize("command, line", [
+    ("lct a", "lct_estimate=3/4 lct_depth=4"),
+    ("mld a", "mld_estimate=-1/1 mld_depths=(4)"),
+    ("jets a 1", "F0_1=2*x2_0*x2_1"),
+])
+def test_estimators_and_jets_of_a_large_exponent(tmp_path, capsys, command, line):
+    text = f"ring N=2 p=5\nideal a: x1^3000 + x2^2\n{command}\n"
+    code, out, err = run_main(tmp_path, capsys, text, "--cap", "4")
+    assert code == 0 and err == "" and line in out.splitlines()
+
+
 def test_crosschar_summary(tmp_path, capsys):
     code, out, _ = run_main(tmp_path, capsys, BASIC + "crosschar a:1\n", "--cap", "3")
     assert code == 0
@@ -756,6 +775,14 @@ def estimator_scripts(draw):
 )
 @example(  # before the box was bounded, this searched 10^16 weights
     script=f"ring N=2 p=0\n{FUZZ_IDEALS}\nlct b\n", cap=1, budget=100_000, weight_bound=10**8,
+)
+@example(  # parentheses this deep once overflowed the parser's stack
+    script="ring N=2 p=5\nideal a: " + "(" * 260 + "x1" + ")" * 260 + "\nlct a\n",
+    cap=4, budget=100_000, weight_bound=8,
+)
+@example(  # x1(t)^3000 was once expanded one factor at a time, past the recursion limit
+    script="ring N=2 p=5\nideal a: x1^3000 + x2^2\nlct a\nmld a\n",
+    cap=4, budget=100_000, weight_bound=8,
 )
 def test_estimator_commands_exit_with_a_contract_code(script, cap, budget, weight_bound):
     out, err = io.StringIO(), io.StringIO()

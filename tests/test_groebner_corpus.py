@@ -1,6 +1,7 @@
 """Differential corpus for the Groebner engine.
 
-The reduced grevlex bases below were recorded from the engine and are
+The reduced grevlex bases below were recorded from the engine's basis,
+interreduced by ``oracles.reduced_basis`` on the same step budget, and are
 checked against sympy's: the reduced basis is unique for the ideal and the
 order, so every engine must reproduce them exactly.  ``Polynomial.text``
 prints terms in grlex order, so the term an element is monic at is not
@@ -29,7 +30,7 @@ from towerval.jets import (
 )
 from towerval.polyring import GF, QQ, Ideal, parse_polynomial
 
-from oracles import dimension_by_groebner, sympy_groebner
+from oracles import dimension_by_groebner, reduced_basis, sympy_groebner
 
 # (p, nvars, generators, reduced grevlex basis, StepBudget.used); p = 0 is Q.
 # The last four are contact systems of jet ideals at the origin:
@@ -126,7 +127,7 @@ def _ideal(texts, n):
 @pytest.mark.parametrize("p, n, gens, basis, steps", CORPUS)
 def test_grevlex_basis_and_steps_are_pinned(p, n, gens, basis, steps):
     budget = StepBudget(10**6)
-    gb = groebner_basis(_gens(p, n, gens), budget=budget)
+    gb = reduced_basis(groebner_basis(_gens(p, n, gens), budget=budget), budget)
     assert tuple(g.text() for g in gb) == basis
     assert budget.used == steps
     assert set(_gens(p, n, basis)) == set(sympy_groebner(_gens(p, n, gens), "grevlex").values())
@@ -197,12 +198,12 @@ def test_dimension_path_step_counts_are_pinned(gens, n, level, before):
 @pytest.mark.parametrize("gens, n, level, before", [pin[:4] for pin in DIMENSION_STEPS])
 def test_only_interreduction_left_the_dimension_path(gens, n, level, before):
     # The dimension path stopped interreducing its basis and nothing else:
-    # each row's drop is exactly the steps _reduce_basis spends on the cell.
+    # each row's drop is exactly the steps reduced_basis spends on the cell.
     _, _, _, _, interreduced, now, _ = {pin[:4]: pin for pin in DIMENSION_STEPS}[gens, n, level, before]
     cell = _contact_generators([(_ideal(gens, n), level)])
     full, loop_only = StepBudget(10**6), StepBudget(10**6)
-    groebner_basis(cell, full)
-    groebner_basis(cell, loop_only, reduced=False)
+    reduced_basis(groebner_basis(cell, full), full)
+    groebner_basis(cell, loop_only)
     assert interreduced - now == full.used - loop_only.used
     assert now == loop_only.used
 

@@ -256,6 +256,18 @@ def test_parse_rejects_garbage():
             parse_polynomial(bad, QQ, 2)
 
 
+def test_parse_refuses_parentheses_nested_past_one_hundred():
+    def nested(k):
+        return "(" * k + "x1" + ")" * k
+
+    assert parse_polynomial(nested(100), QQ, 2) == parse_polynomial("x1", QQ, 2)
+    with pytest.raises(errors.ScriptSyntaxError,
+                       match=r"^parentheses nested deeper than 100 at column 101$"):
+        parse_polynomial(nested(101), QQ, 2)
+    # the bound counts depth, not parentheses
+    assert parse_polynomial("*".join(["(x1)"] * 300), GF(5), 2) == parse_polynomial("x1^300", GF(5), 2)
+
+
 def test_text_is_deterministic_and_readable():
     f = P("x2 + x1^2 - 3", QQ)
     assert f.text() == "x1^2 + x2 - 3"

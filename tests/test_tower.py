@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from towerval import errors
+from towerval import errors, tower
 from towerval.polyring import GF, QQ, Ideal, Polynomial, coordinate_ideal, parse_polynomial
 from towerval.tower import (
     CenterSpec,
@@ -19,7 +19,7 @@ from towerval.tower import (
     weak_transform,
 )
 
-from oracles import describe, equivalent_center_specs
+from oracles import describe, equivalent_center_specs, walked_weak_transform
 
 
 def P(text, domain, nvars=2):
@@ -236,22 +236,23 @@ def _random_poly(rng, domain, nvars, max_deg=3, max_terms=4):
 
 def test_weak_transform_of_maximal_ideal_is_unit():
     t = chain_tower(QQ, 2, 1)
-    wt, removed = weak_transform(t, coordinate_ideal(QQ, 2), 1)
+    a = coordinate_ideal(QQ, 2)
+    wt = weak_transform(t, a, 1)
     assert sorted(g.text() for g in wt.gens) == ["1", "x2"]
-    assert removed == [(1, 1)]
+    assert walked_weak_transform(t, a, 1) == (wt, [(1, 1)])
 
 
 def test_weak_transform_monomial_example():
     t = chain_tower(QQ, 2, 1)
     a = Ideal(QQ, 2, [P("x1^2", QQ), P("x2^3", QQ)])
-    wt, removed = weak_transform(t, a, 1)
+    wt = weak_transform(t, a, 1)
     assert sorted(g.text() for g in wt.gens) == ["1", "x1*x2^3"]
-    assert removed == [(1, 2)]
+    assert walked_weak_transform(t, a, 1) == (wt, [(1, 2)])
 
 
 def test_weak_transform_principal_gives_proper_transform():
     t = chain_tower(QQ, 2, 1)
-    wt, _ = weak_transform(t, Ideal(QQ, 2, [P("x2", QQ)]), 1)
+    wt = weak_transform(t, Ideal(QQ, 2, [P("x2", QQ)]), 1)
     assert [g.text() for g in wt.gens] == ["x2"]
 
 
@@ -259,7 +260,9 @@ def test_weak_transform_strips_stepwise_valuations():
     t = chain_tower(QQ, 2, 2)
     a = Ideal(QQ, 2, [P("x1^2 + x2^3", QQ)])
     home = t.divisor(2).home_chart
-    wt, removed = weak_transform(t, a, home)
+    wt = weak_transform(t, a, home)
+    walked, removed = walked_weak_transform(t, a, home)
+    assert walked == wt
     # first strip is v_{E_1}(a), by definition of both sides
     assert removed[0] == (1, valuation(t, 1, a))
     # nothing of the last pivot remains after stripping
@@ -271,7 +274,7 @@ def test_weak_transform_strips_stepwise_valuations():
 
 def test_point_search_accepts_origin_when_nothing_excludes_it():
     t = chain_tower(GF(5), 2, 1)
-    wt, _ = weak_transform(t, coordinate_ideal(GF(5), 2), 1)
+    wt = weak_transform(t, coordinate_ideal(GF(5), 2), 1)
     spec = point_on_divisor_avoiding(t, 1, avoid_loci=[wt])
     assert spec.chart == t.divisor(1).home_chart
     assert spec.as_dict() == {0: 0, 1: 0}
@@ -303,7 +306,7 @@ def test_point_search_exhaustion_over_f2():
     t = chain_tower(GF(2), 2, 1)
     # x2*(x1 + x2) has weak transform vanishing at every candidate point of E_1
     a = Ideal(GF(2), 2, [P("x1*x2 + x2^2", GF(2))])
-    wt, _ = weak_transform(t, a, 1)
+    wt = weak_transform(t, a, 1)
     with pytest.raises(errors.GeneralPointNotFound):
         point_on_divisor_avoiding(t, 1, avoid_loci=[wt])
 
@@ -334,21 +337,25 @@ def test_point_search_over_q_runs_zero_then_plus_and_minus():
         assert spec.as_dict() == {0: 0, 1: expected}
 
 
-def test_point_search_over_q_stops_at_the_radius():
+def test_point_search_over_q_stops_at_the_radius(monkeypatch):
     t = chain_tower(QQ, 2, 1)
     blocked = _avoiding_roots([0, 1, -1])
+    monkeypatch.setattr(tower, "_RADIUS", 1)
     with pytest.raises(errors.GeneralPointNotFound):
-        point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=1)
-    assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=2).as_dict() == {0: 0, 1: 2}
+        point_on_divisor_avoiding(t, 1, avoid_loci=[blocked])
+    monkeypatch.setattr(tower, "_RADIUS", 2)
+    assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked]).as_dict() == {0: 0, 1: 2}
 
 
-def test_point_search_over_a_prime_field_stops_at_the_radius():
+def test_point_search_over_a_prime_field_stops_at_the_radius(monkeypatch):
     dom = GF(103)
     t = chain_tower(dom, 2, 1)
     blocked = _avoiding_roots([0, 1, 2], dom)
+    monkeypatch.setattr(tower, "_RADIUS", 1)
     with pytest.raises(errors.GeneralPointNotFound):
-        point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=1)
-    assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked], radius=2).as_dict() == {0: 0, 1: 3}
+        point_on_divisor_avoiding(t, 1, avoid_loci=[blocked])
+    monkeypatch.setattr(tower, "_RADIUS", 2)
+    assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked]).as_dict() == {0: 0, 1: 3}
 
 
 # -- suspension ---------------------------------------------------------------------------
