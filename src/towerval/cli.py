@@ -55,7 +55,7 @@ from .jets import (
     lct_estimate_at_origin,
     mld_estimate,
 )
-from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, parse_polynomial
+from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, parse_polynomial, read_number
 from .tower import CenterSpec, Tower, blow_up, new_tower, suspend, valuation
 
 
@@ -166,20 +166,30 @@ def _located(e: Exception, where: str) -> Exception:
 
 
 def _parse_const(text: str, domain: Domain):
+    """A center constant: an integer over F_p, num/den over Q."""
     text = text.strip()
     try:
-        if domain.p:
-            return domain.coerce(int(text))
-        return domain.coerce(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+        c = read_number(text)
+    except ScriptSyntaxError:
+        c = None
+    if c is None or domain.p and isinstance(c, Fraction):
         _err(f"bad constant {text!r} for this ring")
+    return domain.coerce(c)
 
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(read_number(text.strip()))
+    except ScriptSyntaxError:
         _err(f"bad rational {text!r}")
+
+
+def _parse_id(text: str, what: str) -> int:
+    """A chart or divisor id; a sign is read, so that a negative id is
+    refused as an unknown chart or divisor."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        _err(f"{what}, got {text!r}")
+    return read_number(text)
 
 
 def _parse_step(token_text: str, t: Tower, domain: Domain, n: int):
@@ -193,10 +203,7 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int):
             _err(f"expected key=value in tower step, got {tok!r}")
         key, _, val = tok.partition("=")
         if key == "chart":
-            try:
-                value = 0 if val == "root" else int(val)
-            except ValueError:
-                _err(f"chart must be 'root' or an integer, got {val!r}")
+            value = 0 if val == "root" else _parse_id(val, "chart must be 'root' or an integer")
             if chart is not None:
                 _err("tower step gives chart= twice")
             chart = value
@@ -215,10 +222,10 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int):
                 _err("set wants a parenthesized list like (x1=0,x2=0)")
             center = {}
             for item in _split_top_level(inner, ","):
-                m = re.fullmatch(r"\s*x(\d+)\s*=\s*([^\s]+)\s*", item)
+                m = re.fullmatch(r"\s*x([0-9]+)\s*=\s*([^\s]+)\s*", item)
                 if not m:
                     _err(f"bad constraint {item.strip()!r} in set=")
-                idx = int(m.group(1)) - 1
+                idx = read_number(m.group(1)) - 1
                 if not 0 <= idx < n:
                     _err(f"variable x{m.group(1)} out of range (ring has {n} variables)")
                 c = _parse_const(m.group(2), domain)
@@ -253,10 +260,10 @@ def parse_script(text: str) -> SessionScript:
             if head == "ring":
                 if script is not None:
                     _err("ring is already declared; scripts hold a single ring")
-                m = re.fullmatch(r"ring\s+N=(\d+)\s+p=(\d+)", line)
+                m = re.fullmatch(r"ring\s+N=([0-9]+)\s+p=([0-9]+)", line)
                 if not m:
                     _err("ring wants the form 'ring N=<int> p=<prime or 0>'")
-                n, p = int(m.group(1)), int(m.group(2))
+                n, p = read_number(m.group(1)), read_number(m.group(2))
                 if n < 2:
                     _err(f"ring needs N >= 2 variables, got N={n}")
                 domain = QQ if p == 0 else GF(p)
@@ -324,8 +331,8 @@ def _factors(script, tokens):
     """name:exponent tokens as one MultiIdeal; a bare name has exponent 1."""
     factors = []
     for tok in tokens:
-        name, _, etext = tok.partition(":")
-        e = _parse_rational(etext) if etext else Fraction(1)
+        name, colon, etext = tok.partition(":")
+        e = _parse_rational(etext) if colon else Fraction(1)
         factors.append((_lookup(script, name, "ideal"), e))
     return MultiIdeal(factors)
 
@@ -352,11 +359,7 @@ def _bind(script, name, tokens):
     did, words = None, []
     for tok in tokens:
         if takes_divisor and tok.startswith("divisor="):
-            val = tok.split("=", 1)[1]
-            try:
-                value = int(val)
-            except ValueError:
-                _err(f"divisor wants an integer id, got {val!r}")
+            value = _parse_id(tok.split("=", 1)[1], "divisor wants an integer id")
             if did is not None:
                 _err("divisor= given twice")
             did = value
@@ -377,9 +380,9 @@ def _bind(script, name, tokens):
                     _err(f"missing arguments: {name} takes at least {least}")
                 args.append(None)  # an optional argument left out
             elif kind == "level?":
-                if not re.fullmatch(r"\d+", tok):
+                if not re.fullmatch(r"[0-9]+", tok):
                     _err(f"jets level must be a nonnegative integer, got {tok!r}")
-                args.append(int(tok))
+                args.append(read_number(tok))
             else:
                 args.append(_lookup(script, tok, kind.rstrip("?")))
     for tok in words:

@@ -22,9 +22,8 @@ terms), ``_add_multiple`` adds a monomial multiple of a map without
 its leading term and returns the monomials that entered (the reduction
 step of ``jets``), ``_chart_pullback`` pulls a map back through one
 blow-up chart by rewriting its exponents (a coordinate with a nonzero
-center constant is expanded by a binomial row, which ``_binomial_row``
-keeps in a table bounded by ``_ROW_TABLE_SIZE`` and keyed by the field,
-the constant and the power), and ``_order_on`` gives the order of a map
+center constant is expanded by the binomial row ``_binomial_row``
+builds), and ``_order_on`` gives the order of a map
 along a blow-up center (the valuation of the divisor the center makes;
 order >= 1 is containment).  The pullback kernel is the one pullback of
 the package: frames, divisor equations, weak and total transforms all go
@@ -37,6 +36,8 @@ between domains (residues 0..p-1 read as rationals), and every other
 operation, ``substitute`` included, stays inside one domain.  Nothing
 outside this module reduces mod p.  A ``Polynomial`` is built only at
 the API boundary, once per result, never for intermediate factors.
+``read_number`` reads every number written in a script, and
+``Polynomial.text`` prints coefficients of any size.
 
 No floating point appears anywhere in the package.
 """
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add as _add, le as _le, sub as _sub
@@ -415,11 +417,11 @@ class Polynomial:
             negative = not self.domain.p and c < 0
             mag = -c if negative else c
             if not vars_txt:
-                body = str(mag)
+                body = _number_text(mag)
             elif mag == 1:
                 body = vars_txt
             else:
-                body = f"{mag}*{vars_txt}"
+                body = f"{_number_text(mag)}*{vars_txt}"
             pieces.append(("-" if negative else "+", body))
         sign0, body0 = pieces[0]
         out = ("-" if sign0 == "-" else "") + body0
@@ -526,7 +528,7 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     off the center.  Each term's exponent tuple is rewritten: u_pivot takes
     the degree over the constrained coordinates whose constant is 0, and
     only a coordinate with a nonzero constant is expanded, binomially, by
-    the row ``_binomial_row`` keeps for it: one choice of k_j per such
+    the row ``_binomial_row`` builds for it: one choice of k_j per such
     coordinate gives u_j^k_j (u_pivot^k_pivot for the pivot) times
     u_pivot^(sum of the k_j), and each output monomial is built once, in
     one list.  Sums are reduced as in ``_add_into``.  A binomial
@@ -609,29 +611,16 @@ def _order_on(dom: Domain, terms: dict, center: tuple) -> int:
         d += 1
 
 
-# The rows of _chart_pullback, keyed by (p, c, e): the charts of a tower expand
-# the same few powers of the same center constants over and over.  The table
-# holds at most _ROW_TABLE_SIZE rows and drops its oldest one when full.
-_ROW_TABLE_SIZE = 256
-_row_table: dict = {}
-
-
-def _binomial_row(p, c, e: int) -> tuple:
+def _binomial_row(p, c, e: int) -> list:
     """(c + u)^e as (k, coefficient of u^k) pairs, with the coefficients
     that vanish mod p left out; p is None over QQ."""
-    key = (p, c, e)
-    row = _row_table.get(key)
-    if row is None:
-        row = []
-        for k in range(e + 1):
-            b = math.comb(e, k) * pow(c, e - k, p)
-            if p:
-                b %= p
-            if b:
-                row.append((k, b))
-        if len(_row_table) >= _ROW_TABLE_SIZE:
-            del _row_table[next(iter(_row_table))]
-        row = _row_table[key] = tuple(row)
+    row = []
+    for k in range(e + 1):
+        b = math.comb(e, k) * pow(c, e - k, p)
+        if p:
+            b %= p
+        if b:
+            row.append((k, b))
     return row
 
 
@@ -729,6 +718,46 @@ class MultiIdeal:
         return iter(self.factors)
 
 
+# -- numbers ------------------------------------------------------------------
+
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_number(text: str, where: str = ""):
+    """The value of an ASCII literal ``[+-]?[0-9]+(/[0-9]+)?``: an int, or a
+    Fraction when it has a denominator.  Every number in a script is read
+    here.  Any other text, a zero denominator, or a literal longer than
+    ``int`` reads raises ScriptSyntaxError; ``where`` (" at column C")
+    ends its message."""
+    m = _NUMBER.fullmatch(text)
+    if not m:
+        raise ScriptSyntaxError(f"bad number {text!r}{where}")
+    try:
+        num, den = int(m[1]), m[2] and int(m[2])
+    except ValueError:  # past the interpreter's limit on the digits int reads
+        raise ScriptSyntaxError(f"number of {len(text)} characters is too long{where}") from None
+    if den is None:
+        return num
+    if not den:
+        raise ScriptSyntaxError(f"zero denominator in {text}{where}")
+    return Fraction(num, den)
+
+
+def _number_text(c) -> str:
+    """``str(c)`` of an int or a Fraction of any size: an int past the
+    interpreter's limit on the digits ``str`` prints is printed as the two
+    halves of a split by a power of ten."""
+    if isinstance(c, Fraction):
+        num, den = c.numerator, c.denominator
+        return _number_text(num) if den == 1 else f"{_number_text(num)}/{_number_text(den)}"
+    try:
+        return str(c)
+    except ValueError:
+        k = c.bit_length() * 3 // 20  # about half the digits: log10(2) < 3/10
+        high, low = divmod(abs(c), 10**k)
+        return "-" * (c < 0) + _number_text(high) + _number_text(low).zfill(k)
+
+
 # -- parsing --------------------------------------------------------------------
 
 # A parsed power of a base with t >= 2 terms may have comb(e + t - 1, t - 1)
@@ -752,16 +781,17 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
         term   := factor ('*' factor)*
         factor := atom ['^' INT]
         atom   := NUM | VAR | '(' expr ')'
-        NUM    := digits ['/' digits]             (no spaces inside a/b)
-        VAR    := 'x' digits                      (1-based, up to nvars)
+        NUM    := INT ['/' INT]                   (no spaces inside a/b)
+        INT    := ASCII digits 0-9
+        VAR    := 'x' INT                         (1-based, up to nvars)
 
-    Parentheses nest at most 100 deep.
+    Whitespace is ASCII whitespace.  Parentheses nest at most 100 deep.
     """
     tokens = _lex(text)
     pos = depth = 0
 
     def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
+        return tokens[pos] if pos < len(tokens) else ("end", "", len(text), None)
 
     def take(kind=None):
         nonlocal pos
@@ -796,9 +826,9 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
         if peek()[0] == "^":
             take()
             tok = take("num")
-            if "/" in tok[1]:
+            e, t = tok[3], len(base.terms)
+            if isinstance(e, Fraction):
                 raise ScriptSyntaxError(f"exponent must be an integer at column {tok[2] + 1}")
-            e, t = int(tok[1]), len(base.terms)
             growth = None
             if t > 1 and math.comb(e + t - 1, t - 1) > _POWER_TERM_BOUND:
                 growth = f"expand to more than {_POWER_TERM_BOUND} terms"
@@ -817,20 +847,15 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
         tok = peek()
         if tok[0] == "num":
             take()
-            if "/" in tok[1]:
-                num, den = tok[1].split("/")
-                value = Fraction(int(num), int(den))
-                if value.denominator != 1 and domain.p:
-                    raise ConstantNotInField(
-                        f"literal {tok[1]} needs rational coefficients"
-                    )
-                c = int(value) if domain.p else value
-            else:
-                c = int(tok[1])
+            c = tok[3]
+            if domain.p and isinstance(c, Fraction):
+                if c.denominator != 1:
+                    raise ConstantNotInField(f"literal {tok[1]} needs rational coefficients")
+                c = c.numerator
             return Polynomial.constant(domain, nvars, c)
         if tok[0] == "var":
             take()
-            idx = int(tok[1][1:])
+            idx = tok[3]
             if not 1 <= idx <= nvars:
                 raise ScriptSyntaxError(
                     f"variable {tok[1]} out of range (ring has {nvars} variables)"
@@ -860,36 +885,28 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
     return result
 
 
+# One token per match: a number, a variable, an operator, a run of whitespace,
+# or else one character outside the grammar (an 'x' with no digit after it).
+_TOKEN = re.compile(
+    r"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^()])|(?P<space>\s+)|(?P<bad>.)",
+    re.ASCII | re.DOTALL,
+)
+
+
 def _lex(text: str):
+    """(kind, text, column, value) tokens: the value of a number, the index
+    of a variable, None for an operator, which is its own kind."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            if i < len(text) and text[i] == "/" and i + 1 < len(text) and text[i + 1].isdigit():
-                i += 1
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-            tokens.append(("num", text[start:i], start))
-            continue
-        if ch == "x":
-            start = i
-            i += 1
-            if i >= len(text) or not text[i].isdigit():
-                raise ScriptSyntaxError(f"bad variable name at column {start + 1}")
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(("var", text[start:i], start))
-            continue
-        raise ScriptSyntaxError(f"unexpected character {ch!r} at column {i + 1}")
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m[0], m.start()
+        if kind == "num":
+            tokens.append((kind, tok, col, read_number(tok, f" at column {col + 1}")))
+        elif kind == "var":
+            tokens.append((kind, tok, col, read_number(tok[1:], f" at column {col + 2}")))
+        elif kind == "op":
+            tokens.append((tok, tok, col, None))
+        elif kind == "bad":
+            if tok == "x":
+                raise ScriptSyntaxError(f"bad variable name at column {col + 1}")
+            raise ScriptSyntaxError(f"unexpected character {tok!r} at column {col + 1}")
     return tokens

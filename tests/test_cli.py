@@ -213,6 +213,86 @@ def test_estimators_and_jets_of_a_large_exponent(tmp_path, capsys, command, line
     assert code == 0 and err == "" and line in out.splitlines()
 
 
+def digits_value(digits: str) -> int:
+    """The int a decimal text names, read 1000 digits at a time, so that
+    no single int() passes the interpreter's limit on digits."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    return value
+
+
+# 3^20000 has 9 543 digits and 2^20000 has 6 021, past the 4 300 that str
+# converts by default
+@pytest.mark.parametrize("ideal, pattern, values", [
+    ("(3*x1)^20000 + x2", r"F0_0=([0-9]+)\*x1_0\^20000 \+ x2_0", [3**20000]),
+    ("(1/3)^20000*x1 - 2^20000*x2", r"F0_0=1/([0-9]+)\*x1_0 - ([0-9]+)\*x2_0", [3**20000, 2**20000]),
+])
+def test_a_coefficient_too_long_for_str_prints_in_full(tmp_path, capsys, ideal, pattern, values):
+    code, out, err = run_main(tmp_path, capsys, f"ring N=2 p=0\nideal a: {ideal}\njets a 0\n")
+    assert (code, err) == (0, "")
+    header, line = out.splitlines()
+    match = re.fullmatch(pattern, line)
+    assert header == "# command 1: jets a 0" and match
+    assert [digits_value(d) for d in match.groups()] == values
+
+
+LONG = "7" * 5000  # past the 4 300 digits int() reads by default
+
+
+# A number outside the grammar, in each position that reads one, over Q and
+# over F_5 where the field matters.
+@pytest.mark.parametrize("text, message", [
+    ("ring N=2 p=0\nideal a: x1 + 1/0\nlct a",
+     "line 2: in generator 'x1 + 1/0': zero denominator in 1/0 at column 6"),
+    ("ring N=2 p=5\nideal a: x1 + 1/0\nlct a",
+     "line 2: in generator 'x1 + 1/0': zero denominator in 1/0 at column 6"),
+    ("ring N=2 p=0\nideal a: x1^1/0", "line 2: in generator 'x1^1/0': zero denominator in 1/0 at column 4"),
+    ("ring N=2 p=0\nideal a: x1^2 + x\u00b2\nlct a",
+     "line 2: in generator 'x1^2 + x\u00b2': bad variable name at column 8"),
+    ("ring N=2 p=5\nideal a: x1^2 + x\u0661\nlct a",
+     "line 2: in generator 'x1^2 + x\u0661': bad variable name at column 8"),
+    ("ring N=2 p=0\nideal a: x1^\u0662", "line 2: in generator 'x1^\u0662': unexpected character"
+     " '\u0662' at column 4"),
+    ("ring N=2 p=0\nideal a: x1\u00a0+ x2", "line 2: in generator 'x1\\xa0+ x2': unexpected character"
+     " '\\xa0' at column 3"),
+    ("ring N=\uff12 p=\uff15\nideal a: x1", "line 1: ring wants the form 'ring N=<int> p=<prime or 0>'"),
+    (BASIC + "keval T divisor=\uff11", "line 4: divisor wants an integer id, got '\uff11'"),
+    (BASIC + "jets a \u0661", "line 4: jets level must be a nonnegative integer, got '\u0661'"),
+    ("ring N=2 p=5\ntower T: blowup chart=\u0660 point=(0,0)",
+     "line 2: chart must be 'root' or an integer, got '\u0660'"),
+    ("ring N=2 p=5\ntower T: blowup chart=root set=(x\u0661=0,x2=0)", "line 2: bad constraint 'x\u0661=0' in set="),
+    (BASIC + "mld a:0.5", "line 4: bad rational '0.5'"),
+    (BASIC + "mld a:1e0", "line 4: bad rational '1e0'"),
+    (BASIC + "mld a:", "line 4: bad rational ''"),
+    (BASIC + "bridge T a e=(1_0)", "line 4: bad rational '1_0'"),
+    ("ring N=2 p=0\ntower T: blowup chart=root point=(1_0,0)", "line 2: bad constant '1_0' for this ring"),
+    ("ring N=2 p=5\ntower T: blowup chart=root point=(1_0,0)", "line 2: bad constant '1_0' for this ring"),
+    ("ring N=2 p=5\ntower T: blowup chart=root point=(4/2,0)", "line 2: bad constant '4/2' for this ring"),
+    ("ring N=2 p=0\nideal a: x1 + " + LONG,
+     f"line 2: in generator 'x1 + {LONG}': number of 5000 characters is too long at column 6"),
+    ("ring N=2 p=5\nideal a: x1^" + LONG,
+     f"line 2: in generator 'x1^{LONG}': number of 5000 characters is too long at column 4"),
+    ("ring N=2 p=5\nideal a: x" + LONG,
+     f"line 2: in generator 'x{LONG}': number of 5000 characters is too long at column 2"),
+    (f"ring N={LONG} p=0", "line 1: number of 5000 characters is too long"),
+    (f"ring N=2 p=5\ntower T: blowup chart=root point=({LONG},0)", f"line 2: bad constant '{LONG}' for this ring"),
+    (BASIC + f"keval T divisor={LONG}", "line 4: number of 5000 characters is too long"),
+    (BASIC + f"jets a {LONG}", "line 4: number of 5000 characters is too long"),
+])
+def test_a_number_outside_the_grammar_exits_two(tmp_path, capsys, text, message):
+    assert run_main(tmp_path, capsys, text + "\n") == (2, "", f"error: ScriptSyntaxError: {message}\n")
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("ring N=2 p=5\ntower T: blowup chart=-1 point=(0,0)", "UnknownChart: line 2: no chart -1"),
+    (BASIC + "keval T divisor=-1", "UnknownDivisor: command 1 (keval): line 4: no divisor -1"),
+])
+def test_a_signed_id_is_read_and_refused_as_unknown(tmp_path, capsys, text, kind):
+    code, out, err = run_main(tmp_path, capsys, text + "\n")
+    assert (code, out) == (2, "") and err.startswith(f"error: {kind} ")
+
+
 def test_crosschar_summary(tmp_path, capsys):
     code, out, _ = run_main(tmp_path, capsys, BASIC + "crosschar a:1\n", "--cap", "3")
     assert code == 0
@@ -737,6 +817,19 @@ def test_json_format_is_sorted_and_parseable(tmp_path, capsys):
     assert payload[0]["lines"] == [{"divisor": "1", "k": "1"}]
 
 
+def main_on(text: str, *flags):
+    """main's exit code, stdout and stderr on a script text; a hypothesis
+    test cannot take the tmp_path and capsys fixtures run_main needs."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "script.tv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--script", path, *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
 # -- fuzzing the estimator commands ------------------------------------------------
 
 FUZZ_IDEALS = "ideal a: x1^2 + x2^3\nideal b: x1*x2\nideal c: x1 + 1"  # c misses the origin
@@ -745,7 +838,9 @@ FACTORS = ["a", "b", "c", "a:2", "b:1/2", "c:1"]
 # that most scripts reach a command: one malformed token stops the whole script.
 MALFORMED = [
     "lct", "lct a b", "lct a:2", "mld", "mld undeclared", "notlc a:0", "crosschar b:-1",
-    "mld a:x", "notlc b:1/0",
+    "mld a:x", "notlc b:1/0", "mld a:0.5", "notlc a:1e0", "crosschar a:",
+    "ideal e: x1 + 1/0", "ideal e: x1^2 + x\u00b2", "ideal e: x\u0661 + x2",
+    "tower S: blowup chart=root point=(1_0,0)",
 ]
 CAPS = [1, 2, 3] * 4 + [-2, -1, 0]
 WEIGHT_BOUNDS = [1, 2, 8, 100, 10**8] * 3 + [0, -1]  # lct b searches the toric box
@@ -784,21 +879,28 @@ def estimator_scripts(draw):
     script="ring N=2 p=5\nideal a: x1^3000 + x2^2\nlct a\nmld a\n",
     cap=4, budget=100_000, weight_bound=8,
 )
+# Each number below was once read by its own reader: 1/0 in a generator ended
+# in a traceback, x\u00b2 and a 5 000-digit literal in Python's advice on int(),
+# and the rest were accepted, most as another number.
+@example(script="ring N=2 p=0\nideal a: x1 + 1/0\nlct a\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=5\nideal a: x1 + 1/0\nlct a\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=0\nideal a: x1^2 + x\u00b2\nlct a\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=5\nideal a: x1^2 + x\u0661\nlct a\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=\uff12 p=\uff15\nideal a: x1\nlct a\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=5\nideal a: x1\nmld a:0.5\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=5\nideal a: x1\nmld a:1e0\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=5\nideal a: x1\nmld a:\n", cap=4, budget=100_000, weight_bound=8)
+@example(script="ring N=2 p=0\nideal a: x1 + " + "7" * 5000 + "\nlct a\n",
+         cap=4, budget=100_000, weight_bound=8)
 def test_estimator_commands_exit_with_a_contract_code(script, cap, budget, weight_bound):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "script.tv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(script)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--script", path, "--cap", str(cap), "--gb-budget", str(budget),
-                         "--weight-bound", str(weight_bound)])
+    code, out, err = main_on(script, "--cap", str(cap), "--gb-budget", str(budget),
+                             "--weight-bound", str(weight_bound))
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code:
-        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+        assert err.startswith("error:") and out == ""
     else:
-        assert err.getvalue() == ""
+        assert err == ""
 
 
 # -- fuzzing the tower, jet and bridge commands --------------------------------------
@@ -820,7 +922,8 @@ OTHER_COMMANDS = {
 }
 REST_TOKENS = [
     "a", "b", "c", "d", "d", "T", "undeclared", "a:1/2", "b:2", "d:1", "a:1/0",
-    "divisor=1", "divisor=2", "divisor=3", "divisor=0", "divisor=x",
+    "divisor=1", "divisor=2", "divisor=3", "divisor=0", "divisor=x", "divisor=\uff11",
+    "a:0.5", "a:1e0", "a:",
     "0", "2", "-1", "99999999999999999999",
     "e=(1/2)", "e=1", "e=(1,1)", "e=1/0", "tamper",
 ]
@@ -861,20 +964,56 @@ def tower_command_scripts(draw):
     + "\nbridge T d\n",
     budget=100_000,
 )
+@example(script=BASIC + "keval T divisor=\uff11\n", budget=100_000)  # once read as divisor 1
+@example(script="ring N=2 p=0\ntower T: blowup chart=root point=(1_0,0)\nkeval T\n", budget=100_000)
 def test_other_commands_exit_with_a_contract_code(script, budget):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "script.tv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(script)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--script", path, "--cap", "2", "--gb-budget", str(budget)])
+    code, out, err = main_on(script, "--cap", "2", "--gb-budget", str(budget))
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code:
-        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+        assert err.startswith("error:") and out == ""
     else:
-        assert err.getvalue() == ""
+        assert err == ""
     if code == 1:
-        name = err.getvalue().split(":", 2)[1].strip()
+        name = err.split(":", 2)[1].strip()
         assert issubclass(getattr(errors, name), errors.MathCheckFailed)
+
+
+# -- the number reader ---------------------------------------------------------------
+
+
+@given(q=st.fractions(), r=st.fractions(min_value=0).map(lambda r: r + 1))
+def test_every_fraction_literal_reads_back_in_each_rational_position(q, r):
+    """str(q) where a sign is allowed, str(r) where an exponent must be positive."""
+    script = parse_script(
+        f"ring N=2 p=0\nideal a: {q}*x1 + x2\n"
+        f"tower T: blowup chart=root point=({q},0); blowup chart=1 set=(x1={q},x2=0)\n"
+        f"mld a:{r}\nbridge T a e=({q})\n"
+    )
+    assert script.ideals["a"].gens[0].terms.get((1, 0), 0) == q
+    assert [step.center.constraints for step in script.towers["T"].steps] == [((0, q), (1, 0))] * 2
+    (_, _, (factors,), _), (_, _, (_, _, evecs, _), _) = script.commands
+    assert factors.factors[0][1] == r and evecs == [(q,)]
+
+
+# Every digit of these is in a number position, and each template parses.
+DIGIT_TEMPLATES = [
+    "ring N=2 p=0\nideal a: 3*x1^2 - 1/2*x2^3\n"
+    "tower T: blowup chart=root point=(1/2,-3); blowup chart=1 set=(x1=0,x2=+4)\n"
+    "veval T a divisor=1\nmld a:3/2\njets a 1\nbridge T a e=(1/2)\n",
+    "ring N=2 p=5\nideal a: 3*x1^2 + 4*x2^3\n"
+    "tower T: blowup chart=root point=(1,-3); blowup chart=2 set=(x1=0,x2=2)\nkeval T divisor=2\n",
+]
+
+
+@given(template=st.sampled_from(DIGIT_TEMPLATES), data=st.data(),
+       digit=st.characters(categories=["Nd"], min_codepoint=128))
+def test_a_digit_that_is_not_ascii_exits_two_wherever_it_stands(template, data, digit):
+    parse_script(template)
+    at = data.draw(st.sampled_from([i for i, ch in enumerate(template) if ch.isdigit()]))
+    code, out, err = main_on(template[:at] + digit + template[at + 1:])
+    line = template.count("\n", 0, at) + 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ScriptSyntaxError: line {line}: ")
+    if line == 2:  # inside a generator
+        assert " at column " in err
