@@ -55,7 +55,7 @@ from .jets import (
     lct_estimate_at_origin,
     mld_estimate,
 )
-from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, parse_polynomial, read_number
+from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, _number_text, clip, parse_polynomial, read_number
 from .tower import CenterSpec, Tower, blow_up, new_tower, suspend, valuation
 
 
@@ -77,9 +77,9 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_number_text(value.numerator)}/{_number_text(value.denominator)}"
     if isinstance(value, int):
-        return str(value)
+        return _number_text(value)
     if isinstance(value, (tuple, list)):
         return "(" + ",".join(_fmt(v) for v in value) + ")"
     if value is None:
@@ -173,7 +173,7 @@ def _parse_const(text: str, domain: Domain):
     except ScriptSyntaxError:
         c = None
     if c is None or domain.p and isinstance(c, Fraction):
-        _err(f"bad constant {text!r} for this ring")
+        _err(f"bad constant {clip(text)!r} for this ring")
     return domain.coerce(c)
 
 
@@ -181,7 +181,7 @@ def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(read_number(text.strip()))
     except ScriptSyntaxError:
-        _err(f"bad rational {text!r}")
+        _err(f"bad rational {clip(text)!r}")
 
 
 def _parse_id(text: str, what: str) -> int:
@@ -227,7 +227,7 @@ def _parse_step(token_text: str, t: Tower, domain: Domain, n: int):
                     _err(f"bad constraint {item.strip()!r} in set=")
                 idx = read_number(m.group(1)) - 1
                 if not 0 <= idx < n:
-                    _err(f"variable x{m.group(1)} out of range (ring has {n} variables)")
+                    _err(f"variable x{clip(m.group(1))} out of range (ring has {n} variables)")
                 c = _parse_const(m.group(2), domain)
                 if idx in center:
                     _err(f"x{idx + 1} is set twice in set=")
@@ -285,7 +285,7 @@ def parse_script(text: str) -> SessionScript:
                     try:
                         gens.append(parse_polynomial(part.strip(), script.domain, script.n))
                     except ScriptSyntaxError as e:
-                        _err(f"in generator {part.strip()!r}: {e}")
+                        _err(f"in generator {clip(part.strip())!r}: {e}")
                 script.ideals[name] = Ideal(script.domain, script.n, gens)
                 names.add(name)
                 continue

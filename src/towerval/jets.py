@@ -12,9 +12,9 @@ dividing.  It returns the basis its pair loop leaves, never interreduced,
 and the dimension reads only that basis's leading monomials.  A power
 x_l(t)^e of a jet series is built by repeated squaring, and along arcs
 through the origin a monomial of degree above the level is skipped, so a
-large exponent costs O(log e) products or none.  Purely monomial inputs take
-a combinatorial fast path that never touches a Groebner basis, giving the
-test suite two independent routes to the same numbers.
+large exponent costs O(log e) products or none.  Most contact cells take a
+closed form over the Newton strata that builds no jets, and the rest take the
+Groebner route, which the tests also force on them as an independent oracle.
 
 Estimates produced here are upper bounds by construction: enlarging the
 truncation cap can only lower them.
@@ -27,7 +27,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
+from operator import mul, neg
 
 from .errors import (
     BudgetExceeded,
@@ -72,7 +72,9 @@ class StepBudget:
     multiple of a basis element to cancel a leading term).  Pairs that the
     criteria of ``groebner_basis`` drop cost nothing, and so does the
     dimension path's cut of the coordinates a generator is a power of.
-    Steps do not count coefficient size, which over Q grows with them.
+    The strata route spends only the steps of its nondegeneracy tests,
+    not of its loop.  Steps do not count coefficient size, which over Q
+    grows with them.
     """
 
     __slots__ = ("cap", "used")
@@ -494,35 +496,70 @@ def _check_factors(factors):
 
 
 def monomial_contact_codim(factors) -> int:
-    """Fast path for monomial factors, independent of any Groebner basis.
+    """The strata route of monomial factors, which needs no Groebner basis."""
+    _check_factors(factors)
+    if not all(a.is_monomial() for a, _ in factors):
+        raise ValueError("fast path needs monomial ideals")
+    return _strata_codim(factors, StepBudget(0))
 
-    An arc lies in every contact condition iff its vector of coordinate
-    orders a (componentwise >= 1 on the fiber over the origin) satisfies
-    sum_l a_l * w_l >= m for each generator x^w; each such stratum has
-    codimension sum(a).  Minimize over the finitely many a that matter.
+
+def _strata_codim(factors, budget: StepBudget):
+    """Codim of a cell with at most one non-monomial factor, principal
+    (f, level mf), or None for another cell or a degenerate face of f.
+
+    The arcs through the origin with coordinate orders a in {1..L}^N (a_l = L
+    for order at least L) have codim sum(a), and x^w has order <a, w> on
+    them, so a monomial factor keeps all of them or none.  So does f when
+    its order o = min <a, w> is at least mf.  Otherwise in_a f, the terms of
+    weight o, must vanish on the arcs' leading coefficients, which lie in
+    the torus: a monomial never does, and a nondegenerate one spends one
+    codim more on each of the mf - o conditions (Kouchnirenko 1976; Ein,
+    Lazarsfeld & Mustata 2004).  The codim is the least score.
     """
-    dom_n = _check_factors(factors)
-    n = dom_n[1]
+    others = [(a.gens, m) for a, m in factors if not a.is_monomial()]
+    if len(others) > 1 or others and len(others[0][0]) > 1:
+        return None
+    f, mf = (others[0][0][0].terms, others[0][1]) if others else ({}, 0)
+    constraints = [(w, m) for a, m in factors if a.is_monomial() for g in a.gens for w in g.terms]
+    dom, n = factors[0][0].domain, factors[0][0].nvars
     L = max(m for _, m in factors)
-    constraints = []
-    for a, m in factors:
-        if not a.is_monomial():
-            raise ValueError("fast path needs monomial ideals")
-        for g in a.gens:
-            (w,) = g.terms
-            if sum(w) == 0:
-                raise UnitIdeal("a unit generator empties the contact locus")
-            constraints.append((w, m))
+    faces: dict = {}  # initial form -> whether it is nondegenerate
     best = None
     for vec in itertools.product(range(1, L + 1), repeat=n):
-        if any(sum(a * w_l for a, w_l in zip(vec, w)) < m for w, m in constraints):
+        if any(sum(map(mul, vec, w)) < m for w, m in constraints):
             continue
-        total = sum(vec)
-        if best is None or total < best:
-            best = total
+        score = sum(vec)
+        if f:
+            weight = {w: sum(map(mul, vec, w)) for w in f}
+            o = min(weight.values())
+            if o < mf:
+                face = frozenset(w for w in f if weight[w] == o)
+                if len(face) == 1:
+                    continue
+                if face not in faces:
+                    faces[face] = _nondegenerate(dom, f, face, budget)
+                if not faces[face]:
+                    return None
+                score += mf - o
+        if best is None or score < best:
+            best = score
     if best is None:
         raise UnitIdeal("contact conditions are unsatisfiable")
     return best
+
+
+def _nondegenerate(dom, f: dict, face, budget: StepBudget) -> bool:
+    """Whether g, the terms of f on ``face``, and its partials have no common
+    zero in the torus over ``dom``: (g, dg/dx_l, 1 - y * prod x_l) is (1)."""
+    n = len(next(iter(face)))
+    g = Polynomial(dom, n + 1, {w + (0,): f[w] for w in face})
+    torus = tuple(int(any(w[l] for w in face)) for l in range(n)) + (1,)
+    try:
+        ideal_dimension([g] + [g.derivative(l) for l in range(n)]
+                        + [Polynomial(dom, n + 1, {(0,) * (n + 1): 1, torus: -1})], budget)
+    except UnitIdeal:
+        return True
+    return False
 
 
 def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=False) -> int:
@@ -535,9 +572,11 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
     (``at_origin``), an ideal in the N*(L-1) variables x_l^(q),
     1 <= q <= L-1; the codim is N*L minus that ideal's dimension.  A cell
     with no nonzero condition has codim N and runs no Groebner basis.
-    Monomial inputs use the combinatorial fast path unless
-    ``force_groebner`` asks for the slow route (the tests compare the
-    two).  Each step of the Groebner route is a step of
+    Unless ``force_groebner`` asks for that route (the tests compare the
+    two), a cell of monomial factors and at most one principal factor
+    takes the strata route (``_strata_codim``), which expands no jets and
+    spends only the steps of its nondegeneracy tests; a degenerate face
+    sends the cell on to the Groebner route, whose steps are steps of
     ``groebner_basis``.
 
     Cells are memoised per process, keyed by the factors and the route.
@@ -563,8 +602,12 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
 
 def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
     n = ring[1]
-    if not force_groebner and all(a.is_monomial() for a, _ in factors):
-        return monomial_contact_codim(factors)
+    if not force_groebner:
+        if all(a.is_monomial() for a, _ in factors):
+            return monomial_contact_codim(factors)
+        codim = _strata_codim(factors, budget)
+        if codim is not None:
+            return codim
 
     L = max(m for _, m in factors)  # jet variables x_l^(q), 1 <= q <= L-1
     gens = _contact_generators(factors)

@@ -302,18 +302,26 @@ class Polynomial:
         return Polynomial(self.domain, self.nvars, terms)
 
     def __pow__(self, n: int) -> "Polynomial":
+        """Over F_p, (sum c * x^m)^p = sum c * x^(p * m), so for n = sum d_i * p^i
+        this is the product of the F_i^(d_i), each by repeated squaring, where
+        F_i is self with every exponent times p^i.  Over Q, n is one digit."""
         if n < 0:
             raise ValueError("negative power")
-        if n == 0:
-            return Polynomial.constant(self.domain, self.nvars, 1)
-        dom, base, result = self.domain, self.terms, None
-        while True:
-            if n & 1:
-                result = base if result is None else _mul_terms(dom, result, base, {})
-            n >>= 1
-            if not n:
-                return Polynomial(dom, self.nvars, result)
-            base = _mul_terms(dom, base, base, {})
+        dom = self.domain
+        p = dom.p if dom.p and n >= dom.p else n + 1  # over Q or below p, n is one digit
+        result, frob = {(0,) * self.nvars: 1}, self.terms
+        while n:
+            n, d = divmod(n, p)
+            base = frob
+            while d:
+                if d & 1:
+                    result = _mul_terms(dom, result, base, {})
+                d >>= 1
+                if d:
+                    base = _mul_terms(dom, base, base, {})
+            if n:
+                frob = {tuple(e * p for e in m): c for m, c in frob.items()}
+        return Polynomial(dom, self.nvars, result)
 
     def scale(self, c) -> "Polynomial":
         dom, n = self.domain, self.nvars
@@ -720,27 +728,42 @@ class MultiIdeal:
 
 # -- numbers ------------------------------------------------------------------
 
-_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_NUMBER = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_ECHO_BOUND = 40  # a message echoes at most this many characters of a text
+
+
+def clip(text: str) -> str:
+    """``text`` as a one-line message echoes it: past _ECHO_BOUND
+    characters, its start and its length."""
+    return text if len(text) <= _ECHO_BOUND else f"{text[:_ECHO_BOUND]}... ({len(text)} characters)"
 
 
 def read_number(text: str, where: str = ""):
     """The value of an ASCII literal ``[+-]?[0-9]+(/[0-9]+)?``: an int, or a
-    Fraction when it has a denominator.  Every number in a script is read
-    here.  Any other text, a zero denominator, or a literal longer than
-    ``int`` reads raises ScriptSyntaxError; ``where`` (" at column C")
-    ends its message."""
+    Fraction when it has a denominator, of any length.  Every number in a
+    script is read here.  Any other text or a zero denominator raises
+    ScriptSyntaxError; ``where`` (" at column C") ends its message."""
     m = _NUMBER.fullmatch(text)
     if not m:
-        raise ScriptSyntaxError(f"bad number {text!r}{where}")
-    try:
-        num, den = int(m[1]), m[2] and int(m[2])
-    except ValueError:  # past the interpreter's limit on the digits int reads
-        raise ScriptSyntaxError(f"number of {len(text)} characters is too long{where}") from None
-    if den is None:
+        raise ScriptSyntaxError(f"bad number {clip(text)!r}{where}")
+    num = -_read_digits(m[2]) if m[1] == "-" else _read_digits(m[2])
+    if m[3] is None:
         return num
+    den = _read_digits(m[3])
     if not den:
-        raise ScriptSyntaxError(f"zero denominator in {text}{where}")
+        raise ScriptSyntaxError(f"zero denominator in {clip(text)}{where}")
     return Fraction(num, den)
+
+
+def _read_digits(digits: str) -> int:
+    """int(digits) for ASCII digits of any length: past the interpreter's
+    limit on the digits ``int`` reads, the two halves are read apart, as
+    ``_number_text`` prints them."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _read_digits(digits[:-k]) * 10**k + _read_digits(digits[-k:])
 
 
 def _number_text(c) -> str:
@@ -858,7 +881,7 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
             idx = tok[3]
             if not 1 <= idx <= nvars:
                 raise ScriptSyntaxError(
-                    f"variable {tok[1]} out of range (ring has {nvars} variables)"
+                    f"variable {clip(tok[1])} out of range (ring has {nvars} variables)"
                     f" at column {tok[2] + 1}"
                 )
             return Polynomial.variable(domain, nvars, idx - 1)

@@ -54,7 +54,7 @@ from .errors import (
     UnknownDivisor,
     ZeroIdeal,
 )
-from .polyring import Domain, Ideal, Polynomial, _chart_pullback, _order_on
+from .polyring import Domain, Ideal, Polynomial, _chart_pullback, _number_text, _order_on, clip
 
 
 class CenterSpec(namedtuple("CenterSpec", "chart constraints")):
@@ -189,6 +189,11 @@ class Step(namedtuple("Step", "did k home_chart contained_in center chart_ids"))
     __slots__ = ()
 
 
+def _shown(cid) -> str:
+    """An id as a message echoes it: an int of any length in digits."""
+    return clip(_number_text(cid)) if type(cid) is int else repr(cid)
+
+
 class Tower:
     """Immutable; ``blow_up`` returns an extended copy."""
 
@@ -205,12 +210,12 @@ class Tower:
 
     def chart(self, cid: int) -> Chart:
         if not isinstance(cid, int) or not 0 <= cid < len(self.charts):
-            raise UnknownChart(f"no chart {cid!r} (tower has charts 0..{len(self.charts) - 1})")
+            raise UnknownChart(f"no chart {_shown(cid)} (tower has charts 0..{len(self.charts) - 1})")
         return self.charts[cid]
 
     def divisor(self, did: int) -> Step:
         if not isinstance(did, int) or not 1 <= did <= len(self.steps):
-            raise UnknownDivisor(f"no divisor {did!r} (tower has divisors 1..{len(self.steps)})")
+            raise UnknownDivisor(f"no divisor {_shown(did)} (tower has divisors 1..{len(self.steps)})")
         return self.steps[did - 1]
 
     @property

@@ -336,10 +336,11 @@ def test_crosschar_cusp_over_f7():
 
 
 def test_crosschar_budget_blowups_are_cells_not_errors():
-    # x1^3 + x2^3 spends 3 steps at depth 5 and 32 at depth 6, none below
-    rep = cross_characteristic_suite(MultiIdeal([(I(GF(5), 2, "x1^3 + x2^3"), 1)]), 6, budget=1)
+    # over F_3 x1^3 + x2^3 is (x1 + x2)^3: from depth 4 on, its face test
+    # spends 3 steps before the cell falls back to Groebner; none below
+    rep = cross_characteristic_suite(MultiIdeal([(I(GF(3), 2, "x1^3 + x2^3"), 1)]), 6, budget=1)
     notes = {c.mvec[0]: c.note for c in rep.cells}
-    assert notes == {1: None, 2: None, 3: None, 4: None, 5: "budget", 6: "budget"}
+    assert notes == {1: None, 2: None, 3: None, 4: "budget", 5: "budget", 6: "budget"}
     # estimates fall back to the cells that did complete
     assert rep.mld_p == -1 and rep.lct_p == Fraction(2, 3)
 

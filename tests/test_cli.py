@@ -238,6 +238,7 @@ def test_a_coefficient_too_long_for_str_prints_in_full(tmp_path, capsys, ideal, 
 
 
 LONG = "7" * 5000  # past the 4 300 digits int() reads by default
+SEVENS = LONG[:40]  # as much of it as a message echoes
 
 
 # A number outside the grammar, in each position that reads one, over Q and
@@ -269,19 +270,49 @@ LONG = "7" * 5000  # past the 4 300 digits int() reads by default
     ("ring N=2 p=0\ntower T: blowup chart=root point=(1_0,0)", "line 2: bad constant '1_0' for this ring"),
     ("ring N=2 p=5\ntower T: blowup chart=root point=(1_0,0)", "line 2: bad constant '1_0' for this ring"),
     ("ring N=2 p=5\ntower T: blowup chart=root point=(4/2,0)", "line 2: bad constant '4/2' for this ring"),
-    ("ring N=2 p=0\nideal a: x1 + " + LONG,
-     f"line 2: in generator 'x1 + {LONG}': number of 5000 characters is too long at column 6"),
-    ("ring N=2 p=5\nideal a: x1^" + LONG,
-     f"line 2: in generator 'x1^{LONG}': number of 5000 characters is too long at column 4"),
+    # a refused literal of any length is echoed clipped
+    ("ring N=2 p=0\nideal a: x1 + " + LONG + "/0",
+     f"line 2: in generator 'x1 + {SEVENS[:35]}... (5007 characters)': zero denominator in"
+     f" {SEVENS}... (5002 characters) at column 6"),
+    ("ring N=2 p=5\nideal a: x1^" + LONG + "/0",
+     f"line 2: in generator 'x1^{SEVENS[:37]}... (5005 characters)': zero denominator in"
+     f" {SEVENS}... (5002 characters) at column 4"),
     ("ring N=2 p=5\nideal a: x" + LONG,
-     f"line 2: in generator 'x{LONG}': number of 5000 characters is too long at column 2"),
-    (f"ring N={LONG} p=0", "line 1: number of 5000 characters is too long"),
-    (f"ring N=2 p=5\ntower T: blowup chart=root point=({LONG},0)", f"line 2: bad constant '{LONG}' for this ring"),
-    (BASIC + f"keval T divisor={LONG}", "line 4: number of 5000 characters is too long"),
-    (BASIC + f"jets a {LONG}", "line 4: number of 5000 characters is too long"),
+     f"line 2: in generator 'x{SEVENS[:39]}... (5001 characters)': variable x{SEVENS[:39]}..."
+     " (5001 characters) out of range (ring has 2 variables) at column 1"),
+    ("ring N=2 p=5\ntower T: blowup chart=root set=(x" + LONG + "=0,x2=0)",
+     f"line 2: variable x{SEVENS}... (5000 characters) out of range (ring has 2 variables)"),
+    (f"ring N=2 p=5\ntower T: blowup chart=root point=({LONG}/7,0)",
+     f"line 2: bad constant '{SEVENS}... (5002 characters)' for this ring"),
+    (BASIC + f"mld a:{LONG}.5", f"line 4: bad rational '{SEVENS}... (5002 characters)'"),
 ])
 def test_a_number_outside_the_grammar_exits_two(tmp_path, capsys, text, message):
     assert run_main(tmp_path, capsys, text + "\n") == (2, "", f"error: ScriptSyntaxError: {message}\n")
+
+
+# A literal of any length is read, and what it names is refused by its kind.
+@pytest.mark.parametrize("text, message", [
+    (f"ring N={LONG} p=0\nideal a: x1", "OverflowError: line 2: "),
+    (BASIC + f"jets a {LONG}", "OverflowError: command 1 (jets): line 4: "),
+    ("ring N=2 p=5\ntower T: blowup chart=" + LONG + " point=(0,0)",
+     f"UnknownChart: line 2: no chart {SEVENS}... (5000 characters) (tower has charts 0..0)\n"),
+    (BASIC + f"keval T divisor={LONG}",
+     f"UnknownDivisor: command 1 (keval): line 4: no divisor {SEVENS}... (5000 characters)"
+     " (tower has divisors 1..1)\n"),
+])
+def test_a_long_literal_names_what_it_names(tmp_path, capsys, text, message):
+    code, out, err = run_main(tmp_path, capsys, text + "\n")
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_a_long_literal_reads_back_from_what_jets_prints(tmp_path, capsys):
+    # 3^20000 has 9 543 digits, more than int() reads by default
+    code, out, _ = run_main(tmp_path, capsys, "ring N=2 p=0\nideal a: (3*x1)^20000 + x2\njets a 0\n")
+    assert code == 0
+    printed = out.splitlines()[1].removeprefix("F0_0=")
+    script = f"ring N=2 p=0\nideal a: {printed.replace('x1_0', 'x1').replace('x2_0', 'x2')}\nheights a\n"
+    assert run_main(tmp_path, capsys, script)[0] == 0
+    assert parse_script(script).ideals["a"].gens[0].terms[(20000, 0)] == 3**20000
 
 
 @pytest.mark.parametrize("text, kind", [
@@ -484,7 +515,7 @@ def test_an_index_error_inside_a_handler_propagates(monkeypatch):
     (BASIC + "veval T T", [], 2, "UnknownName", 4),
     ("ring N=2 p=5\nideal z: 0\nnotlc z:1", [], 2, "ZeroIdeal", 3),
     (BASIC + "bridge T a tamper", [], 1, "BridgeIdentityFailed", 4),
-    ("ring N=2 p=0\nideal c: x1^3 + x2^3\nlct c", ["--cap", "5", "--gb-budget", "1"], 3,
+    ("ring N=2 p=3\nideal c: x1^3 + x2^3\nlct c", ["--cap", "5", "--gb-budget", "1"], 3,
      "BudgetExceeded", 3),
     (BASIC + "keval T\njets a 3", [], 3, "MemoryError", 5),
 ])
@@ -618,7 +649,8 @@ def test_exit_code_three_for_exhaustion(tmp_path, capsys):
 
 
 def test_exit_code_three_for_budget_exhaustion(tmp_path, capsys):
-    text = "ring N=2 p=0\nideal c: x1^3 + x2^3\nlct c\n"
+    # (x1 + x2)^3 over F_3 is degenerate: its depth-4 cell spends 3 steps
+    text = "ring N=2 p=3\nideal c: x1^3 + x2^3\nlct c\n"
     code, _, err = run_main(tmp_path, capsys, text, "--cap", "5", "--gb-budget", "1")
     assert code == 3 and "BudgetExceeded" in err
 
@@ -795,9 +827,10 @@ def test_output_is_byte_identical_across_runs(tmp_path, capsys):
 
 
 def test_a_warm_session_prints_what_a_cold_one_prints(tmp_path, capsys):
-    # the second run is served by the jet and contact-cell memos of the first
+    # the second run is served by the jet and contact-cell memos of the first;
+    # over F_3, x1^3 + x2^3 sends its cells from depth 4 on to Groebner
     text = (
-        "ring N=2 p=7\n"
+        "ring N=2 p=3\n"
         "ideal d: x1^3 + x2^3\n"
         "ideal m: x1, x2\n"
         "lct d\nmld d:2/3\nnotlc d:1\ncrosschar d:1\nmld d:1/2 m:1/2\n"

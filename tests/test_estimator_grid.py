@@ -27,9 +27,13 @@ NODE = ("x1*x2",)
 MAX = ("x1", "x2")
 SQUARE = ("x1^2 + x2^2",)
 MONO = ("x1^2", "x2^3")
-# Spends Groebner steps from depth 5 on (3 at L5, 32 at L6), where the cusp's
-# cells up to L7 spend none: the budget rows run out on it.
+# Over F_3 this is (x1 + x2)^3, which is degenerate: from depth 4 on each
+# cell spends 3 steps on its face test and then falls back to Groebner, where
+# the cusp's cells spend none.  The budget rows run out on it.
 FERMAT = ("x1^3 + x2^3",)
+# Two generators always take Groebner: at depth 4 over F_3 the cell spends
+# 40 steps and its lift 70, at depth 5 68 and 916.
+PAIR = ("x1^2 + x2*x3", "x2^2 + x1*x3")
 OFF = ("x1 + 1",)  # misses the origin
 
 
@@ -77,7 +81,7 @@ CASES = {
     "lct-mono-F3": ("lct", "F3", 2, [(MONO, 1)], 3, B),
     "lct-off-F5": ("lct", "F5", 2, [(OFF, 1)], 3, B),
     "lct-cap0-Q": ("lct", "Q", 2, [(CUSP, 1)], 0, B),
-    "lct-budget-Q": ("lct", "Q", 2, [(FERMAT, 1)], 5, 2),
+    "lct-budget-F3": ("lct", "F3", 2, [(FERMAT, 1)], 5, 2),
     "lct-budget-cusp-Q": ("lct", "Q", 2, [(CUSP, 1)], 5, 3),
     "lct-three-vars-F2": ("lct", "F2", 3, [(("x1^2 + x2^2 + x3^2",), 1)], 3, B),
     # mld: one and two factors, ties, cap 0, factors off the origin
@@ -93,9 +97,9 @@ CASES = {
     "mld-off-alone-Q": ("mld", "Q", 2, [(OFF, 1)], 3, B),
     "mld-square-F2": ("mld", "F2", 2, [(SQUARE, 1)], 4, B),
     "mld-mono-F7": ("mld", "F7", 2, [(MONO, "3/2")], 3, B),
-    "mld-budget-Q": ("mld", "Q", 2, [(FERMAT, 1)], 5, 1),
+    "mld-budget-F3": ("mld", "F3", 2, [(FERMAT, 1)], 5, 1),
     "mld-budget-cusp-Q": ("mld", "Q", 2, [(CUSP, 1)], 5, 1),
-    "mld-budget-roomy-Q": ("mld", "Q", 2, [(FERMAT, 1)], 5, 3),
+    "mld-budget-roomy-F3": ("mld", "F3", 2, [(FERMAT, 1)], 5, 3),
     # notlc: first violating cell by total depth, then lexicographically
     **{f"notlc-cusp-{d}": ("notlc", d, 2, [(CUSP, 3)], 3, B) for d in DOMAINS},
     **{f"notlc-node-{d}": ("notlc", d, 2, [(NODE, 1)], 3, B) for d in DOMAINS},
@@ -105,7 +109,7 @@ CASES = {
     "notlc-off-alone-F7": ("notlc", "F7", 2, [(OFF, 9)], 3, B),
     "notlc-empty-Q": ("notlc", "Q", 2, [], 3, B),
     "notlc-cap0-Q": ("notlc", "Q", 2, [(CUSP, 3)], 0, B),
-    "notlc-budget-Q": ("notlc", "Q", 2, [(FERMAT, "1/2")], 5, 1),
+    "notlc-budget-F3": ("notlc", "F3", 2, [(FERMAT, "1/2")], 5, 1),
     "notlc-budget-cusp-Q": ("notlc", "Q", 2, [(CUSP, 1)], 5, 1),
     "notlc-budget-found-F5": ("notlc", "F5", 2, [(CUSP, "3/2")], 3, 1),
     # crosschar: single and two factors, caps per factor, budget notes
@@ -116,11 +120,11 @@ CASES = {
     "crosschar-twin-F5": ("crosschar", "F5", 2, [(MAX, 1), (MAX, 1)], 2, B),
     "crosschar-off-F3": ("crosschar", "F3", 2, [(OFF, 1), (CUSP, 1)], (1, 3), B),
     "crosschar-off-alone-F7": ("crosschar", "F7", 2, [(OFF, 1)], 2, B),
-    "crosschar-budget-F5": ("crosschar", "F5", 2, [(FERMAT, 1)], 6, 1),
+    "crosschar-budget-F3": ("crosschar", "F3", 2, [(FERMAT, 1)], 6, 1),
     "crosschar-budget-cusp-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 6, 1),
-    # over F_2 x1^2 + x2^2 is (x1 + x2)^2: from depth 4 on the F_2 side
-    # finishes without a step, and its lift needs 3 steps at depth 4, 13 at 5
-    "crosschar-budget-lift-F2": ("crosschar", "F2", 2, [(SQUARE, 1)], 5, 0),
+    # from depth 4 on the F_3 side finishes within the budget and its lift
+    # does not
+    "crosschar-budget-lift-F3": ("crosschar", "F3", 3, [(PAIR, 1)], 5, 69),
     "crosschar-budget-lift-N1-F2": ("crosschar", "F2", 1, [(("x1^2 + x1^4",), 1)], 5, 0),
     "crosschar-budget-pair-F3": ("crosschar", "F3", 2, [(CUSP, 1), (NODE, 1)], 2, 1),
     "crosschar-caps-mismatch-F5": ("crosschar", "F5", 2, [(CUSP, 1)], (1, 2), B),
@@ -129,9 +133,9 @@ CASES = {
 }
 
 EXPECTED = {
-    'crosschar-budget-F5': '(1,):2:2:None;(2,):2:2:None;(3,):2:2:None;(4,):3:3:None;(5,):None:None:budget;(6,):None:None:budget|mld=-1,-1|lct=2/3,2/3',
+    'crosschar-budget-F3': '(1,):2:2:None;(2,):2:2:None;(3,):2:2:None;(4,):None:None:budget;(5,):None:None:budget;(6,):None:None:budget|mld=-1,-1|lct=2/3,2/3',
     'crosschar-budget-cusp-F5': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None;(5,):5:5:None;(6,):5:5:None|mld=-1,-1|lct=5/6,5/6',
-    'crosschar-budget-lift-F2': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):3:None:budget;(5,):4:None:budget|mld=0,0|lct=1,1',
+    'crosschar-budget-lift-F3': '(1,):3:3:None;(2,):3:3:None;(3,):5:5:None;(4,):6:None:budget;(5,):7:None:budget|mld=1,1|lct=3/2,3/2',
     'crosschar-budget-lift-N1-F2': '(1,):1:1:None;(2,):1:1:None;(3,):2:2:None;(4,):2:2:None;(5,):3:3:None|mld=-2,-2|lct=1/2,1/2',
     'crosschar-budget-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-2,-2|lct=None,None',
     'crosschar-cap0-F5': '|mld=2,2|lct=None,None',
@@ -150,7 +154,7 @@ EXPECTED = {
     'crosschar-square-F2': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):3:4:None|mld=-1,0|lct=3/4,1',
     'crosschar-square-F3': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
     'crosschar-twin-F5': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):4:4:None;(1, 1):2:2:None;(2, 0):4:4:None;(1, 2):4:4:None;(2, 1):4:4:None;(2, 2):4:4:None|mld=0,0|lct=None,None',
-    'lct-budget-Q': 'BudgetExceeded',
+    'lct-budget-F3': 'BudgetExceeded',
     'lct-budget-cusp-Q': '1 2',
     'lct-cap0-Q': 'ValueError',
     'lct-cusp-F2': '1 2',
@@ -172,9 +176,9 @@ EXPECTED = {
     'lct-square-F7': '1 2',
     'lct-square-Q': '1 2',
     'lct-three-vars-F2': '4/3 3',
-    'mld-budget-Q': 'BudgetExceeded',
+    'mld-budget-F3': 'BudgetExceeded',
     'mld-budget-cusp-Q': '0 (2,)',
-    'mld-budget-roomy-Q': '-1 (3,)',
+    'mld-budget-roomy-F3': '-2 (5,)',
     'mld-cap0-Q': '2 (0,)',
     'mld-cap0-pair-F7': '2 (0, 0)',
     'mld-cusp-F2': '0 (2,)',
@@ -195,7 +199,7 @@ EXPECTED = {
     'mld-square-F2': '-1 (4,)',
     'mld-twin-tie-F3': '-2 (2, 2)',
     'mld-twin-tie-Q': '0 (1, 1)',
-    'notlc-budget-Q': 'BudgetExceeded',
+    'notlc-budget-F3': 'BudgetExceeded',
     'notlc-budget-cusp-Q': 'none',
     'notlc-budget-found-F5': '(2,) 2 -1',
     'notlc-cap0-Q': 'ValueError',

@@ -158,27 +158,31 @@ def test_contact_codims_match_the_recorded_engine(gens, n, level, codim):
 # criteria and before the x_l^(0) left the contact ideal, steps while the
 # dimension path still interreduced its basis, steps of the pair loop on
 # the uncut cell, steps now that the dimension path cuts every coordinate
-# a generator is a power of); the first two were pinned first, the rest
-# cover every other cell of CELLS.  The middle two counts differ by the
-# interreduction steps alone (test_only_interreduction_left_the_dimension_path).
+# a generator is a power of, steps of the default route); the first two
+# were pinned first, the rest cover every other cell of CELLS.  The Groebner
+# counts are taken with ``force_groebner``.  The last column is the strata
+# route's: the cut answers each of its nondegeneracy tests at no step, so
+# only the two-generator cells, which it sends to Groebner, spend any.  The
+# middle two counts differ by the interreduction steps alone
+# (test_only_interreduction_left_the_dimension_path).
 DIMENSION_STEPS = (
-    (("x1^3 + x2^3",), 2, 6, 113, 32, 32, 32),
-    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178, 71, 70, 70),
-    (("x1^2 + x2^3",), 2, 4, 6, 0, 0, 0),
-    (("x1^2 + x2^3",), 2, 5, 60, 27, 27, 0),
-    (("x1^2 + x2^3",), 2, 6, 724, 220, 218, 0),
-    (("x1*x2 + x3^2",), 3, 4, 17, 4, 4, 4),
-    (("x1*x2 + x3^2",), 3, 5, 84, 34, 34, 34),
-    (("x1*x2 + x3^2",), 3, 6, 603, 189, 189, 189),
-    (("x1^2 + x2^5",), 2, 5, 11, 3, 3, 0),
-    (("x1^2 + x2^5",), 2, 6, 16, 3, 3, 0),
-    (("x1^3 + x2^3",), 2, 5, 11, 3, 3, 3),
-    (("x1^2 + x2^2 + x3^2",), 3, 3, 6, 0, 0, 0),
-    (("x1^2 + x2^2 + x3^2",), 3, 4, 18, 5, 5, 5),
-    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10, 0, 0, 0),
-    (("x1^2 + x2^3",), 2, 7, 5663, 1235, 1231, 0),
-    (("x1^2 + x2^2 + x3^2",), 3, 5, 44, 21, 21, 21),
-    (("x1^2 + x2^3 + x3^4",), 3, 6, 273357, 10922, 10920, 12),
+    (("x1^3 + x2^3",), 2, 6, 113, 32, 32, 32, 0),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 4, 178, 71, 70, 70, 70),
+    (("x1^2 + x2^3",), 2, 4, 6, 0, 0, 0, 0),
+    (("x1^2 + x2^3",), 2, 5, 60, 27, 27, 0, 0),
+    (("x1^2 + x2^3",), 2, 6, 724, 220, 218, 0, 0),
+    (("x1*x2 + x3^2",), 3, 4, 17, 4, 4, 4, 0),
+    (("x1*x2 + x3^2",), 3, 5, 84, 34, 34, 34, 0),
+    (("x1*x2 + x3^2",), 3, 6, 603, 189, 189, 189, 0),
+    (("x1^2 + x2^5",), 2, 5, 11, 3, 3, 0, 0),
+    (("x1^2 + x2^5",), 2, 6, 16, 3, 3, 0, 0),
+    (("x1^3 + x2^3",), 2, 5, 11, 3, 3, 3, 0),
+    (("x1^2 + x2^2 + x3^2",), 3, 3, 6, 0, 0, 0, 0),
+    (("x1^2 + x2^2 + x3^2",), 3, 4, 18, 5, 5, 5, 0),
+    (("x1^2 + x2*x3", "x2^2 + x1*x3"), 3, 3, 10, 0, 0, 0, 0),
+    (("x1^2 + x2^3",), 2, 7, 5663, 1235, 1231, 0, 0),
+    (("x1^2 + x2^2 + x3^2",), 3, 5, 44, 21, 21, 21, 0),
+    (("x1^2 + x2^3 + x3^4",), 3, 6, 273357, 10922, 10920, 12, 0),
 )
 
 
@@ -190,16 +194,24 @@ def test_every_contact_cell_has_a_step_pin():
 @pytest.mark.parametrize("gens, n, level, before", [pin[:4] for pin in DIMENSION_STEPS])
 def test_dimension_path_step_counts_are_pinned(gens, n, level, before):
     budget = StepBudget(10**6)
-    contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget)
+    contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget, force_groebner=True)
     assert budget.used == {pin[:4]: pin[6] for pin in DIMENSION_STEPS}[gens, n, level, before]
     assert budget.used < before
+
+
+@pytest.mark.parametrize("gens, n, level, strata", [pin[:3] + pin[7:] for pin in DIMENSION_STEPS])
+def test_strata_route_step_counts_are_pinned(gens, n, level, strata):
+    budget = StepBudget(10**6)
+    codim = contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget)
+    assert codim == {cell[:3]: cell[3] for cell in CELLS}[gens, n, level]
+    assert budget.used == strata
 
 
 @pytest.mark.parametrize("gens, n, level, before", [pin[:4] for pin in DIMENSION_STEPS])
 def test_only_interreduction_left_the_dimension_path(gens, n, level, before):
     # The dimension path stopped interreducing its basis and nothing else:
     # each row's drop is exactly the steps reduced_basis spends on the cell.
-    _, _, _, _, interreduced, now, _ = {pin[:4]: pin for pin in DIMENSION_STEPS}[gens, n, level, before]
+    _, _, _, _, interreduced, now, *_ = {pin[:4]: pin for pin in DIMENSION_STEPS}[gens, n, level, before]
     cell = _contact_generators([(_ideal(gens, n), level)])
     full, loop_only = StepBudget(10**6), StepBudget(10**6)
     reduced_basis(groebner_basis(cell, full), full)
@@ -210,31 +222,36 @@ def test_only_interreduction_left_the_dimension_path(gens, n, level, before):
 
 # The mixed cells of the session's `mld d:1/2 m:1/2` over F_7, for
 # d = x1^3 + x2^3 and the maximal ideal m: rows are (m1, m2, codim, steps
-# of the pair loop on the uncut cell, steps now).  Every jet of m is a bare
-# coordinate, so the cut leaves only (5, 1) any Groebner work.
+# of the pair loop on the uncut cell, steps of the forced Groebner route,
+# steps of the default route).  Every jet of m is a bare coordinate, so the
+# cut leaves only (5, 1) any Groebner work.  d is nondegenerate over F_7 and
+# m is monomial, so the strata route serves every cell at no step.
 MIXED_STEPS = (
-    (4, 2, 4, 2, 0),
-    (4, 3, 6, 2, 0),
-    (4, 4, 8, 2, 0),
-    (4, 5, 10, 2, 0),
-    (5, 1, 4, 3, 3),
-    (5, 2, 4, 4, 0),
-    (5, 3, 6, 4, 0),
-    (5, 4, 8, 4, 0),
-    (5, 5, 10, 4, 0),
+    (4, 2, 4, 2, 0, 0),
+    (4, 3, 6, 2, 0, 0),
+    (4, 4, 8, 2, 0, 0),
+    (4, 5, 10, 2, 0, 0),
+    (5, 1, 4, 3, 3, 0),
+    (5, 2, 4, 4, 0, 0),
+    (5, 3, 6, 4, 0, 0),
+    (5, 4, 8, 4, 0, 0),
+    (5, 5, 10, 4, 0, 0),
 )
 
 
-@pytest.mark.parametrize("m1, m2, codim, uncut, now", MIXED_STEPS)
+@pytest.mark.parametrize("m1, m2, codim, uncut, now", [row[:5] for row in MIXED_STEPS])
 def test_mixed_session_cells_are_pinned(m1, m2, codim, uncut, now):
+    strata = {row[:5]: row[5] for row in MIXED_STEPS}[m1, m2, codim, uncut, now]
     dom = GF(7)
     factors = [
         (Ideal(dom, 2, _gens(7, 2, ("x1^3 + x2^3",))), m1),
         (Ideal(dom, 2, _gens(7, 2, ("x1", "x2"))), m2),
     ]
-    budget, loop_only = StepBudget(10**6), StepBudget(10**6)
+    budget, forced, loop_only = StepBudget(10**6), StepBudget(10**6), StepBudget(10**6)
+    assert contact_codim_at_origin(factors, budget=forced, force_groebner=True) == codim
+    assert forced.used == now
     assert contact_codim_at_origin(factors, budget=budget) == codim
-    assert budget.used == now
+    assert budget.used == strata
     dim = dimension_by_groebner(_contact_generators(factors), loop_only)
     assert 2 * max(m1, m2) - dim == codim and loop_only.used == uncut
 
@@ -242,17 +259,22 @@ def test_mixed_session_cells_are_pinned(m1, m2, codim, uncut, now):
 # Cells the uncut path could not finish in a test, or at all, within
 # DEFAULT_GB_BUDGET: x1^2 + x2^3 at L8 took 40 202 steps and L9 ran out, and
 # x1^2 + x2^3 + x3^4 at L7 ran out.  Rows are (generators, N, level, codim,
-# steps); both codims past L7 match the Newton-polygon closed form.
+# steps of the forced Groebner route, steps of the default route); both
+# codims past L7 match the Newton-polygon closed form, which the strata
+# route computes at no step.
 DEEP_CELLS = (
-    (("x1^2 + x2^3",), 2, 8, 7, 9),
-    (("x1^2 + x2^3",), 2, 9, 8, 180),
-    (("x1^2 + x2^3 + x3^4",), 3, 6, 7, 12),
-    (("x1^2 + x2^3 + x3^4",), 3, 7, 8, 125),
+    (("x1^2 + x2^3",), 2, 8, 7, 9, 0),
+    (("x1^2 + x2^3",), 2, 9, 8, 180, 0),
+    (("x1^2 + x2^3 + x3^4",), 3, 6, 7, 12, 0),
+    (("x1^2 + x2^3 + x3^4",), 3, 7, 8, 125, 0),
 )
 
 
-@pytest.mark.parametrize("gens, n, level, codim, steps", DEEP_CELLS)
+@pytest.mark.parametrize("gens, n, level, codim, steps", [cell[:5] for cell in DEEP_CELLS])
 def test_deep_cells_finish_within_the_default_budget(gens, n, level, codim, steps):
-    budget = StepBudget(DEFAULT_GB_BUDGET)
-    assert contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget) == codim
-    assert budget.used == steps
+    strata = {cell[:5]: cell[5] for cell in DEEP_CELLS}[gens, n, level, codim, steps]
+    for forced, spent in ((True, steps), (False, strata)):
+        budget = StepBudget(DEFAULT_GB_BUDGET)
+        cell = [(_ideal(gens, n), level)]
+        assert contact_codim_at_origin(cell, budget=budget, force_groebner=forced) == codim
+        assert budget.used == spent

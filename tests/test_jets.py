@@ -457,6 +457,107 @@ def test_fast_path_agrees_with_groebner_path():
             assert fast == slow, (domain, factors)
 
 
+# -- the strata route -------------------------------------------------------------------
+
+
+@st.composite
+def strata_cells(draw):
+    """A sparse polynomial through the origin in N <= 3 variables at level
+    L <= 5, and sometimes a monomial factor beside it.  Where N > 1, two or
+    more of its terms share the least weight d under some a in {1, 2}^N,
+    and the level is mostly above d, so that most draws meet a face that is
+    not a monomial."""
+    dom = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]))
+    n = draw(st.integers(1, 3))
+    a = draw(st.tuples(*[st.integers(1, 2)] * n))
+    monos = [w for w in itertools.product(range(6), repeat=n) if any(w)]
+    weight = {w: sum(map(int.__mul__, a, w)) for w in monos}
+    d = draw(st.sampled_from(sorted({e for e in weight.values() if 2 <= e <= 4})))
+    face = [w for w in monos if weight[w] == d]
+    above = [w for w in monos if weight[w] > d]
+    coeffs = st.integers(-3, 3).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(face), coeffs, min_size=min(2, len(face)), max_size=3))
+    terms.update(draw(st.dictionaries(st.sampled_from(above), coeffs, max_size=2)))
+    f = Polynomial.from_terms(dom, n, terms.items())
+    if f.is_zero():
+        f = Polynomial.variable(dom, n, 0)
+    cell = [(Ideal(dom, n, [f]), draw(st.one_of(st.integers(d + 1, 5), st.integers(1, 5))))]
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=2))
+        cell.append((Ideal(dom, n, [Polynomial.from_terms(dom, n, [(w, 1)]) for w in gens]),
+                     draw(st.integers(1, 5))))
+    return cell
+
+
+@settings(max_examples=300)
+@given(strata_cells())
+def test_the_strata_route_agrees_with_groebner(cell):
+    # The forced route sometimes needs thousands of steps; a draw where it
+    # runs out of a small budget is not compared.
+    try:
+        expected = contact_codim_at_origin(cell, budget=2000, force_groebner=True)
+    except errors.BudgetExceeded:
+        return
+    codim = jets._strata_codim(cell, StepBudget(10**6))
+    assert codim is None or codim == expected
+    assert contact_codim_at_origin(cell) == expected
+
+
+# Nondegeneracy is decided in the field at hand.  The cubic has a singular
+# point in the torus over F_2 and F_7 (a brute-force search finds 18 over
+# F_7), and over F_3 x1^3 + x2^3 is (x1 + x2)^3.  Rows are (polynomial, N,
+# level, codim, fields where a face is degenerate, fields where none is).
+CUBIC = "x1*x2*x3 + x1^3 + x2^3 + x3^3"
+FIELD_FACES = (
+    (CUBIC, 3, 4, 4, (GF(2), GF(7)), (QQ, GF(5), GF(13))),
+    ("x1^3 + x2^3", 2, 4, 3, (GF(3),), (QQ, GF(2), GF(5), GF(7))),
+    ("x1^2 + x2^2 + x3^2", 3, 3, 4, (GF(2),), (QQ, GF(3), GF(5))),
+)
+
+
+@pytest.mark.parametrize("text, n, level, codim, degenerate, nondegenerate", FIELD_FACES)
+def test_a_degenerate_face_sends_the_cell_to_groebner(
+    monkeypatch, text, n, level, codim, degenerate, nondegenerate
+):
+    expansions = []
+    real = jets.jet_equations
+    monkeypatch.setattr(jets, "jet_equations", lambda *a, **k: expansions.append(1) or real(*a, **k))
+    for dom in degenerate + nondegenerate:
+        cell = [(I(dom, n, text), level)]
+        expansions.clear()
+        assert (jets._strata_codim(cell, StepBudget(10**6)) is None) == (dom in degenerate)
+        assert contact_codim_at_origin(cell) == codim
+        assert bool(expansions) == (dom in degenerate), dom
+        assert contact_codim_at_origin(cell, force_groebner=True) == codim
+
+
+TWO_BRANCH = "(x1^2 - x2^3)*(x1 - x2^2)"
+
+
+# (polynomial, N, level, codim, steps): cells the Groebner route spends
+# thousands of steps on (the two-branch curve at L9 took 45 191) and the
+# strata route answers in a handful.  At L10 the face
+# x1^3 - x1*x2^3 is tested by a Groebner basis; every other face is cut.
+STRATA_CELLS = (
+    (TWO_BRANCH, 2, 8, 5, 0),
+    (TWO_BRANCH, 2, 9, 5, 0),
+    (TWO_BRANCH, 2, 10, 6, 7),
+    ("x1^2 + x2^2 + x3^2", 3, 7, 8, 0),
+)
+
+
+@pytest.mark.parametrize("text, n, level, codim, steps", STRATA_CELLS)
+@pytest.mark.parametrize("dom", [QQ, GF(7)])
+def test_deep_cells_take_the_strata_route(dom, text, n, level, codim, steps):
+    budget = StepBudget(10**6)
+    assert contact_codim_at_origin([(I(dom, n, text), level)], budget=budget) == codim
+    assert budget.used == steps
+
+
+def test_the_two_branch_curve_has_lct_five_ninths():
+    assert lct_estimate_at_origin(I(QQ, 2, TWO_BRANCH), 10) == (Fraction(5, 9), 9)
+
+
 def test_contact_codim_monotone_in_level():
     a = I(QQ, 2, "x1^2 + x2^3")
     values = [contact_codim_at_origin([(a, m)]) for m in range(1, 5)]
@@ -541,9 +642,9 @@ def counting_groebner(monkeypatch):
     return calls
 
 
-# x1^3 + x2^3 at L6 spends 32 steps; the cusp's cells up to L7 spend none,
-# since the dimension path cuts every coordinate they hold a power of.
-SPENDING_CELL = [(I(QQ, 2, "x1^3 + x2^3"), 6)]
+# Two generators send the cell to Groebner, where it spends 70 steps in one
+# basis; a principal nondegenerate cell such as the cusp's spends none.
+SPENDING_CELL = [(I(QQ, 3, "x1^2 + x2*x3", "x2^2 + x1*x3"), 4)]
 
 
 def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
@@ -593,8 +694,10 @@ def test_a_memo_drops_its_oldest_entry_when_full(monkeypatch):
     assert list(jets._jet_memo) == [(a, 1, False), (a, 2, False)]
 
 
+# Over F_3, x1^3 + x2^3 is (x1 + x2)^3, so its cells from depth 4 on expand
+# their jets and run Groebner.
 MEMO_SESSION = """\
-ring N=2 p=7
+ring N=2 p=3
 ideal d: x1^3 + x2^3
 ideal m: x1, x2
 lct d

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towerval import errors
 from towerval.polyring import (
@@ -235,6 +237,23 @@ def test_parse_round_trips_through_text():
     for _ in range(50):
         f = random_poly(rng, QQ, 3)
         assert parse_polynomial(f.text(), QQ, 3) == f
+
+
+def big_numbers():
+    """Integers of up to 12 000 digits, past the 4 300 that int() reads and
+    str() prints by default."""
+    return st.builds(lambda lead, k, tail, sign: sign * (lead * 10**k + tail),
+                     st.integers(1, 9), st.one_of(st.integers(0, 40), st.integers(4_300, 12_000)),
+                     st.integers(0, 10**6),
+                     st.sampled_from([1, -1]))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          big_numbers(), big_numbers().filter(bool)), min_size=1, max_size=3))
+def test_large_coefficients_print_and_parse_back(items):
+    f = Polynomial.from_terms(QQ, 2, [(m, Fraction(a, b)) for m, a, b in items])
+    assert parse_polynomial(f.text(), QQ, 2) == f
 
 
 def test_parse_rational_literals():

@@ -295,6 +295,18 @@ def test_power_is_repeated_product(f, e):
     assert f ** e == expected
 
 
+@given(st.sampled_from([GF(2), GF(3), GF(5), GF(101)]).flatmap(lambda d: st.tuples(
+    polys(d, 2, max_terms=3 if d.p < 101 else 2), st.integers(0, max(40, 2 * d.p + 3)))))
+def test_frobenius_power_is_repeated_product(data):
+    # e runs past p^2 over F_2, F_3 and F_5 and past 2p over F_101, so most
+    # draws take two or more base-p digits
+    f, e = data
+    expected = Polynomial.constant(f.domain, 2, 1)
+    for _ in range(e):
+        expected = expected * f
+    assert f ** e == expected
+
+
 @given(polys(GF(7), 2), polys(QQ, 2), polys(GF(7), 3))
 def test_mismatched_rings_still_raise(f, q, wide):
     for other in (q, wide):
