@@ -192,6 +192,15 @@ def _parse_id(text: str, what: str) -> int:
     return read_number(text)
 
 
+def _read_bounded(text: str, what: str, bound: int) -> int:
+    """A nonnegative integer literal that may not exceed ``bound``; ``what``
+    leads the value in the refusal."""
+    value = read_number(text)
+    if value > bound:
+        _err(f"{what}{clip(text)} exceeds the bound {bound}")
+    return value
+
+
 def _parse_step(token_text: str, t: Tower, domain: Domain, n: int):
     tokens = _tokens(token_text)
     if not tokens or tokens[0] != "blowup":
@@ -263,7 +272,7 @@ def parse_script(text: str) -> SessionScript:
                 m = re.fullmatch(r"ring\s+N=([0-9]+)\s+p=([0-9]+)", line)
                 if not m:
                     _err("ring wants the form 'ring N=<int> p=<prime or 0>'")
-                n, p = read_number(m.group(1)), read_number(m.group(2))
+                n, p = _read_bounded(m.group(1), "ring N=", sys.maxsize), read_number(m.group(2))
                 if n < 2:
                     _err(f"ring needs N >= 2 variables, got N={n}")
                 domain = QQ if p == 0 else GF(p)
@@ -382,7 +391,8 @@ def _bind(script, name, tokens):
             elif kind == "level?":
                 if not re.fullmatch(r"[0-9]+", tok):
                     _err(f"jets level must be a nonnegative integer, got {tok!r}")
-                args.append(read_number(tok))
+                # a level L has N * (L + 1) jet variables
+                args.append(_read_bounded(tok, "jets level ", sys.maxsize // script.n - 1))
             else:
                 args.append(_lookup(script, tok, kind.rstrip("?")))
     for tok in words:

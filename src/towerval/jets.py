@@ -23,7 +23,6 @@ truncation cap can only lower them.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -72,9 +71,10 @@ class StepBudget:
     multiple of a basis element to cancel a leading term).  Pairs that the
     criteria of ``groebner_basis`` drop cost nothing, and so does the
     dimension path's cut of the coordinates a generator is a power of.
-    The strata route spends only the steps of its nondegeneracy tests,
-    not of its loop.  Steps do not count coefficient size, which over Q
-    grows with them.
+    The strata route spends only the steps of its nondegeneracy tests, on
+    the faces it meets before its walk stops (``_strata_codim``); the walk
+    itself costs nothing.  Steps do not count coefficient size, which over
+    Q grows with them.
     """
 
     __slots__ = ("cap", "used")
@@ -503,6 +503,27 @@ def monomial_contact_codim(factors) -> int:
     return _strata_codim(factors, StepBudget(0))
 
 
+def _by_total(lo: int, caps):
+    """The integer vectors v with lo <= v_i <= caps[i], by increasing
+    sum(v) and lexicographically within one sum."""
+
+    def with_total(total, caps):
+        if len(caps) == 1:
+            if lo <= total <= caps[0]:
+                yield (total,)
+            return
+        rest = caps[1:]
+        for v in range(max(lo, total - sum(rest)), min(caps[0], total - lo * len(rest)) + 1):
+            for tail in with_total(total - v, rest):
+                yield (v, *tail)
+
+    if not caps:
+        yield ()
+        return
+    for total in range(lo * len(caps), sum(caps) + 1):
+        yield from with_total(total, caps)
+
+
 def _strata_codim(factors, budget: StepBudget):
     """Codim of a cell with at most one non-monomial factor, principal
     (f, level mf), or None for another cell or a degenerate face of f.
@@ -515,6 +536,14 @@ def _strata_codim(factors, budget: StepBudget):
     the torus: a monomial never does, and a nondegenerate one spends one
     codim more on each of the mf - o conditions (Kouchnirenko 1976; Ein,
     Lazarsfeld & Mustata 2004).  The codim is the least score.
+
+    The walk visits the order vectors by increasing sum(a), and
+    lexicographically within one sum, and stops at the first sum that is at
+    least the best score so far.  That is exact: a stratum scores at least
+    sum(a), and its part of the locus has codim at least sum(a) whether or
+    not its face is degenerate, so no stratum left unvisited can go below
+    the best.  Only the faces met before the stop are tested, and a
+    degenerate one among them returns None.
     """
     others = [(a.gens, m) for a, m in factors if not a.is_monomial()]
     if len(others) > 1 or others and len(others[0][0]) > 1:
@@ -525,10 +554,12 @@ def _strata_codim(factors, budget: StepBudget):
     L = max(m for _, m in factors)
     faces: dict = {}  # initial form -> whether it is nondegenerate
     best = None
-    for vec in itertools.product(range(1, L + 1), repeat=n):
+    for vec in _by_total(1, (L,) * n):
+        score = sum(vec)
+        if best is not None and score >= best:
+            break
         if any(sum(map(mul, vec, w)) < m for w, m in constraints):
             continue
-        score = sum(vec)
         if f:
             weight = {w: sum(map(mul, vec, w)) for w in f}
             o = min(weight.values())
@@ -576,8 +607,8 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=Fa
     two), a cell of monomial factors and at most one principal factor
     takes the strata route (``_strata_codim``), which expands no jets and
     spends only the steps of its nondegeneracy tests; a degenerate face
-    sends the cell on to the Groebner route, whose steps are steps of
-    ``groebner_basis``.
+    met before its walk stops sends the cell on to the Groebner route,
+    whose steps are steps of ``groebner_basis``.
 
     Cells are memoised per process, keyed by the factors and the route.
     A new cell runs on ``budget`` itself and is stored with the steps it
@@ -656,8 +687,9 @@ def contact_cells(factors, caps):
         raise ValueError(f"depth caps must be nonnegative integers, got {caps!r}")
     if not per_factor:
         caps = [caps] * len(factors)
-    grid = sorted(itertools.product(*(range(c + 1) for c in caps)), key=lambda m: (sum(m), m))
-    for mvec in grid[1:]:  # grid[0] is the zero vector
+    cells = _by_total(0, caps)
+    next(cells)  # the zero vector
+    for mvec in cells:
         active = [(a, m) for (a, _), m in zip(factors, mvec) if m]
         if all(a.vanishes_at_origin() for a, _ in active):
             yield mvec, active, sum(e * m for (_, e), m in zip(factors, mvec))

@@ -6,7 +6,9 @@ something the tests compare with what the package reports.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import sympy
 
@@ -17,6 +19,7 @@ from towerval.jets import (
     _min_hitting_set_size,
     _minimal_supports,
     _monic,
+    _nondegenerate,
     _spoly,
     grevlex_key,
     groebner_basis,
@@ -120,6 +123,43 @@ def dimension_by_groebner(gens, budget=DEFAULT_GB_BUDGET) -> int:
     if (0,) * nvars in lms:
         raise UnitIdeal("the generators span the whole ring")
     return nvars - _min_hitting_set_size(_minimal_supports(lms))
+
+
+def box_strata_codim(factors, budget):
+    """The strata route scored over the whole box {1..L}^N in
+    lexicographic order, with no stop: what ``jets._strata_codim`` returns
+    when no stratum is left unvisited.  Every non-monomial face of f in the
+    box is tested, and the first degenerate one returns None."""
+    others = [(a.gens, m) for a, m in factors if not a.is_monomial()]
+    if len(others) > 1 or others and len(others[0][0]) > 1:
+        return None
+    f, mf = (others[0][0][0].terms, others[0][1]) if others else ({}, 0)
+    constraints = [(w, m) for a, m in factors if a.is_monomial() for g in a.gens for w in g.terms]
+    dom, n = factors[0][0].domain, factors[0][0].nvars
+    L = max(m for _, m in factors)
+    faces: dict = {}
+    best = None
+    for vec in itertools.product(range(1, L + 1), repeat=n):
+        if any(sum(map(mul, vec, w)) < m for w, m in constraints):
+            continue
+        score = sum(vec)
+        if f:
+            weight = {w: sum(map(mul, vec, w)) for w in f}
+            o = min(weight.values())
+            if o < mf:
+                face = frozenset(w for w in f if weight[w] == o)
+                if len(face) == 1:
+                    continue
+                if face not in faces:
+                    faces[face] = _nondegenerate(dom, f, face, budget)
+                if not faces[face]:
+                    return None
+                score += mf - o
+        if best is None or score < best:
+            best = score
+    if best is None:
+        raise UnitIdeal("contact conditions are unsatisfiable")
+    return best
 
 
 def order_at_origin(f) -> int:

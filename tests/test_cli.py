@@ -260,6 +260,11 @@ SEVENS = LONG[:40]  # as much of it as a message echoes
     ("ring N=\uff12 p=\uff15\nideal a: x1", "line 1: ring wants the form 'ring N=<int> p=<prime or 0>'"),
     (BASIC + "keval T divisor=\uff11", "line 4: divisor wants an integer id, got '\uff11'"),
     (BASIC + "jets a \u0661", "line 4: jets level must be a nonnegative integer, got '\u0661'"),
+    # an integer too large for a machine index names its bound
+    ("ring N=99999999999999999999 p=0\nideal a: x1",
+     f"line 1: ring N=99999999999999999999 exceeds the bound {sys.maxsize}"),
+    (BASIC + "jets a 99999999999999999999",
+     f"line 4: jets level 99999999999999999999 exceeds the bound {sys.maxsize // 2 - 1}"),
     ("ring N=2 p=5\ntower T: blowup chart=\u0660 point=(0,0)",
      "line 2: chart must be 'root' or an integer, got '\u0660'"),
     ("ring N=2 p=5\ntower T: blowup chart=root set=(x\u0661=0,x2=0)", "line 2: bad constraint 'x\u0661=0' in set="),
@@ -292,8 +297,11 @@ def test_a_number_outside_the_grammar_exits_two(tmp_path, capsys, text, message)
 
 # A literal of any length is read, and what it names is refused by its kind.
 @pytest.mark.parametrize("text, message", [
-    (f"ring N={LONG} p=0\nideal a: x1", "OverflowError: line 2: "),
-    (BASIC + f"jets a {LONG}", "OverflowError: command 1 (jets): line 4: "),
+    (f"ring N={LONG} p=0\nideal a: x1",
+     f"ScriptSyntaxError: line 1: ring N={SEVENS}... (5000 characters) exceeds the bound {sys.maxsize}\n"),
+    (BASIC + f"jets a {LONG}",
+     f"ScriptSyntaxError: line 4: jets level {SEVENS}... (5000 characters) exceeds the bound"
+     f" {sys.maxsize // 2 - 1}\n"),
     ("ring N=2 p=5\ntower T: blowup chart=" + LONG + " point=(0,0)",
      f"UnknownChart: line 2: no chart {SEVENS}... (5000 characters) (tower has charts 0..0)\n"),
     (BASIC + f"keval T divisor={LONG}",

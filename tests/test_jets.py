@@ -38,6 +38,7 @@ from towerval.polyring import (
 )
 
 from oracles import (
+    box_strata_codim,
     dimension_by_groebner,
     fraction_normal_form,
     reduced_basis,
@@ -501,6 +502,55 @@ def test_the_strata_route_agrees_with_groebner(cell):
     codim = jets._strata_codim(cell, StepBudget(10**6))
     assert codim is None or codim == expected
     assert contact_codim_at_origin(cell) == expected
+
+
+@settings(max_examples=300)
+@given(strata_cells())
+def test_the_walk_answers_what_the_box_answers(cell):
+    # The walk tests only the faces it meets before it stops, so where the
+    # box answers, the walk answers the same and spends no more.  Where the
+    # box meets a degenerate face past the stop, the walk may still answer,
+    # and then it answers what the Groebner route does.
+    walk, box = StepBudget(10**6), StepBudget(10**6)
+    codim = jets._strata_codim(cell, walk)
+    expected = box_strata_codim(cell, box)
+    if expected is not None:
+        assert codim == expected and walk.used <= box.used
+    elif codim is not None:
+        try:
+            groebner = contact_codim_at_origin(cell, budget=2000, force_groebner=True)
+        except errors.BudgetExceeded:
+            return
+        assert codim == groebner
+
+
+# (field, cell text, N, level, monomial factor and its level or None, the
+# walk's codim and steps, the box's answer and steps).  In the first two
+# the box meets a degenerate face past the walk's stop, (x1 - x2)^2 at
+# orders (1, 1, 2) and (x1 + x3)^2 over F_2 at (1, 3, 1), and falls back
+# to Groebner; in the third it tests faces the walk never meets.
+WALK_AGAINST_BOX = (
+    (QQ, "x3^2 + (x1 - x2)^2", 3, 3, None, 4, 0, None, 3),
+    (GF(2), "x1^2 + x3^2 + x2", 3, 3, None, 5, 0, None, 3),
+    (QQ, "x1^3*x2 + x1^2*x2^2 + 3*x1*x2*x3", 3, 5, ("x1^4*x2^3*x3^2", 3), 5, 9, 5, 23),
+)
+
+
+@pytest.mark.parametrize("dom, text, n, level, monomial, codim, steps, box, box_steps", WALK_AGAINST_BOX)
+def test_the_walk_stops_before_faces_that_cannot_win(dom, text, n, level, monomial, codim, steps, box, box_steps):
+    cell = [(I(dom, n, text), level)] + ([(I(dom, n, monomial[0]), monomial[1])] if monomial else [])
+    walk, whole = StepBudget(10**6), StepBudget(10**6)
+    assert (jets._strata_codim(cell, walk), walk.used) == (codim, steps)
+    assert (box_strata_codim(cell, whole), whole.used) == (box, box_steps)
+    assert contact_codim_at_origin(cell, force_groebner=True) == codim
+
+
+def test_the_six_variable_quadric_answers_within_a_zero_budget():
+    # At level 10 the best score is 14, and the walk visits the 1 716 order
+    # vectors of {1..10}^6 with sum below it, of the 10^6 in the box.  No
+    # face needs a Groebner step.
+    quadric = I(QQ, 6, "x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2")
+    assert lct_estimate_at_origin(quadric, 10, budget=0) == (Fraction(7, 5), 10)
 
 
 # Nondegeneracy is decided in the field at hand.  The cubic has a singular
