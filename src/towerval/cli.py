@@ -562,6 +562,9 @@ def run(script: SessionScript, *, cap=4, gb_budget=DEFAULT_GB_BUDGET, weight_bou
         raise ValueError(f"gb_budget must be >= 0 (--gb-budget), got {gb_budget}")
     if weight_bound < 1:
         raise ValueError(f"weight_bound must be >= 1 (--weight-bound), got {weight_bound}")
+    bound = sys.maxsize // script.n - 1  # the jets level bound: `jets a` expands to level cap
+    if cap > bound:
+        raise ValueError(f"--cap {clip(_number_text(cap))} exceeds the bound {bound}")
     opt = {"cap": cap, "gb_budget": gb_budget, "weight_bound": weight_bound}
     blocks = []
     for index, (ln, name, args, raw) in enumerate(script.commands, start=1):

@@ -14,7 +14,7 @@ x_l(t)^e of a jet series is built by repeated squaring, and along arcs
 through the origin a monomial of degree above the level is skipped, so a
 large exponent costs O(log e) products or none.  Most contact cells take a
 closed form over the Newton strata that builds no jets, and the rest take the
-Groebner route, which the tests also force on them as an independent oracle.
+Groebner route, which the tests also run alone as an independent oracle.
 
 Estimates produced here are upper bounds by construction: enlarging the
 truncation cap can only lower them.
@@ -393,7 +393,7 @@ class JetSystem(namedtuple("JetSystem", "n level domain coefficients at_origin",
 # its oldest one when full, so a long-lived process does not grow without limit.
 _MEMO_SIZE = 256
 _jet_memo: dict = {}  # (ideal, level, at_origin) -> JetSystem
-_cell_memo: dict = {}  # (factors, force_groebner) -> (codim, steps)
+_cell_memo: dict = {}  # factors -> (codim, steps)
 
 
 def _remember(memo: dict, key, value):
@@ -483,20 +483,17 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
 def _check_factors(factors):
     if not factors:
         raise ValueError("need at least one (ideal, level) factor")
-    ring = None
     for a, m in factors:
         a.require_nonzero()
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"contact level must be a positive integer, got {m!r}")
-        if ring is None:
-            ring = (a.domain, a.nvars)
-        elif (a.domain, a.nvars) != ring:
+        if (a.domain, a.nvars) != (factors[0][0].domain, factors[0][0].nvars):
             raise RingMismatch("contact factors live in different rings")
-    return ring
 
 
 def monomial_contact_codim(factors) -> int:
-    """The strata route of monomial factors, which needs no Groebner basis."""
+    """The strata route of monomial factors, at no step.  Nothing in the
+    package calls it; it stays bound for the benchmark's tracer."""
     _check_factors(factors)
     if not all(a.is_monomial() for a, _ in factors):
         raise ValueError("fast path needs monomial ideals")
@@ -593,53 +590,52 @@ def _nondegenerate(dom, f: dict, face, budget: StepBudget) -> bool:
     return False
 
 
-def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET, force_groebner=False) -> int:
+def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET) -> int:
     """Codimension of the intersection of the contact loci with the arcs
     through the origin, evaluated at truncation level max(m_i).
+
+    A cell of monomial factors and at most one principal factor takes the
+    strata route (``_strata_codim``), which expands no jets and spends only
+    the steps of its nondegeneracy tests; an all-monomial cell spends none.
+    Any other cell, or one whose walk meets a degenerate face before it
+    stops, takes the Groebner route (``groebner_contact_codim``).  Such a
+    face has already spent its test's steps, so the cell spends those
+    before the Groebner route's.
+
+    Cells are memoised per process, keyed by the factors.  A new cell runs
+    on ``budget`` itself and is stored with the steps it spent there.  A
+    repeat returns the stored codim and spends those steps on ``budget``,
+    so the result, ``budget.used`` and the point where a budget runs out
+    are as if the cell were recomputed.  A cell that raises is not stored.
+    """
+    budget = _as_budget(budget)
+    factors = tuple((a, m) for a, m in factors)
+    _check_factors(factors)
+    hit = _cell_memo.get(factors)
+    if hit is not None:
+        budget.spend(hit[1])
+        return hit[0]
+    before = budget.used
+    codim = _strata_codim(factors, budget)
+    if codim is None:
+        codim = groebner_contact_codim(factors, budget)
+    _remember(_cell_memo, factors, (codim, budget.used - before))
+    return codim
+
+
+def groebner_contact_codim(factors, budget=DEFAULT_GB_BUDGET) -> int:
+    """The Groebner route of ``contact_codim_at_origin``, with no memo and
+    no check of the factors; the tests run it alone as the oracle.
 
     The locus lives in the N*L jet variables with q < L.  On it all
     x_l^(0) vanish, so it is cut out by the coefficients F^(j), j < m_i,
     of factor i's generators expanded along arcs through the origin
     (``at_origin``), an ideal in the N*(L-1) variables x_l^(q),
-    1 <= q <= L-1; the codim is N*L minus that ideal's dimension.  A cell
-    with no nonzero condition has codim N and runs no Groebner basis.
-    Unless ``force_groebner`` asks for that route (the tests compare the
-    two), a cell of monomial factors and at most one principal factor
-    takes the strata route (``_strata_codim``), which expands no jets and
-    spends only the steps of its nondegeneracy tests; a degenerate face
-    met before its walk stops sends the cell on to the Groebner route,
-    whose steps are steps of ``groebner_basis``.
-
-    Cells are memoised per process, keyed by the factors and the route.
-    A new cell runs on ``budget`` itself and is stored with the steps it
-    spent there.  A repeat returns the stored codim and spends those steps
-    on ``budget``, so the result, ``budget.used`` and the point where a
-    budget runs out are as if the cell were recomputed.  A cell that
-    raises is not stored.
+    1 <= q <= L-1; the codim is N*L minus that ideal's dimension, and its
+    steps are steps of ``groebner_basis``.  A cell with no nonzero
+    condition has codim N and runs no Groebner basis.
     """
-    budget = _as_budget(budget)
-    factors = tuple((a, m) for a, m in factors)
-    ring = _check_factors(factors)
-    key = (factors, bool(force_groebner))
-    hit = _cell_memo.get(key)
-    if hit is not None:
-        budget.spend(hit[1])
-        return hit[0]
-    before = budget.used
-    codim = _contact_codim(factors, ring, budget, force_groebner)
-    _remember(_cell_memo, key, (codim, budget.used - before))
-    return codim
-
-
-def _contact_codim(factors, ring, budget: StepBudget, force_groebner) -> int:
-    n = ring[1]
-    if not force_groebner:
-        if all(a.is_monomial() for a, _ in factors):
-            return monomial_contact_codim(factors)
-        codim = _strata_codim(factors, budget)
-        if codim is not None:
-            return codim
-
+    n = factors[0][0].nvars
     L = max(m for _, m in factors)  # jet variables x_l^(q), 1 <= q <= L-1
     gens = _contact_generators(factors)
     return n * L - (ideal_dimension(gens, budget=budget) if gens else n * (L - 1))

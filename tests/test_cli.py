@@ -313,6 +313,19 @@ def test_a_long_literal_names_what_it_names(tmp_path, capsys, text, message):
     assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+# `jets a` expands to the level --cap, so the cap has the jets level's bound;
+# past it `jets a` overflowed an index and `lct a` walked its grid forever.
+@pytest.mark.parametrize("command", ["jets a", "lct a"])
+@pytest.mark.parametrize("cap, echo", [
+    ("99999999999999999999", "99999999999999999999"),
+    ("9" * 1000, "9" * 40 + "... (1000 characters)"),
+], ids=["20-digits", "1000-digits"])
+def test_a_cap_past_the_jets_level_bound_exits_two(tmp_path, capsys, command, cap, echo):
+    text = f"ring N=2 p=0\nideal a: x1\n{command}\n"
+    assert run_main(tmp_path, capsys, text, "--cap", cap) == (
+        2, "", f"error: ValueError: --cap {echo} exceeds the bound {sys.maxsize // 2 - 1}\n")
+
+
 def test_a_long_literal_reads_back_from_what_jets_prints(tmp_path, capsys):
     # 3^20000 has 9 543 digits, more than int() reads by default
     code, out, _ = run_main(tmp_path, capsys, "ring N=2 p=0\nideal a: (3*x1)^20000 + x2\njets a 0\n")

@@ -1,8 +1,9 @@
 """The contact path expands jets along arcs through the origin.
 
-``contact_codim_at_origin`` once expanded every generator along
-x_l(t) = sum_{q>=0} x_l^(q) t^q, substituted x_l^(0) -> 0 into each
-coefficient and added the x_l^(0) as linear generators.  It now asks
+The Groebner route of a contact cell (``groebner_contact_codim``) once
+expanded every generator along x_l(t) = sum_{q>=0} x_l^(q) t^q,
+substituted x_l^(0) -> 0 into each coefficient and added the x_l^(0) as
+linear generators.  It now asks
 ``jet_equations`` for the expansion along arcs through the origin, in the
 ring of the x_l^(q) with q >= 1 alone.  The Groebner input must be the old
 recipe's coefficients, in the same order, with the x_l^(0) generators and
@@ -19,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from towerval import errors, jets
-from towerval.jets import contact_codim_at_origin, jet_equations
+from towerval.jets import groebner_contact_codim, jet_equations
 from towerval.polyring import GF, QQ, Ideal, Polynomial
 
 DOMAINS = (QQ, GF(2), GF(3), GF(7))
@@ -83,12 +84,8 @@ class Captured(Exception):
 
 
 def captured_generators(factors):
-    """The generators ``contact_codim_at_origin`` hands to
-    ``ideal_dimension``, taken before any Groebner work runs.  The memos
-    are emptied first: hypothesis may draw one cell twice in a test, and a
-    memoised cell never reaches ``ideal_dimension``."""
-    jets._jet_memo.clear()
-    jets._cell_memo.clear()
+    """The generators ``groebner_contact_codim`` hands to
+    ``ideal_dimension``, taken before any Groebner work runs."""
     seen = []
 
     def capture(gens, **_):
@@ -97,7 +94,7 @@ def captured_generators(factors):
 
     with mock.patch.object(jets, "ideal_dimension", capture):
         with pytest.raises(Captured):
-            contact_codim_at_origin(factors, force_groebner=True)
+            groebner_contact_codim(factors)
     return seen
 
 
@@ -108,9 +105,8 @@ def test_origin_expansion_gives_the_kill_origin_generators(factors):
         assert captured_generators(factors) == [expected]
     else:
         # no nonzero condition: codim N, with no Groebner run
-        jets._cell_memo.clear()
         with mock.patch.object(jets, "ideal_dimension", side_effect=AssertionError):
-            codim = contact_codim_at_origin(factors, force_groebner=True)
+            codim = groebner_contact_codim(factors)
         assert codim == factors[0][0].nvars
 
 
@@ -119,7 +115,7 @@ def test_a_nonzero_constant_term_is_still_a_unit_ideal(factors):
     # the unit generator must be caught before any Groebner work runs
     with mock.patch.object(jets, "ideal_dimension", side_effect=AssertionError):
         with pytest.raises(errors.UnitIdeal):
-            contact_codim_at_origin(factors, force_groebner=True)
+            groebner_contact_codim(factors)
 
 
 def test_origin_expansion_has_no_constant_slot():

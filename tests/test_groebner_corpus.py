@@ -26,6 +26,7 @@ from towerval.jets import (
     _minimal_supports,
     contact_codim_at_origin,
     groebner_basis,
+    groebner_contact_codim,
     ideal_dimension,
 )
 from towerval.polyring import GF, QQ, Ideal, parse_polynomial
@@ -160,7 +161,7 @@ def test_contact_codims_match_the_recorded_engine(gens, n, level, codim):
 # the uncut cell, steps now that the dimension path cuts every coordinate
 # a generator is a power of, steps of the default route); the first two
 # were pinned first, the rest cover every other cell of CELLS.  The Groebner
-# counts are taken with ``force_groebner``.  The last column is the strata
+# counts are taken with ``groebner_contact_codim``.  The last column is the strata
 # route's: the cut answers each of its nondegeneracy tests at no step, so
 # only the two-generator cells, which it sends to Groebner, spend any.  The
 # middle two counts differ by the interreduction steps alone
@@ -194,7 +195,7 @@ def test_every_contact_cell_has_a_step_pin():
 @pytest.mark.parametrize("gens, n, level, before", [pin[:4] for pin in DIMENSION_STEPS])
 def test_dimension_path_step_counts_are_pinned(gens, n, level, before):
     budget = StepBudget(10**6)
-    contact_codim_at_origin([(_ideal(gens, n), level)], budget=budget, force_groebner=True)
+    groebner_contact_codim([(_ideal(gens, n), level)], budget=budget)
     assert budget.used == {pin[:4]: pin[6] for pin in DIMENSION_STEPS}[gens, n, level, before]
     assert budget.used < before
 
@@ -222,7 +223,7 @@ def test_only_interreduction_left_the_dimension_path(gens, n, level, before):
 
 # The mixed cells of the session's `mld d:1/2 m:1/2` over F_7, for
 # d = x1^3 + x2^3 and the maximal ideal m: rows are (m1, m2, codim, steps
-# of the pair loop on the uncut cell, steps of the forced Groebner route,
+# of the pair loop on the uncut cell, steps of the Groebner route alone,
 # steps of the default route).  Every jet of m is a bare coordinate, so the
 # cut leaves only (5, 1) any Groebner work.  d is nondegenerate over F_7 and
 # m is monomial, so the strata route serves every cell at no step.
@@ -247,9 +248,9 @@ def test_mixed_session_cells_are_pinned(m1, m2, codim, uncut, now):
         (Ideal(dom, 2, _gens(7, 2, ("x1^3 + x2^3",))), m1),
         (Ideal(dom, 2, _gens(7, 2, ("x1", "x2"))), m2),
     ]
-    budget, forced, loop_only = StepBudget(10**6), StepBudget(10**6), StepBudget(10**6)
-    assert contact_codim_at_origin(factors, budget=forced, force_groebner=True) == codim
-    assert forced.used == now
+    budget, groebner, loop_only = StepBudget(10**6), StepBudget(10**6), StepBudget(10**6)
+    assert groebner_contact_codim(factors, budget=groebner) == codim
+    assert groebner.used == now
     assert contact_codim_at_origin(factors, budget=budget) == codim
     assert budget.used == strata
     dim = dimension_by_groebner(_contact_generators(factors), loop_only)
@@ -259,7 +260,7 @@ def test_mixed_session_cells_are_pinned(m1, m2, codim, uncut, now):
 # Cells the uncut path could not finish in a test, or at all, within
 # DEFAULT_GB_BUDGET: x1^2 + x2^3 at L8 took 40 202 steps and L9 ran out, and
 # x1^2 + x2^3 + x3^4 at L7 ran out.  Rows are (generators, N, level, codim,
-# steps of the forced Groebner route, steps of the default route); both
+# steps of the Groebner route alone, steps of the default route); both
 # codims past L7 match the Newton-polygon closed form, which the strata
 # route computes at no step.
 DEEP_CELLS = (
@@ -273,8 +274,8 @@ DEEP_CELLS = (
 @pytest.mark.parametrize("gens, n, level, codim, steps", [cell[:5] for cell in DEEP_CELLS])
 def test_deep_cells_finish_within_the_default_budget(gens, n, level, codim, steps):
     strata = {cell[:5]: cell[5] for cell in DEEP_CELLS}[gens, n, level, codim, steps]
-    for forced, spent in ((True, steps), (False, strata)):
+    for route, spent in ((groebner_contact_codim, steps), (contact_codim_at_origin, strata)):
         budget = StepBudget(DEFAULT_GB_BUDGET)
         cell = [(_ideal(gens, n), level)]
-        assert contact_codim_at_origin(cell, budget=budget, force_groebner=forced) == codim
+        assert route(cell, budget=budget) == codim
         assert budget.used == spent

@@ -19,6 +19,7 @@ from towerval.jets import (
     contact_codim_at_origin,
     grevlex_key,
     groebner_basis,
+    groebner_contact_codim,
     height_of_ideal,
     ideal_dimension,
     jet_equations,
@@ -449,13 +450,17 @@ def test_fast_path_agrees_with_groebner_path():
             [(I(domain, 2, "x1^2", "x2^3"), 3)],
             [(I(domain, 2, "x1^2", "x2^3"), 4)],
             [(I(domain, 2, "x1*x2"), 2)],
+            [(I(domain, 2, "x1*x2"), 4)],  # the Groebner route spends 2 steps here
             [(coordinate_ideal(domain, 2), 1), (I(domain, 2, "x1"), 2)],
             [(I(domain, 3, "x1^2", "x2*x3"), 2)],
         ]
         for factors in samples:
             fast = monomial_contact_codim(factors)
-            slow = contact_codim_at_origin(factors, force_groebner=True)
+            slow = groebner_contact_codim(factors)
             assert fast == slow, (domain, factors)
+            # an all-monomial cell takes the strata route and spends nothing
+            budget = StepBudget(0)
+            assert contact_codim_at_origin(factors, budget) == slow and budget.used == 0, (domain, factors)
 
 
 # -- the strata route -------------------------------------------------------------------
@@ -493,10 +498,10 @@ def strata_cells(draw):
 @settings(max_examples=300)
 @given(strata_cells())
 def test_the_strata_route_agrees_with_groebner(cell):
-    # The forced route sometimes needs thousands of steps; a draw where it
+    # The Groebner route sometimes needs thousands of steps; a draw where it
     # runs out of a small budget is not compared.
     try:
-        expected = contact_codim_at_origin(cell, budget=2000, force_groebner=True)
+        expected = groebner_contact_codim(cell, budget=2000)
     except errors.BudgetExceeded:
         return
     codim = jets._strata_codim(cell, StepBudget(10**6))
@@ -518,7 +523,7 @@ def test_the_walk_answers_what_the_box_answers(cell):
         assert codim == expected and walk.used <= box.used
     elif codim is not None:
         try:
-            groebner = contact_codim_at_origin(cell, budget=2000, force_groebner=True)
+            groebner = groebner_contact_codim(cell, budget=2000)
         except errors.BudgetExceeded:
             return
         assert codim == groebner
@@ -542,7 +547,7 @@ def test_the_walk_stops_before_faces_that_cannot_win(dom, text, n, level, monomi
     walk, whole = StepBudget(10**6), StepBudget(10**6)
     assert (jets._strata_codim(cell, walk), walk.used) == (codim, steps)
     assert (box_strata_codim(cell, whole), whole.used) == (box, box_steps)
-    assert contact_codim_at_origin(cell, force_groebner=True) == codim
+    assert groebner_contact_codim(cell) == codim
 
 
 def test_the_six_variable_quadric_answers_within_a_zero_budget():
@@ -578,7 +583,7 @@ def test_a_degenerate_face_sends_the_cell_to_groebner(
         assert (jets._strata_codim(cell, StepBudget(10**6)) is None) == (dom in degenerate)
         assert contact_codim_at_origin(cell) == codim
         assert bool(expansions) == (dom in degenerate), dom
-        assert contact_codim_at_origin(cell, force_groebner=True) == codim
+        assert groebner_contact_codim(cell) == codim
 
 
 TWO_BRANCH = "(x1^2 - x2^3)*(x1 - x2^2)"
@@ -727,12 +732,14 @@ def test_a_cell_that_runs_out_is_not_stored():
     assert budget.used > 10
 
 
-def test_the_route_is_part_of_a_cells_key(monkeypatch):
+def test_a_memoised_strata_cell_runs_no_groebner_and_the_oracle_agrees(monkeypatch):
     calls = counting_groebner(monkeypatch)
     factors = [(I(GF(5), 2, "x1*x2"), 3)]  # its jets hold no power of a coordinate
     fast = contact_codim_at_origin(factors)
+    assert contact_codim_at_origin(factors) == fast
+    assert list(jets._cell_memo) == [tuple(factors)]
     assert calls == []
-    assert contact_codim_at_origin(factors, force_groebner=True) == fast
+    assert groebner_contact_codim(factors) == fast
     assert len(calls) == 1
 
 
@@ -767,7 +774,7 @@ def test_memoised_results_equal_fresh_ones_after_a_session():
     cells = dict(jets._cell_memo)
     jets._jet_memo.clear()
     jets._cell_memo.clear()
-    for (factors, forced), (codim, steps) in cells.items():
+    for factors, (codim, steps) in cells.items():
         budget = StepBudget(10**6)
-        assert contact_codim_at_origin(factors, budget=budget, force_groebner=forced) == codim
+        assert contact_codim_at_origin(factors, budget=budget) == codim
         assert budget.used == steps
