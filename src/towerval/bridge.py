@@ -278,12 +278,12 @@ class CrossCharReport(namedtuple("CrossCharReport", "p cells mld_p mld_q lct_p l
         return self.lct_p <= self.lct_q
 
 
-def cross_characteristic_suite(ma: MultiIdeal, caps, budget: int = DEFAULT_GB_BUDGET) -> CrossCharReport:
+def cross_characteristic_suite(ma: MultiIdeal, cap: int, budget: int = DEFAULT_GB_BUDGET) -> CrossCharReport:
     """Compare contact codimensions against the canonical lift, cell by cell.
 
     ``ma`` is a MultiIdeal over a prime field; one ideal a is
     ``MultiIdeal([(a, 1)])``.  Asserts codim over F_p <= codim over Q at
-    every depth vector within the caps where both sides finished inside the
+    every depth vector in {0..cap}^r where both sides finished inside the
     budget, and reports the mld and lct estimates those shared cells
     induce.  A budget blow on one side drops the cell from both minima,
     keeping the reported inequalities honest.
@@ -300,7 +300,7 @@ def cross_characteristic_suite(ma: MultiIdeal, caps, budget: int = DEFAULT_GB_BU
     cells = []
     mld_p, mld_q = Fraction(n), Fraction(n)
     lct_p = lct_q = None
-    for mvec, active, weight in contact_cells(ma.factors, caps):
+    for mvec, active, weight in contact_cells(ma.factors, cap):
         cp = cq = note = None
         try:
             cp = contact_codim_at_origin(active, budget=budget)

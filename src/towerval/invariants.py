@@ -184,7 +184,7 @@ def certify_not_log_canonical(
     depth.  A hit proves the minimal log discrepancy is minus infinity.
     ``None`` means no violation within the cap, which decides nothing.
     """
-    if not isinstance(cap, int) or cap < 1:
+    if cap == 0:  # ``contact_cells`` refuses the other bad caps
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     for mvec, active, weight in contact_cells(ma.factors, cap):
         codim = contact_codim_at_origin(active, budget=budget)

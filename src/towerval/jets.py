@@ -30,7 +30,6 @@ from operator import mul, neg
 
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     IdealNotAtOrigin,
     MathCheckFailed,
     RingMismatch,
@@ -360,7 +359,7 @@ def compare_heights(a: Ideal, budget=DEFAULT_GB_BUDGET):
 # -- jet equations -----------------------------------------------------------------
 
 
-class JetSystem(namedtuple("JetSystem", "n level domain coefficients at_origin", defaults=(False,))):
+class JetSystem(namedtuple("JetSystem", "n level domain coefficients at_origin")):
     """Truncated jet data of an ideal: level m, variables x_l^(q) for
     0 <= q <= m (1 <= q <= m ``at_origin``), and per generator the
     coefficients F^(0), ..., F^(m) of its expansion along
@@ -387,46 +386,19 @@ class JetSystem(namedtuple("JetSystem", "n level domain coefficients at_origin",
         return [f"x{l + 1}_{q}" for l in range(self.n) for q in orders]
 
 
-# A CLI session folds lct, mld, notlc and crosschar over the same ideals, so
-# jet expansions and contact cells, both pure functions of their inputs, are
-# kept once per process.  Each memo holds at most _MEMO_SIZE entries and drops
-# its oldest one when full, so a long-lived process does not grow without limit.
-_MEMO_SIZE = 256
-_jet_memo: dict = {}  # (ideal, level, at_origin) -> JetSystem
-_cell_memo: dict = {}  # factors -> (codim, steps)
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= _MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
 def jet_equations(a: Ideal, m: int, *, at_origin: bool = False) -> JetSystem:
     """Expand each generator along truncated jets and split off t-powers.
 
     With ``at_origin`` the expansion runs along arcs through the origin,
     x_l(t) = sum_{q>=1} x_l^(q) t^q, in the ring of the N*m variables
     x_l^(q), q >= 1: F^(0) is the constant term of the generator.
-
-    Expansions are memoised per process: a repeat returns the system
-    built the first time, equal to a fresh expansion (so callers must not
-    mutate its polynomials), and an input that raises is not stored.
     """
-    key = (a, m, at_origin)
-    hit = _jet_memo.get(key)
-    return hit if hit is not None else _remember(_jet_memo, key, _expand(a, m, at_origin))
-
-
-def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
     a.require_nonzero()
     if m < 0:
         raise ValueError("jet level must be >= 0")
-    n, dom = a.nvars, a.domain
-    width = m + 1
-    lo = 1 if at_origin else 0  # the lowest order q with a variable x_l^(q)
-    jet_nvars = n * (width - lo)
+    dom = a.domain
+    js = JetSystem(n=a.nvars, level=m, domain=dom, coefficients=(), at_origin=at_origin)
+    width, lo, jet_nvars = m + 1, js.lowest_order, js.nvars
     unit = (0,) * jet_nvars
 
     # A series is a list of ``width`` term maps, the coefficients of t^0..t^m.
@@ -444,9 +416,8 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
 
     power_cache = {
         (l, 1): [{}] * lo
-        + [Polynomial.variable(dom, jet_nvars, l * (width - lo) + q - lo).terms
-           for q in range(lo, width)]
-        for l in range(n)
+        + [Polynomial.variable(dom, jet_nvars, js.var_index(l, q)).terms for q in range(lo, width)]
+        for l in range(js.n)
     }
 
     def series_power(l, e):
@@ -474,7 +445,7 @@ def _expand(a: Ideal, m: int, at_origin: bool) -> JetSystem:
                 piece = series_mul(piece, f, series())
             series_mul(piece, factors[-1], acc)
         out.append(tuple(Polynomial(dom, jet_nvars, terms) for terms in acc))
-    return JetSystem(n=n, level=m, domain=dom, coefficients=tuple(out), at_origin=at_origin)
+    return js._replace(coefficients=tuple(out))
 
 
 # -- contact loci ---------------------------------------------------------------------
@@ -590,6 +561,14 @@ def _nondegenerate(dom, f: dict, face, budget: StepBudget) -> bool:
     return False
 
 
+# A CLI session folds lct, mld, notlc and crosschar over the same ideals, so
+# contact cells, a pure function of their factors, are kept once per process.
+# The memo holds at most _MEMO_SIZE entries and drops its oldest one when full,
+# so a long-lived process does not grow without limit.
+_MEMO_SIZE = 256
+_cell_memo: dict = {}  # factors -> (codim, steps)
+
+
 def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET) -> int:
     """Codimension of the intersection of the contact loci with the arcs
     through the origin, evaluated at truncation level max(m_i).
@@ -619,7 +598,9 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET) -> int:
     codim = _strata_codim(factors, budget)
     if codim is None:
         codim = groebner_contact_codim(factors, budget)
-    _remember(_cell_memo, factors, (codim, budget.used - before))
+    if len(_cell_memo) >= _MEMO_SIZE:
+        del _cell_memo[next(iter(_cell_memo))]
+    _cell_memo[factors] = (codim, budget.used - before)
     return codim
 
 
@@ -661,29 +642,25 @@ def _contact_generators(factors) -> list:
 # -- estimators ------------------------------------------------------------------------
 
 
-def contact_cells(factors, caps):
+def contact_cells(factors, cap: int):
     """The depth grid every contact-locus estimator folds over.
 
-    ``factors`` are (ideal, exponent) pairs and ``caps`` is one depth cap
-    for all of them or a sequence with exactly one cap per factor.  Yields
-    (mvec, active, weight) for every nonzero depth vector m within the
-    caps, by total depth and then lexicographically: ``active`` holds the
-    (ideal, m_i) pairs with m_i >= 1 and ``weight`` is sum(e_i * m_i).
-    Cells where an active ideal misses the origin are skipped: their
-    contact locus through the origin is empty, and exactly there
-    ``contact_codim_at_origin`` would raise UnitIdeal.  A zero ideal in
-    any position raises ZeroIdeal before the first cell.
+    ``factors`` are (ideal, exponent) pairs and ``cap`` is one depth cap
+    for all of them.  Yields (mvec, active, weight) for every nonzero depth
+    vector m in {0..cap}^r, by total depth and then lexicographically:
+    ``active`` holds the (ideal, m_i) pairs with m_i >= 1 and ``weight`` is
+    sum(e_i * m_i).  Cells where an active ideal misses the origin are
+    skipped: their contact locus through the origin is empty, and exactly
+    there ``contact_codim_at_origin`` would raise UnitIdeal.  A zero ideal
+    in any position raises ZeroIdeal, and a cap that is not a nonnegative
+    int ValueError, before the first cell; this is the estimators' one
+    check of their cap.
     """
     for a, _ in factors:
         a.require_nonzero()
-    per_factor = isinstance(caps, (tuple, list))
-    if per_factor and len(caps) != len(factors):
-        raise DimensionMismatch(f"{len(caps)} caps for {len(factors)} factors")
-    if any(not isinstance(c, int) or c < 0 for c in (caps if per_factor else [caps])):
-        raise ValueError(f"depth caps must be nonnegative integers, got {caps!r}")
-    if not per_factor:
-        caps = [caps] * len(factors)
-    cells = _by_total(0, caps)
+    if not isinstance(cap, int) or cap < 0:
+        raise ValueError(f"depth caps must be nonnegative integers, got {cap!r}")
+    cells = _by_total(0, (cap,) * len(factors))
     next(cells)  # the zero vector
     for mvec in cells:
         active = [(a, m) for (a, _), m in zip(factors, mvec) if m]
@@ -729,7 +706,7 @@ def lct_estimate_at_origin(a: Ideal, cap: int, budget=DEFAULT_GB_BUDGET):
     a.require_nonzero()
     if not a.vanishes_at_origin():
         raise IdealNotAtOrigin("the ideal's locus must pass through the origin")
-    if cap < 1:
+    if cap == 0:  # ``contact_cells`` refuses the other bad caps
         raise ValueError("cap must be >= 1")
     return min(
         (Fraction(contact_codim_at_origin(active, budget=budget), m), m)

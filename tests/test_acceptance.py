@@ -156,7 +156,7 @@ def test_criterion_4_cross_characteristic_inequality():
     strict_cells = 0
     for n, p, texts in CROSSCHAR_SPECS:
         report = cross_characteristic_suite(
-            MultiIdeal([(_ideal(n, p, texts), 1)]), (4,), budget=GB_BUDGET
+            MultiIdeal([(_ideal(n, p, texts), 1)]), 4, budget=GB_BUDGET
         )
         for cell in report.cells:
             assert cell.note is None, (texts, cell)

@@ -348,7 +348,7 @@ def test_crosschar_budget_blowups_are_cells_not_errors():
 def test_crosschar_multi_factor_grid():
     dom = GF(5)
     ma = MultiIdeal([(coordinate_ideal(dom, 2), 1), (I(dom, 2, "x1"), Fraction(1, 2))])
-    rep = cross_characteristic_suite(ma, (2, 2))
+    rep = cross_characteristic_suite(ma, 2)
     assert len(rep.cells) == 8  # 3*3 grid minus the zero vector
     assert rep.mld_ordered
 
@@ -356,8 +356,6 @@ def test_crosschar_multi_factor_grid():
 def test_crosschar_rejects_bad_inputs():
     with pytest.raises(errors.RingMismatch):
         cross_characteristic_suite(MultiIdeal([(coordinate_ideal(QQ, 2), 1)]), 3)
-    with pytest.raises(errors.DimensionMismatch):
-        cross_characteristic_suite(MultiIdeal([(coordinate_ideal(GF(5), 2), 1)]), (1, 2))
 
 
 # -- the corpus --------------------------------------------------------------------

@@ -848,7 +848,7 @@ def test_output_is_byte_identical_across_runs(tmp_path, capsys):
 
 
 def test_a_warm_session_prints_what_a_cold_one_prints(tmp_path, capsys):
-    # the second run is served by the jet and contact-cell memos of the first;
+    # the second run is served by the contact-cell memo of the first;
     # over F_3, x1^3 + x2^3 sends its cells from depth 4 on to Groebner
     text = (
         "ring N=2 p=3\n"

@@ -112,13 +112,13 @@ CASES = {
     "notlc-budget-F3": ("notlc", "F3", 2, [(FERMAT, "1/2")], 5, 1),
     "notlc-budget-cusp-Q": ("notlc", "Q", 2, [(CUSP, 1)], 5, 1),
     "notlc-budget-found-F5": ("notlc", "F5", 2, [(CUSP, "3/2")], 3, 1),
-    # crosschar: single and two factors, caps per factor, budget notes
+    # crosschar: single and two factors, budget notes, a refused caps sequence
     **{f"crosschar-cusp-{d}": ("crosschar", d, 2, [(CUSP, 1)], 4, B) for d in PRIMES},
     **{f"crosschar-square-{d}": ("crosschar", d, 2, [(SQUARE, 1)], 4, B) for d in ("F2", "F3")},
-    **{f"crosschar-pair-{d}": ("crosschar", d, 2, [(CUSP, 1), (NODE, "1/2")], (2, 1), B)
+    **{f"crosschar-pair-{d}": ("crosschar", d, 2, [(CUSP, 1), (NODE, "1/2")], 2, B)
        for d in PRIMES},
     "crosschar-twin-F5": ("crosschar", "F5", 2, [(MAX, 1), (MAX, 1)], 2, B),
-    "crosschar-off-F3": ("crosschar", "F3", 2, [(OFF, 1), (CUSP, 1)], (1, 3), B),
+    "crosschar-off-F3": ("crosschar", "F3", 2, [(OFF, 1), (CUSP, 1)], 3, B),
     "crosschar-off-alone-F7": ("crosschar", "F7", 2, [(OFF, 1)], 2, B),
     "crosschar-budget-F3": ("crosschar", "F3", 2, [(FERMAT, 1)], 6, 1),
     "crosschar-budget-cusp-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 6, 1),
@@ -139,17 +139,17 @@ EXPECTED = {
     'crosschar-budget-lift-N1-F2': '(1,):1:1:None;(2,):1:1:None;(3,):2:2:None;(4,):2:2:None;(5,):3:3:None|mld=-2,-2|lct=1/2,1/2',
     'crosschar-budget-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-2,-2|lct=None,None',
     'crosschar-cap0-F5': '|mld=2,2|lct=None,None',
-    'crosschar-caps-mismatch-F5': 'DimensionMismatch',
+    'crosschar-caps-mismatch-F5': 'ValueError',
     'crosschar-cusp-F2': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
     'crosschar-cusp-F3': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
     'crosschar-cusp-F5': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
     'crosschar-cusp-F7': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
     'crosschar-off-F3': '(0, 1):2:2:None;(0, 2):2:2:None;(0, 3):3:3:None|mld=0,0|lct=None,None',
     'crosschar-off-alone-F7': '|mld=2,2|lct=None,None',
-    'crosschar-pair-F2': '(0, 1):2:2:None;(1, 0):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(2, 1):2:2:None|mld=-1/2,-1/2|lct=None,None',
-    'crosschar-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(2, 1):2:2:None|mld=-1/2,-1/2|lct=None,None',
-    'crosschar-pair-F5': '(0, 1):2:2:None;(1, 0):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(2, 1):2:2:None|mld=-1/2,-1/2|lct=None,None',
-    'crosschar-pair-F7': '(0, 1):2:2:None;(1, 0):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(2, 1):2:2:None|mld=-1/2,-1/2|lct=None,None',
+    'crosschar-pair-F2': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-1,-1|lct=None,None',
+    'crosschar-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-1,-1|lct=None,None',
+    'crosschar-pair-F5': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-1,-1|lct=None,None',
+    'crosschar-pair-F7': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-1,-1|lct=None,None',
     'crosschar-rational-Q': 'RingMismatch',
     'crosschar-square-F2': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):3:4:None|mld=-1,0|lct=3/4,1',
     'crosschar-square-F3': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None|mld=0,0|lct=1,1',
@@ -227,16 +227,20 @@ def test_estimator_matches_recorded_value(name):
 
 
 
-@pytest.mark.parametrize("cap", [-1, -2, 1.5, "3"])
+@pytest.mark.parametrize("cap", [-1, -2, 1.5, "3", (2, 2), (1,), (1, 1, 1)])
 def test_a_cap_that_is_not_a_nonnegative_int_is_refused(cap):
     dom = GF(5)
     ma = _multi(dom, 2, [(CUSP, 1)])
     with pytest.raises(ValueError):
+        lct_estimate_at_origin(_ideal(dom, 2, CUSP), cap)
+    with pytest.raises(ValueError):
         mld_estimate(ma, cap)
+    with pytest.raises(ValueError):
+        certify_not_log_canonical(ma, cap)
     with pytest.raises(ValueError):
         cross_characteristic_suite(ma, cap)
     with pytest.raises(ValueError):
-        cross_characteristic_suite(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), (2, cap))
+        cross_characteristic_suite(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), cap)
 
 
 @pytest.mark.parametrize("position", [0, 1])
@@ -250,18 +254,6 @@ def test_every_estimator_refuses_a_zero_factor_in_any_position(position):
     for estimate in (certify_not_log_canonical, mld_estimate, cross_characteristic_suite):
         with pytest.raises(errors.ZeroIdeal, match="^operation rejects the zero ideal$"):
             estimate(ma, 3)
-
-
-@pytest.mark.parametrize("caps", [(1,), (1, 1, 1)])
-def test_a_caps_sequence_needs_one_cap_per_factor(caps):
-    # a short sequence would leave the node out of every cell, and a long
-    # one would make cells with no active factor
-    dom = GF(5)
-    message = f"{len(caps)} caps for 2 factors"
-    with pytest.raises(errors.DimensionMismatch, match=message):
-        mld_estimate(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), caps)
-    with pytest.raises(errors.DimensionMismatch, match=message):
-        cross_characteristic_suite(_multi(dom, 2, [(CUSP, 1), (NODE, 1)]), caps)
 
 
 # -- the skip rule ---------------------------------------------------------------------
