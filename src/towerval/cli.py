@@ -376,17 +376,20 @@ def _bind(script, name, tokens):
             words.append(tok)
     words = iter(words)
     args = []
+    least = sum(k in ("tower", "ideal", "factors+") for k in kinds)
+    missing = f"missing arguments: {name} takes at least {least}"
     for kind in kinds:
-        if kind == "factors":
+        if kind in ("factors", "factors+"):
             args.append(_factors(script, words))
+            if kind == "factors+" and not args[-1]:
+                _err(missing)
         elif kind == "bridge":
             args += _bridge_args(script, words)
         else:
             tok = next(words, None)
             if tok is None:
                 if kind in ("tower", "ideal"):
-                    least = sum(k in ("tower", "ideal") for k in kinds)
-                    _err(f"missing arguments: {name} takes at least {least}")
+                    _err(missing)
                 args.append(None)  # an optional argument left out
             elif kind == "level?":
                 if not re.fullmatch(r"[0-9]+", tok):
@@ -539,7 +542,8 @@ def _cmd_selftest(script, opt, block):
 
 # name -> (handler, the kinds of its arguments in order, whether it reads
 # divisor=).  A kind ending in ? may be left out; factors (name:exponent
-# tokens) and bridge (ideals, e= vectors, tamper) read the rest of the line.
+# tokens) and bridge (ideals, e= vectors, tamper) read the rest of the line,
+# and factors+ reads it as factors does but needs at least one.
 _COMMANDS = {
     "keval": (_cmd_keval, ("tower",), True),
     "veval": (_cmd_veval, ("tower", "ideal"), True),
@@ -551,7 +555,7 @@ _COMMANDS = {
     "heights": (_cmd_heights, ("ideal",), False),
     "jets": (_cmd_jets, ("ideal", "level?"), False),
     "bridge": (_cmd_bridge, ("tower", "bridge"), False),
-    "crosschar": (_cmd_crosschar, ("factors",), False),
+    "crosschar": (_cmd_crosschar, ("factors+",), False),
     "suspend": (_cmd_suspend, ("tower", "ideal?"), False),
     "selftest": (_cmd_selftest, (), False),
 }

@@ -707,7 +707,7 @@ def lct_estimate_at_origin(a: Ideal, cap: int, budget=DEFAULT_GB_BUDGET):
     if not a.vanishes_at_origin():
         raise IdealNotAtOrigin("the ideal's locus must pass through the origin")
     if cap == 0:  # ``contact_cells`` refuses the other bad caps
-        raise ValueError("cap must be >= 1")
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
     return min(
         (Fraction(contact_codim_at_origin(active, budget=budget), m), m)
         for (m,), active, _ in contact_cells([(a, 1)], cap)

@@ -14,13 +14,17 @@ plain as possible:
   coefficient}.  Two polynomials are equal iff their term maps are equal,
   which makes canonical forms trivial and hashing cheap.
 
-All coefficient arithmetic on term maps runs in five private kernels:
-``_mul_terms`` adds a product into a map (``*``, ``**``, ``scale``,
-``substitute`` and the jet expansion in ``jets``), ``_add_into`` adds a
-map with a sign (``+``, ``-``, negation and the sum of substituted
-terms), ``_add_multiple`` adds a monomial multiple of a map without
-its leading term and returns the monomials that entered (the reduction
-step of ``jets``), ``_chart_pullback`` pulls a map back through one
+All coefficient arithmetic on term maps runs in three private kernels.
+``_add_multiple`` adds a monomial multiple of a map into an accumulator,
+optionally without one term, and returns the monomials that entered: it
+is the one accumulation loop.  ``+`` and ``-`` add a +-1 multiple at the
+zero shift, negation is ``scale(-1)``, the parser sums each expression's
+signed terms into one map, ``substitute`` adds each finished term into
+its result, and the reduction step and S-polynomials of ``jets`` skip
+the leading term.  ``_mul_terms``, which adds a product into a map
+(``*``, ``**``, ``scale``, ``substitute`` and the jet expansion in
+``jets``), is a loop of ``_add_multiple`` calls, one per term of its
+first factor.  ``_chart_pullback`` pulls a map back through one
 blow-up chart by rewriting its exponents (a coordinate with a nonzero
 center constant is expanded by the binomial row ``_binomial_row``
 builds), and ``_order_on`` gives the order of a map
@@ -282,18 +286,16 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         acc = dict(self.terms)
-        _add_into(self.domain, acc, other.terms, 1)
+        _add_multiple(self.domain, acc, 1, (0,) * self.nvars, other.terms)
         return Polynomial(self.domain, self.nvars, acc)
 
     def __neg__(self) -> "Polynomial":
-        acc: dict = {}
-        _add_into(self.domain, acc, self.terms, -1)
-        return Polynomial(self.domain, self.nvars, acc)
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         acc = dict(self.terms)
-        _add_into(self.domain, acc, other.terms, -1)
+        _add_multiple(self.domain, acc, -1, (0,) * self.nvars, other.terms)
         return Polynomial(self.domain, self.nvars, acc)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -336,8 +338,10 @@ class Polynomial:
         All images must live in one common ring over ``self``'s domain; that
         ring becomes the ring of the result.  Images over another domain
         raise ``RingMismatch``, as the arithmetic operators do.  This is the
-        plain reference map, one ``_mul_terms`` per factor: the package
-        pulls back through ``_chart_pullback`` and never calls it.
+        plain reference map: each term's product is built one ``_mul_terms``
+        per factor and then added into the result by ``_add_multiple`` at
+        the zero shift.  The package pulls back through ``_chart_pullback``
+        and never calls it.
         """
         if len(images) != self.nvars:
             raise RingMismatch(f"expected {self.nvars} images, got {len(images)}")
@@ -354,7 +358,7 @@ class Polynomial:
             for g, e in zip(images, m):
                 for _ in range(e):
                     piece = _mul_terms(dom, piece, g.terms, {})
-            _add_into(dom, out, piece, 1)
+            _add_multiple(dom, out, 1, unit, piece)
         return Polynomial(dom, tn, out)
 
     def evaluate(self, point: Sequence):
@@ -450,65 +454,30 @@ _set_hash = Polynomial._hash.__set__
 
 
 def _mul_terms(dom: Domain, a: dict, b: dict, acc: dict) -> dict:
-    """acc += a * b, in place, and return acc: the one multiplication loop,
-    which the reference ``substitute`` also runs once per factor.
-
-    Coefficients are inlined (one ``% p`` per product-and-add over GF(p))
-    and a monomial whose coefficient cancels leaves the map at once.  Both
-    factors are canonical, so a product of two coefficients is never zero
-    and only a monomial already in the map can cancel.
-    """
-    p = dom.p
-    get = acc.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(map(_add, ma, mb))
-            c = ca * cb
-            old = get(m)
-            if old is not None:
-                c += old
-            if p:
-                c %= p
-            if c:
-                acc[m] = c
-            else:
-                del acc[m]
+    """acc += a * b, in place, and return acc: one ``_add_multiple`` of
+    ``b`` per term of ``a``, whose coefficients may thus be any nonzero
+    representatives."""
+    for m, c in a.items():
+        _add_multiple(dom, acc, c, m, b)
     return acc
 
 
-def _add_into(dom: Domain, acc: dict, terms: dict, sign: int) -> None:
-    """acc += sign * terms, in place; the one accumulation loop.
+def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, skip: Mono | None = None) -> list:
+    """acc += c * x^q * (terms without the term at skip), in place; returns
+    the monomials that entered acc.  ``skip=None`` skips nothing; the
+    Groebner steps of ``jets`` skip the leading term and cancel it
+    themselves.
 
-    ``terms`` is canonical, so only a monomial already in ``acc`` can cancel.
-    """
-    p = dom.p
-    get = acc.get
-    for m, c in terms.items():
-        if sign < 0:
-            c = -c
-        old = get(m)
-        if old is not None:
-            c += old
-        if p:
-            c %= p
-        if c:
-            acc[m] = c
-        else:
-            del acc[m]
-
-
-def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, lm: Mono) -> list:
-    """acc += c * x^q * (terms without the term at lm), in place; returns
-    the monomials that entered acc.
-
-    The caller cancels the skipped term itself.  ``c`` is any representative
-    of a nonzero coefficient; each sum is reduced as in ``_add_into``.
+    ``c`` is any representative of a nonzero coefficient (-1 over GF(p)
+    too); over GF(p) each result is reduced mod p.  A monomial whose
+    coefficient cancels leaves acc at once; ``terms`` is canonical, so
+    only a monomial already in acc can cancel.
     """
     p = dom.p
     get = acc.get
     entered = []
     for m, v in terms.items():
-        if m != lm:
+        if m != skip:
             m = tuple(map(_add, m, q))
             v = c * v
             old = get(m)
@@ -539,7 +508,7 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     the row ``_binomial_row`` builds for it: one choice of k_j per such
     coordinate gives u_j^k_j (u_pivot^k_pivot for the pivot) times
     u_pivot^(sum of the k_j), and each output monomial is built once, in
-    one list.  Sums are reduced as in ``_add_into``.  A binomial
+    one list.  Sums are reduced as in ``_add_multiple``.  A binomial
     coefficient that vanishes mod p (C(p, k) for 0 < k < p) is not in its
     row, so a product of row entries is never zero and never stored.
     """
@@ -812,6 +781,7 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
     """
     tokens = _lex(text)
     pos = depth = 0
+    unit = (0,) * nvars
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", "", len(text), None)
@@ -827,14 +797,15 @@ def parse_polynomial(text: str, domain: Domain, nvars: int) -> Polynomial:
         return tok
 
     def parse_expr() -> Polynomial:
+        acc: dict = {}
         sign = 1
         if peek()[0] in ("+", "-"):
             sign = -1 if take()[0] == "-" else 1
-        out = parse_term().scale(sign)
-        while peek()[0] in ("+", "-"):
-            s = -1 if take()[0] == "-" else 1
-            out = out + parse_term().scale(s)
-        return out
+        while True:
+            _add_multiple(domain, acc, sign, unit, parse_term().terms)
+            if peek()[0] not in ("+", "-"):
+                return Polynomial(domain, nvars, acc)
+            sign = -1 if take()[0] == "-" else 1
 
     def parse_term() -> Polynomial:
         out = parse_factor()

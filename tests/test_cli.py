@@ -508,6 +508,7 @@ def test_a_command_refuses_surplus_or_malformed_arguments(tmp_path, capsys, comm
     ("veval T divisor=1", "ScriptSyntaxError: line 4: missing arguments: veval takes at least 2"),
     ("zeval T", "ScriptSyntaxError: line 4: missing arguments: zeval takes at least 2"),
     ("suspend", "ScriptSyntaxError: line 4: missing arguments: suspend takes at least 1"),
+    ("crosschar", "ScriptSyntaxError: line 4: missing arguments: crosschar takes at least 1"),
     ("bridge T tamper", "InputError: command 1 (bridge): tamper needs at least one ideal to bend"),
 ])
 def test_a_command_refuses_missing_arguments(tmp_path, capsys, command, message):
@@ -618,12 +619,20 @@ def test_ring_with_fewer_than_two_variables_is_an_input_error(tmp_path, capsys, 
     assert err.startswith("error:") and "line 2" in err and f"N={n}" in err
 
 
-@pytest.mark.parametrize("command", ["mld a:1", "crosschar a:1"])
+CAP_REFUSALS = {  # command -> (--cap, message); lct and notlc share one for cap 0
+    "mld a:1": ("-1", "depth caps must be nonnegative integers, got -1"),
+    "crosschar a:1": ("-1", "depth caps must be nonnegative integers, got -1"),
+    "lct a": ("0", "cap must be a positive integer, got 0"),
+    "notlc a:1": ("0", "cap must be a positive integer, got 0"),
+}
+
+
+@pytest.mark.parametrize("command", CAP_REFUSALS)
 def test_negative_cap_is_an_input_error(tmp_path, capsys, command):
-    code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n", "--cap", "-1")
+    cap, message = CAP_REFUSALS[command]
+    code, out, err = run_main(tmp_path, capsys, BASIC + command + "\n", "--cap", cap)
     name = command.split()[0]
-    assert (code, out, err) == (2, "", f"error: ValueError: command 1 ({name}): line 4: "
-                                       "depth caps must be nonnegative integers, got -1\n")
+    assert (code, out, err) == (2, "", f"error: ValueError: command 1 ({name}): line 4: {message}\n")
 
 
 def test_exit_code_one_for_failed_identities(tmp_path, capsys):

@@ -234,7 +234,8 @@ def ring_and_poly(draw):
 def test_every_result_over_gf_p_holds_reduced_residues(data, c):
     dom, n, items, point = data
     f = Polynomial.from_terms(dom, n, items)
-    polys = [f, -f, f.scale(c)] + [f.derivative(i) for i in range(n)]
+    polys = [f, -f, f.scale(c), f + f.scale(c), f - f.scale(c), f * f]
+    polys += [f.derivative(i) for i in range(n)]
     if dom.characteristic:
         p = dom.characteristic
         assert all(0 < v < p for g in polys for v in g.terms.values())
@@ -243,10 +244,13 @@ def test_every_result_over_gf_p_holds_reduced_residues(data, c):
         assert all(v != 0 for g in polys for v in g.terms.values())
 
 
-@given(ring_and_poly())
-def test_from_terms_derivative_and_evaluate_return_canonical_coefficients(data):
+@given(ring_and_poly(), st.integers(-300, 300))
+def test_from_terms_derivative_and_evaluate_return_canonical_coefficients(data, c):
     dom, n, items, point = data
     f = Polynomial.from_terms(dom, n, items)
-    for g in [f] + [f.derivative(i) for i in range(n)]:
+    polys = [f] + [f.derivative(i) for i in range(n)]
+    if dom.characteristic:  # over QQ a sum or product may hold an integral Fraction
+        polys += [f + f.scale(c), f - f.scale(c), f * f]
+    for g in polys:
         assert all(canonical(dom, v) for v in g.terms.values())
     assert canonical(dom, f.evaluate(point))

@@ -1,9 +1,11 @@
 """Differential corpus and ring-map properties for the polynomial kernel.
 
 The expected texts and digests below were recorded from the arithmetic
-before it moved onto the term-map helpers (``_mul_terms``/``_add_into``).
-Products, powers and substitutions are determined by their inputs, so the
-kernel must reproduce them byte for byte.  The chart-pullback kernel
+before it moved onto the term-map kernels; sums, products, powers and
+substitutions now all accumulate through ``_add_multiple``, which
+``_mul_terms`` calls once per term of its first factor.  They are
+determined by their inputs, so the kernels must reproduce them byte for
+byte.  The chart-pullback kernel
 (``_chart_pullback``) must equal ``substitute`` with the chart's images,
 and the order kernel (``_order_on``) must equal the order of ``substitute``
 with the center shifted to the origin, which is >= 1 exactly when
