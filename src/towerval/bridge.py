@@ -288,19 +288,19 @@ def cross_characteristic_suite(ma: MultiIdeal, cap: int, budget: int = DEFAULT_G
     induce.  A budget blow on one side drops the cell from both minima,
     keeping the reported inequalities honest.
     """
-    r = len(ma.factors)
+    r = len(ma)
     if r == 0:
         raise ValueError("nothing to compare for an empty multi-ideal")
-    dom = ma.factors[0][0].domain
+    dom = ma[0][0].domain
     if not dom.p:
         raise RingMismatch("the comparison starts from a prime field")
-    n = ma.factors[0][0].nvars
-    lifts = {a: lift_to_q(a) for a, _ in ma.factors}
+    n = ma[0][0].nvars
+    lifts = {a: lift_to_q(a) for a, _ in ma}
 
     cells = []
     mld_p, mld_q = Fraction(n), Fraction(n)
     lct_p = lct_q = None
-    for mvec, active, weight in contact_cells(ma.factors, cap):
+    for mvec, active, weight in contact_cells(ma, cap):
         cp = cq = note = None
         try:
             cp = contact_codim_at_origin(active, budget=budget)

@@ -59,7 +59,7 @@ from .polyring import GF, QQ, Domain, Ideal, MultiIdeal, _number_text, clip, par
 from .tower import CenterSpec, Tower, blow_up, new_tower, suspend, valuation
 
 
-class SessionScript(namedtuple("SessionScript", "n p domain ideals towers commands")):
+class SessionScript(namedtuple("SessionScript", "n domain ideals towers commands")):
     """A parsed script; ``commands`` holds (line number, command name,
     bound argument values, raw text) tuples."""
 
@@ -276,7 +276,7 @@ def parse_script(text: str) -> SessionScript:
                 if n < 2:
                     _err(f"ring needs N >= 2 variables, got N={n}")
                 domain = QQ if p == 0 else GF(p)
-                script = SessionScript(n, p, domain, {}, {}, [])
+                script = SessionScript(n, domain, {}, {}, [])
                 continue
 
             if script is None:
@@ -456,7 +456,7 @@ def _cmd_notlc(script, opt, block, ma):
 
 
 def _cmd_heights(script, opt, block, a):
-    if script.p:
+    if script.domain.p:
         hp, hq = compare_heights(a, budget=opt["gb_budget"])
         block.add(("height_p", hp), ("height_q", hq))
     else:

@@ -63,7 +63,7 @@ def log_discrepancy(t: Tower, did: int, ma: MultiIdeal) -> LogDiscrepancyReport:
     rec = t.divisor(did)
     vals = []
     weighted = Fraction(0)
-    for idx, (ideal, e) in enumerate(ma.factors):
+    for idx, (ideal, e) in enumerate(ma):
         v = valuation(t, did, ideal)
         vals.append((idx, v))
         weighted += e * v
@@ -186,7 +186,7 @@ def certify_not_log_canonical(
     """
     if cap == 0:  # ``contact_cells`` refuses the other bad caps
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    for mvec, active, weight in contact_cells(ma.factors, cap):
+    for mvec, active, weight in contact_cells(ma, cap):
         codim = contact_codim_at_origin(active, budget=budget)
         if codim < weight:
             return NotLogCanonicalCertificate(mvec, codim, Fraction(codim - weight))

@@ -33,13 +33,15 @@ order >= 1 is containment).  The pullback kernel is the one pullback of
 the package: frames, divisor equations, weak and total transforms all go
 through ``tower.Chart.pull``.  ``substitute``, the general ring map, is the
 reference the tests check both kernels against; nothing else in
-the package calls it.  ``Domain`` keeps only
-``coerce``, the one canonicaliser (``from_terms``, ``derivative`` and
-``evaluate`` end with it), and ``inv``.  ``lift_to_q`` is the one map
-between domains (residues 0..p-1 read as rationals), and every other
-operation, ``substitute`` included, stays inside one domain.  Nothing
-outside this module reduces mod p.  A ``Polynomial`` is built only at
-the API boundary, once per result, never for intermediate factors.
+the package calls it.  ``Domain`` is a namedtuple of one field, ``p``,
+and keeps only ``coerce``, the one canonicaliser (``from_terms``,
+``derivative`` and ``evaluate`` end with it), and ``inv``.  ``Ideal`` is
+a namedtuple too, and a ``MultiIdeal`` is the tuple of its pairs.
+``lift_to_q`` is the one map between domains (residues 0..p-1 read as
+rationals), and every other operation, ``substitute`` included, stays
+inside one domain.  Nothing outside this module reduces mod p.  A
+``Polynomial`` is built only at the API boundary, once per result, never
+for intermediate factors.
 ``read_number`` reads every number written in a script, and
 ``Polynomial.text`` prints coefficients of any size.
 
@@ -51,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add as _add, le as _le, sub as _sub
@@ -99,32 +102,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Domain:
+class Domain(namedtuple("Domain", "p", defaults=(None,))):
     """A coefficient domain: the prime field GF(p), or QQ when ``p`` is None.
 
     Use the ``GF`` factory and the ``QQ`` singleton instead of calling the
     constructor directly.
     """
 
-    __slots__ = ("p",)
-
-    def __init__(self, p: int | None = None):
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Domain is immutable")
-
-    # -- structure ------------------------------------------------------
+    __slots__ = ()
 
     @property
     def characteristic(self) -> int:
         return self.p or 0
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Domain) and self.p == other.p)
-
-    def __hash__(self):
-        return hash(self.p)
 
     def __repr__(self):
         return f"GF({self.p})" if self.p else "QQ"
@@ -205,6 +194,7 @@ def default_names(nvars: int) -> list[str]:
 class Polynomial:
     """An immutable multivariate polynomial in canonical form."""
 
+    # Not a namedtuple: ``_hash`` is filled lazily and ``terms`` is a dict, which a tuple cannot hash.
     __slots__ = ("domain", "nvars", "terms", "_hash")
 
     def __init__(self, domain: Domain, nvars: int, terms: dict):
@@ -601,26 +591,21 @@ def _binomial_row(p, c, e: int) -> list:
     return row
 
 
-class Ideal:
+class Ideal(namedtuple("Ideal", "domain nvars gens")):
     """A finite generator list in a fixed ring.
 
     Zero generators are dropped at construction; an empty generator list is
     the zero ideal, which every invariant computation rejects explicitly.
     """
 
-    __slots__ = ("domain", "nvars", "gens")
+    __slots__ = ()
 
-    def __init__(self, domain: Domain, nvars: int, gens: Iterable[Polynomial]):
+    def __new__(cls, domain: Domain, nvars: int, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if not g.is_zero())
         for g in gens:
             if g.domain != domain or g.nvars != nvars:
                 raise RingMismatch("generator not in the declared ring")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", gens)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Ideal is immutable")
+        return super().__new__(cls, domain, nvars, gens)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -635,17 +620,6 @@ class Ideal:
 
     def vanishes_at_origin(self) -> bool:
         return all(g.constant_term() == 0 for g in self.gens)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and self.domain == other.domain
-            and self.nvars == other.nvars
-            and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.nvars, self.gens))
 
     def __repr__(self):
         return f"<ideal ({', '.join(g.text() for g in self.gens) or '0'})>"
@@ -666,12 +640,13 @@ def lift_to_q(a: Ideal) -> Ideal:
     return Ideal(QQ, a.nvars, [Polynomial(QQ, a.nvars, dict(g.terms)) for g in a.gens])
 
 
-class MultiIdeal:
-    """A formal product of ideals with positive rational exponents."""
+class MultiIdeal(tuple):
+    """A formal product of ideals with positive rational exponents: the
+    tuple of its (ideal, Fraction) pairs."""
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable):
+    def __new__(cls, factors: Iterable):
         out = []
         ring = None
         for ideal, e in factors:
@@ -683,16 +658,7 @@ class MultiIdeal:
             elif (ideal.domain, ideal.nvars) != ring:
                 raise RingMismatch("multi-ideal factors live in different rings")
             out.append((ideal, e))
-        object.__setattr__(self, "factors", tuple(out))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiIdeal is immutable")
-
-    def __len__(self):
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
+        return super().__new__(cls, out)
 
 
 # -- numbers ------------------------------------------------------------------

@@ -82,6 +82,7 @@ class Chart:
     filled by ``_derive``.
     """
 
+    # Not a namedtuple: it keeps a mutable memo, and a field-wise == would walk ``_up`` and the memo.
     __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_memo")
 
     def __init__(self, cid, up, pivot, step, constraints, ring, memo=None):
@@ -194,19 +195,10 @@ def _shown(cid) -> str:
     return clip(_number_text(cid)) if type(cid) is int else repr(cid)
 
 
-class Tower:
-    """Immutable; ``blow_up`` returns an extended copy."""
+class Tower(namedtuple("Tower", "domain n charts steps")):
+    """Immutable; ``blow_up`` returns an extended copy that shares its charts."""
 
-    __slots__ = ("domain", "n", "charts", "steps")
-
-    def __init__(self, domain: Domain, n: int, charts: tuple, steps: tuple):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Tower is immutable")
+    __slots__ = ()
 
     def chart(self, cid: int) -> Chart:
         if not isinstance(cid, int) or not 0 <= cid < len(self.charts):
@@ -359,8 +351,9 @@ def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=()) -> CenterSpec:
     ..., 50, -50 over Q), first coordinate slowest.  A point is accepted
     when the local equation of every other divisor that meets the home
     chart (``Chart.divisor_eqs``) is nonzero there, and every ideal in
-    ``avoid_loci`` (in the home chart's coordinates; a zero ideal raises
-    ZeroIdeal) has some generator nonzero there.  Exhaustion raises
+    ``avoid_loci`` (ideals of the tower's ring, read in the home chart's
+    coordinates; another ring raises RingMismatch, a zero ideal ZeroIdeal)
+    has some generator nonzero there.  Exhaustion raises
     GeneralPointNotFound, which over a small prime field is a real
     possibility the caller must handle.
     """
@@ -368,6 +361,8 @@ def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=()) -> CenterSpec:
     dom, n = t.domain, t.n
 
     eqs = [eq for d, eq in chart.divisor_eqs.items() if d != did]
+    if any(locus.domain != dom or locus.nvars != n for locus in avoid_loci):
+        raise RingMismatch("avoid-locus does not live in the tower's ring")
     loci = [locus.gens for locus in avoid_loci]
     if not all(loci):
         raise ZeroIdeal("cannot avoid the zero locus of the zero ideal")
@@ -396,9 +391,12 @@ def suspend(t: Tower, a: Ideal | None = None):
     """Replay the tower inside the hyperplane x_{N+1} = 0 of A^{N+1}.
 
     Every center gains the constraint x_{N+1} = 0 and the optional ideal is
-    extended by reading its generators in N+1 variables.  Valuations along
+    extended by reading its generators in N+1 variables (it must be a
+    nonzero ideal of the tower's base ring).  Valuations along
     corresponding divisors are preserved; discrepancies shift.
     """
+    if a is not None:
+        t._check_base_ideal(a)
     dom, n = t.domain, t.n
     out = new_tower(n + 1, dom)
     chart_map = {0: 0}
@@ -412,15 +410,8 @@ def suspend(t: Tower, a: Ideal | None = None):
             chart_map[cid] = by_pivot[t.chart(cid).pivot]
     if a is None:
         return out, None
-    padded = Ideal(
-        dom,
-        n + 1,
-        [
-            Polynomial.from_terms(dom, n + 1, ((m + (0,), c) for m, c in g.terms.items()))
-            for g in a.gens
-        ],
-    )
-    return out, padded
+    padded = [Polynomial(dom, n + 1, {m + (0,): c for m, c in g.terms.items()}) for g in a.gens]
+    return out, Ideal(dom, n + 1, padded)
 
 
 # -- cross-checks and views -------------------------------------------------------

@@ -44,7 +44,7 @@ def test_parse_spec_example_script():
     script = parse_script(
         "ring N=2 p=5\nideal a: x1, x2\ntower T: blowup chart=root point=(0,0)\nbridge T a"
     )
-    assert script.n == 2 and script.p == 5
+    assert script.n == 2 and script.domain.p == 5
     assert set(script.ideals) == {"a"} and set(script.towers) == {"T"}
     assert [name for _, name, _, _ in script.commands] == ["bridge"]
 
@@ -1056,7 +1056,7 @@ def test_every_fraction_literal_reads_back_in_each_rational_position(q, r):
     assert script.ideals["a"].gens[0].terms.get((1, 0), 0) == q
     assert [step.center.constraints for step in script.towers["T"].steps] == [((0, q), (1, 0))] * 2
     (_, _, (factors,), _), (_, _, (_, _, evecs, _), _) = script.commands
-    assert factors.factors[0][1] == r and evecs == [(q,)]
+    assert factors[0][1] == r and evecs == [(q,)]
 
 
 # Every digit of these is in a number position, and each template parses.

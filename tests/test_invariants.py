@@ -83,11 +83,11 @@ def test_log_discrepancy_matches_formula_on_random_inputs():
         for did in (e1, e2):
             report = log_discrepancy(t, did, ma)
             recomputed = Fraction(report.k + 1) - sum(
-                e * v for (_, e), (_, v) in zip(ma.factors, report.valuations)
+                e * v for (_, e), (_, v) in zip(ma, report.valuations)
             )
             assert report.a == recomputed
             for idx, v in report.valuations:
-                assert v == valuation(t, did, ma.factors[idx][0])
+                assert v == valuation(t, did, ma[idx][0])
 
 
 def test_log_discrepancy_strictly_decreases_under_scaling():

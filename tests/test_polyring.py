@@ -312,3 +312,42 @@ def test_domain_equality_and_hash():
     assert GF(5) != GF(7)
     assert QQ != GF(5) and GF(5) != QQ
     assert QQ == QQ and hash(QQ) == hash(QQ)
+
+
+_MAXIMAL = coordinate_ideal(GF(5), 2)
+_PRODUCT = MultiIdeal([(_MAXIMAL, 1)])
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(GF(5), "p"), (GF(5), "q"), (QQ, "p"), (QQ, "q"), (_MAXIMAL, "gens"), (_MAXIMAL, "domain"),
+     (_MAXIMAL, "extra"), (_PRODUCT, "factors"), (_PRODUCT, "extra")],
+)
+def test_value_types_refuse_setattr(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+
+
+def test_ideal_refuses_a_generator_from_another_ring():
+    with pytest.raises(errors.RingMismatch):
+        Ideal(QQ, 2, [parse_polynomial("x1", GF(5), 2)])
+    with pytest.raises(errors.RingMismatch):
+        Ideal(GF(5), 2, [parse_polynomial("x1", GF(5), 3)])
+    assert Ideal(QQ, 2, [Polynomial.zero(GF(5), 3)]).is_zero()  # zero generators drop first
+
+
+def test_ideals_built_apart_are_equal_and_hash_equal():
+    a = Ideal(GF(5), 2, [parse_polynomial("x1^2 + 4*x2", GF(5), 2), Polynomial.zero(GF(5), 2)])
+    b = Ideal(GF(5), 2, [parse_polynomial("4*x2 + x1^2", GF(5), 2)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Ideal(QQ, 2, [parse_polynomial("x1^2 + 4*x2", QQ, 2)])
+    assert repr(a) == "<ideal (x1^2 + 4*x2)>"
+
+
+def test_multi_ideal_is_the_tuple_of_its_pairs():
+    a, b = coordinate_ideal(QQ, 2), Ideal(QQ, 2, [parse_polynomial("x1", QQ, 2)])
+    ma = MultiIdeal([(a, 1), (b, Fraction(1, 2))])
+    assert len(ma) == 2 and ma[0] == (a, 1) and ma[1][0] == b
+    assert list(ma) == [(a, Fraction(1)), (b, Fraction(1, 2))]
+    assert all(type(e) is Fraction for _, e in ma)
+    assert not MultiIdeal([])

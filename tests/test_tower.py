@@ -9,6 +9,7 @@ from towerval.polyring import GF, QQ, Ideal, Polynomial, coordinate_ideal, parse
 from towerval.tower import (
     CenterSpec,
     Chart,
+    Tower,
     blow_up,
     discrepancy_via_jacobian,
     new_tower,
@@ -311,6 +312,16 @@ def test_point_search_exhaustion_over_f2():
         point_on_divisor_avoiding(t, 1, avoid_loci=[wt])
 
 
+def test_point_search_refuses_a_locus_from_another_ring():
+    t = chain_tower(GF(5), 2, 1)
+    # read over F_5, x2 - 5 is x2, which the origin lies on
+    over_f5 = Ideal(GF(5), 2, [P("x2 - 5", GF(5))])
+    assert point_on_divisor_avoiding(t, 1, avoid_loci=[over_f5]).as_dict() == {0: 0, 1: 1}
+    for locus in (Ideal(QQ, 2, [P("x2 - 5", QQ)]), Ideal(GF(5), 3, [P("x2", GF(5), 3)])):
+        with pytest.raises(errors.RingMismatch):
+            point_on_divisor_avoiding(t, 1, avoid_loci=[locus])
+
+
 def test_point_search_refuses_to_avoid_the_zero_ideal():
     t = chain_tower(GF(5), 2, 1)
     with pytest.raises(errors.ZeroIdeal) as info:
@@ -375,12 +386,31 @@ def test_suspend_empty_tower():
     assert s.n == 3 and len(s.steps) == 0 and nothing is None
 
 
+def test_suspend_refuses_an_ideal_outside_the_base_ring():
+    t = chain_tower(QQ, 2, 1)
+    for a in (Ideal(GF(5), 2, [P("x1^2 + 4*x2", GF(5))]), Ideal(QQ, 3, [P("x3", QQ, 3)])):
+        with pytest.raises(errors.RingMismatch):
+            suspend(t, a)
+    with pytest.raises(errors.ZeroIdeal):
+        suspend(t, Ideal(QQ, 2, []))
+
+
 def test_suspend_deep_tower_valuations_match():
     t = chain_tower(GF(5), 2, 3)
     a = Ideal(GF(5), 2, [P("x1^2 + x2^3", GF(5)), P("x2^4", GF(5))])
     s, a_bar = suspend(t, a)
     for did in (1, 2, 3):
         assert valuation(s, did, a_bar) == valuation(t, did, a)
+
+
+def test_tower_refuses_setattr_and_compares_by_its_fields():
+    t = chain_tower(QQ, 2, 1)
+    for name in ("domain", "n", "charts", "steps", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    again = Tower(t.domain, t.n, t.charts, t.steps)
+    assert again == t and hash(again) == hash(t)
+    assert chain_tower(QQ, 2, 1) != t  # same steps, charts of their own
 
 
 # -- cross-checks ---------------------------------------------------------------------------
