@@ -29,14 +29,20 @@ blow-up chart by rewriting its exponents (a coordinate with a nonzero
 center constant is expanded by the binomial row ``_binomial_row``
 builds), and ``_order_on`` gives the order of a map
 along a blow-up center (the valuation of the divisor the center makes;
-order >= 1 is containment).  The pullback kernel is the one pullback of
+order >= 1 is containment).  Both take the center as the plan
+``_center_plan`` splits it into once per blow-up, shared by the step's
+charts: the indices whose constant is 0, and the (index, constant) pairs
+whose constant is not.  The pullback kernel is the one pullback of
 the package: frames, divisor equations, weak and total transforms all go
-through ``tower.Chart.pull``.  ``substitute``, the general ring map, is the
-reference the tests check both kernels against; nothing else in
-the package calls it.  ``Domain`` is a namedtuple of one field, ``p``,
-and keeps only ``coerce``, the one canonicaliser (``from_terms``,
-``derivative`` and ``evaluate`` end with it), and ``inv``.  ``Ideal`` is
-a namedtuple too, and a ``MultiIdeal`` is the tuple of its pairs.
+through ``tower.Chart.pull``.  ``_specialize`` sets one coordinate of a
+map to a constant for the general-point search of ``tower``; at a nonzero
+constant it is a loop of ``_add_multiple`` calls.  ``substitute``, the
+general ring map, is the reference the tests check both kernels against;
+nothing else in the package calls it.  ``Domain`` is a namedtuple of one
+field, ``p``, and keeps only ``coerce``, the one canonicaliser
+(``from_terms``, ``derivative`` and ``evaluate`` end with it), and
+``inv``.  ``Ideal`` is a namedtuple too, and a ``MultiIdeal`` is the
+tuple of its pairs.
 ``lift_to_q`` is the one map between domains (residues 0..p-1 read as
 rationals), and every other operation, ``substitute`` included, stays
 inside one domain.  Nothing outside this module reduces mod p.  A
@@ -486,11 +492,23 @@ def _add_multiple(dom: Domain, acc: dict, c, q: Mono, terms: dict, skip: Mono | 
     return entered
 
 
-def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict:
+_CenterPlan = namedtuple("_CenterPlan", "p flat shifted")
+
+
+def _center_plan(dom: Domain, center: tuple) -> _CenterPlan:
+    """The center given as (index, constant) pairs, split once for the
+    kernels: ``p`` (None over QQ), ``flat``, the indices whose constant is
+    0, and ``shifted``, the pairs whose constant is not.  A blow-up builds
+    one and shares it among its charts."""
+    return _CenterPlan(dom.p, tuple([j for j, c in center if not c]),
+                       tuple([(j, c) for j, c in center if c]))
+
+
+def _chart_pullback(terms: dict, pivot: int, plan: _CenterPlan) -> dict:
     """The term map of a blow-up chart's pullback, built without its images.
 
-    ``center`` holds the (index, constant) pairs of the blown-up center,
-    ``pivot`` among them.  The ring map is x_pivot -> c_pivot + u_pivot,
+    ``plan`` is the blown-up center as ``_center_plan`` splits it,
+    ``pivot`` among its indices.  The ring map is x_pivot -> c_pivot + u_pivot,
     x_j -> c_j + u_pivot*u_j for the other constrained j, and x_j -> u_j
     off the center.  Each term's exponent tuple is rewritten: u_pivot takes
     the degree over the constrained coordinates whose constant is 0, and
@@ -502,9 +520,7 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     coefficient that vanishes mod p (C(p, k) for 0 < k < p) is not in its
     row, so a product of row entries is never zero and never stored.
     """
-    p = dom.p
-    flat = [j for j, c in center if not c]
-    shifted = [(j, c) for j, c in center if c]
+    p, flat, shifted = plan.p, plan.flat, plan.shifted
     acc: dict = {}
     if not shifted:  # the rewrite is one-to-one on exponents: nothing sums
         for m, c in terms.items():
@@ -542,9 +558,9 @@ def _chart_pullback(dom: Domain, terms: dict, pivot: int, center: tuple) -> dict
     return acc
 
 
-def _order_on(dom: Domain, terms: dict, center: tuple) -> int:
-    """The order of the term map along the center {x_j = c_j}, given as
-    (index, constant) pairs: its least degree in the x_j - c_j.
+def _order_on(terms: dict, plan: _CenterPlan) -> int:
+    """The order of the term map along the center ``plan`` splits: its
+    least degree in the x_j - c_j.
 
     A coordinate whose constant is 0 gives its whole exponent, so when all
     are 0, or one term alone has the least such degree, that degree is the
@@ -555,9 +571,7 @@ def _order_on(dom: Domain, terms: dict, center: tuple) -> int:
     """
     if not terms:
         raise ZeroPolynomial("order of the zero polynomial along a center")
-    p = dom.p  # None over QQ, where pow(c, e, None) is c ** e
-    flat = [j for j, c in center if not c]
-    shifted = [(j, c) for j, c in center if c]
+    p, flat, shifted = plan.p, plan.flat, plan.shifted  # p None over QQ: pow(c, e, None) is c ** e
     lows = [sum([m[j] for j in flat]) for m in terms]
     d = min(lows)
     if not shifted or lows.count(d) == 1:  # nothing can cancel at degree d
@@ -589,6 +603,17 @@ def _binomial_row(p, c, e: int) -> list:
         if b:
             row.append((k, b))
     return row
+
+
+def _specialize(dom: Domain, terms: dict, j: int, v) -> dict:
+    """The term map with x_j set to the constant v (a canonical element of
+    ``dom``)."""
+    if not v:  # the terms carrying x_j drop out, and the rest keep their monomials
+        return {m: c for m, c in terms.items() if not m[j]}
+    acc: dict = {}
+    for m, c in terms.items():  # c * v^e is nonzero: v is a unit
+        _add_multiple(dom, acc, c * pow(v, m[j], dom.p), (0,) * len(m), {m[:j] + (0,) + m[j + 1:]: 1})
+    return acc
 
 
 class Ideal(namedtuple("Ideal", "domain nvars gens")):

@@ -15,7 +15,7 @@ base coordinate as a polynomial in chart coordinates) and a local defining
 equation for the proper transform of every divisor that meets the chart
 (one that becomes a nonzero constant is dropped: it never vanishes on a
 center or at a point, so a tower costs time linear in depth).  A blow-up
-records only each new chart's pivot and center constraints, which fix its
+records only each new chart's pivot and center plan, which fix its
 pullback.  Everything else a chart knows sits in one memo per chart, filled
 by one rule: walk up to the nearest chart that holds the value, pull it down
 one chart at a time by one exponent-rewriting kernel, and keep it in every
@@ -35,13 +35,22 @@ along it.  Containment drives the discrepancy recursion
 
     k_new = (|S| - 1) + sum of k over divisors containing the center.
 
+A blow-up splits its center once into a plan (``polyring._center_plan``)
+that its charts share.  The general-point search on a divisor restricts the
+other divisors' equations and the loci to avoid to the divisor once, then
+walks the free coordinates depth first in the fixed enumeration, setting
+one coordinate at a time in the restricted maps.  It gives up a prefix
+only when some equation, or every generator of some locus, has become the
+zero map, so no extension of it could be accepted: the point it returns is
+the first accepted point of the enumeration, as a walk over every point
+would find it, and it evaluates nothing point by point.
+
 An independent cross-check of k via the order of the Jacobian determinant
 of the frame is provided for tests.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from operator import mul
 
@@ -54,7 +63,17 @@ from .errors import (
     UnknownDivisor,
     ZeroIdeal,
 )
-from .polyring import Domain, Ideal, Polynomial, _chart_pullback, _number_text, _order_on, clip
+from .polyring import (
+    Domain,
+    Ideal,
+    Polynomial,
+    _center_plan,
+    _chart_pullback,
+    _number_text,
+    _order_on,
+    _specialize,
+    clip,
+)
 
 
 class CenterSpec(namedtuple("CenterSpec", "chart constraints")):
@@ -72,10 +91,11 @@ class CenterSpec(namedtuple("CenterSpec", "chart constraints")):
 
 
 class Chart:
-    """One affine chart, read-only.  ``pivot`` and ``constraints`` (the
-    center's (index, constant) pairs) fix the pullback from the parent chart
-    (``pull``); ``frame``: base coordinates; ``divisor_eqs``: divisor id ->
-    local equation, never a constant, of each divisor meeting the chart;
+    """One affine chart, read-only.  ``pivot`` and ``plan`` (the center's
+    ``polyring._center_plan``, shared by the charts of one step) fix the
+    pullback from the parent chart (``pull``); ``frame``: base coordinates;
+    ``divisor_eqs``: divisor id -> local equation, never a constant, of
+    each divisor meeting the chart;
     ``pivot_orders``: v(x_i) for the divisor of the chart's step.  These,
     and the total transforms and weak-transform generators read through
     the chart, are derived on first read and kept in the chart's one memo,
@@ -83,14 +103,14 @@ class Chart:
     """
 
     # Not a namedtuple: it keeps a mutable memo, and a field-wise == would walk ``_up`` and the memo.
-    __slots__ = ("cid", "pivot", "step", "constraints", "_ring", "_up", "_memo")
+    __slots__ = ("cid", "pivot", "step", "plan", "_ring", "_up", "_memo")
 
-    def __init__(self, cid, up, pivot, step, constraints, ring, memo=None):
+    def __init__(self, cid, up, pivot, step, plan, ring, memo=None):
         _set_cid(self, cid)
         _set_up(self, up)
         _set_pivot(self, pivot)
         _set_step(self, step)
-        _set_constraints(self, constraints)
+        _set_plan(self, plan)
         _set_ring(self, ring)
         _set_memo(self, {} if memo is None else memo)
 
@@ -116,7 +136,7 @@ class Chart:
         orders = self._memo.get("orders")
         if orders is None:
             orders = self._memo["orders"] = tuple(
-                _order_on(g.domain, g.terms, self.constraints) for g in self._up.frame)
+                _order_on(g.terms, self.plan) for g in self._up.frame)
         return orders
 
     def _derive(self, key, pull, base=None):
@@ -138,8 +158,7 @@ class Chart:
 
     def pull(self, f: Polynomial) -> Polynomial:
         """f, in the parent chart's coordinates, pulled back to this chart."""
-        dom = f.domain
-        return Polynomial(dom, f.nvars, _chart_pullback(dom, f.terms, self.pivot, self.constraints))
+        return Polynomial(f.domain, f.nvars, _chart_pullback(f.terms, self.pivot, self.plan))
 
 
 # The slot descriptors' setters, bound once: ``__setattr__`` raises, and
@@ -148,7 +167,7 @@ _set_cid = Chart.cid.__set__
 _set_up = Chart._up.__set__
 _set_pivot = Chart.pivot.__set__
 _set_step = Chart.step.__set__
-_set_constraints = Chart.constraints.__set__
+_set_plan = Chart.plan.__set__
 _set_ring = Chart._ring.__set__
 _set_memo = Chart._memo.__set__
 
@@ -201,12 +220,12 @@ class Tower(namedtuple("Tower", "domain n charts steps")):
     __slots__ = ()
 
     def chart(self, cid: int) -> Chart:
-        if not isinstance(cid, int) or not 0 <= cid < len(self.charts):
+        if isinstance(cid, bool) or not isinstance(cid, int) or not 0 <= cid < len(self.charts):
             raise UnknownChart(f"no chart {_shown(cid)} (tower has charts 0..{len(self.charts) - 1})")
         return self.charts[cid]
 
     def divisor(self, did: int) -> Step:
-        if not isinstance(did, int) or not 1 <= did <= len(self.steps):
+        if isinstance(did, bool) or not isinstance(did, int) or not 1 <= did <= len(self.steps):
             raise UnknownDivisor(f"no divisor {_shown(did)} (tower has divisors 1..{len(self.steps)})")
         return self.steps[did - 1]
 
@@ -249,7 +268,7 @@ def blow_up(t: Tower, center: CenterSpec):
     dom, n = t.domain, t.n
     cmap = {}
     for i, c in center.constraints:
-        if not isinstance(i, int) or not 0 <= i < n:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
             raise ValueError(f"constrained variable index {i!r} out of range")
         if i in cmap:
             raise ValueError(f"variable {i} constrained twice")
@@ -262,14 +281,15 @@ def blow_up(t: Tower, center: CenterSpec):
         )
 
     constraints = tuple(sorted(cmap.items()))
+    plan = _center_plan(dom, constraints)
     step_no = len(t.steps) + 1
     base_cid = len(t.charts)
     new_charts = tuple(
-        Chart(base_cid + i, chart, pivot, step_no, constraints, (dom, n))
+        Chart(base_cid + i, chart, pivot, step_no, plan, (dom, n))
         for i, pivot in enumerate(S)
     )
     contained = tuple(did for did, eq in sorted(chart.divisor_eqs.items())
-                      if _order_on(dom, eq.terms, constraints) >= 1)
+                      if _order_on(eq.terms, plan) >= 1)
     k = (len(S) - 1) + sum(t.divisor(d).k for d in contained)
 
     step = Step(step_no, k, base_cid, contained, CenterSpec(center.chart, constraints),
@@ -301,7 +321,7 @@ def valuation_of_poly(t: Tower, did: int, f: Polynomial) -> int:
     low = min(orders, default=None)
     if low is not None and orders.count(low) == 1:
         return low
-    return _order_on(t.domain, chart._up._derive(f, Chart.pull, f).terms, chart.constraints)
+    return _order_on(chart._up._derive(f, Chart.pull, f).terms, chart.plan)
 
 
 def valuation(t: Tower, did: int, a: Ideal) -> int:
@@ -356,9 +376,20 @@ def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=()) -> CenterSpec:
     has some generator nonzero there.  Exhaustion raises
     GeneralPointNotFound, which over a small prime field is a real
     possibility the caller must handle.
+
+    The enumeration is walked depth first and pruned.  Every equation and
+    generator is restricted to the divisor once (its terms carrying the
+    pivot dropped), and fixing a coordinate sets it in the maps left
+    (``polyring._specialize``).  A prefix is given up as soon as some
+    equation, or every generator of some locus, becomes the zero map: then
+    no extension of it is accepted.  An equation or locus with a map that
+    becomes a nonzero constant holds on every extension and is dropped, and
+    once none is left the rest of the point is the first value of each
+    coordinate.  Only prefixes with no accepted extension are skipped, so
+    the point is the first accepted one of the enumeration.
     """
     chart = t.chart(t.divisor(did).home_chart)
-    dom, n = t.domain, t.n
+    dom, n, pivot = t.domain, t.n, chart.pivot
 
     eqs = [eq for d, eq in chart.divisor_eqs.items() if d != did]
     if any(locus.domain != dom or locus.nvars != n for locus in avoid_loci):
@@ -367,21 +398,54 @@ def point_on_divisor_avoiding(t: Tower, did: int, avoid_loci=()) -> CenterSpec:
     if not all(loci):
         raise ZeroIdeal("cannot avoid the zero locus of the zero ideal")
 
+    free = [i for i in range(n) if i != pivot]
     stream = _value_stream(dom)
-    free = [i for i in range(n) if i != chart.pivot]
-    for combo in itertools.product(stream, repeat=len(free)):
-        pt = [0] * n
-        for i, v in zip(free, combo):
-            pt[i] = v
-        if any(eq.evaluate(pt) == 0 for eq in eqs):
+    # A predicate is a list of maps of which one must be nonzero: one
+    # equation, or a locus's generators.
+    root = _fix(dom, [[eq.terms] for eq in eqs] + [[g.terms for g in gens] for gens in loci],
+                pivot, 0)
+    stack = [] if root is None else [(root, iter(stream))]  # one level per fixed coordinate
+    values = []  # the values fixed for free[0], free[1], ... above the deepest level
+    while stack:
+        predicates, level = stack[-1]
+        if not predicates:  # all hold: the coordinates left take their first value, 0
+            point = dict.fromkeys(range(n), 0)
+            point.update(zip(free, values))
+            return CenterSpec.make(chart.cid, point, dom)
+        v = next(level, None)
+        if v is None:
+            stack.pop()
+            if values:
+                values.pop()
             continue
-        if any(all(g.evaluate(pt) == 0 for g in gens) for gens in loci):
-            continue
-        return CenterSpec.make(chart.cid, {i: pt[i] for i in range(n)}, dom)
+        child = _fix(dom, predicates, free[len(values)], v)
+        if child is not None:
+            values.append(v)
+            stack.append((child, iter(stream)))
     raise GeneralPointNotFound(
         f"no point on divisor {did} in chart {chart.cid} passes the "
         f"{len(eqs) + len(loci)} avoidance predicates"
     )
+
+
+def _fix(dom: Domain, predicates: list, j: int, v) -> list | None:
+    """The search's predicates with x_j set to v in every map, or None once
+    some predicate has only zero maps left: it fails at every extension.
+    One with a nonzero constant holds at every extension and is dropped."""
+    out = []
+    for maps in predicates:
+        kept = []
+        for f in maps:
+            g = _specialize(dom, f, j, v)
+            if g:
+                if len(g) == 1 and not any(next(iter(g))):  # a nonzero constant
+                    break
+                kept.append(g)
+        else:
+            if not kept:
+                return None
+            out.append(kept)
+    return out
 
 
 # -- suspension ------------------------------------------------------------------
@@ -440,6 +504,7 @@ def discrepancy_via_jacobian(t: Tower, did: int) -> int:
     rec = t.divisor(did)
     chart = t.chart(rec.home_chart)
     n = t.n
-    matrix = [[chart.frame[i].derivative(j) for j in range(n)] for i in range(n)]
+    frame = chart.frame
+    matrix = [[frame[i].derivative(j) for j in range(n)] for i in range(n)]
     jac = _det(matrix, t.domain, n)
     return jac.var_min_exponent(chart.pivot)

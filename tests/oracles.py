@@ -12,7 +12,7 @@ from operator import mul
 
 import sympy
 
-from towerval.errors import UnitIdeal, ZeroPolynomial
+from towerval.errors import GeneralPointNotFound, UnitIdeal, ZeroPolynomial
 from towerval.jets import (
     DEFAULT_GB_BUDGET,
     _as_budget,
@@ -26,7 +26,7 @@ from towerval.jets import (
     normal_form,
 )
 from towerval.polyring import Ideal, Polynomial, default_names, mono_deg, mono_divides
-from towerval.tower import CenterSpec, Tower
+from towerval.tower import CenterSpec, Tower, _value_stream
 
 
 def to_sympy(f, syms):
@@ -289,6 +289,32 @@ def equivalent_center_specs(t: Tower, center: CenterSpec) -> list:
                 coords[i] = cmap[i]
         out.append(CenterSpec.make(sibling_cid, coords, dom))
     return out
+
+
+def walked_point_on_divisor(t: Tower, did: int, avoid_loci=()) -> CenterSpec:
+    """The general-point search by the plain walk: every point of the
+    enumeration in turn, first coordinate slowest, with every predicate
+    evaluated there.  The first point at which every other divisor's
+    equation and some generator of every locus are nonzero, or
+    GeneralPointNotFound with the search's message."""
+    chart = t.chart(t.divisor(did).home_chart)
+    dom, n = t.domain, t.n
+    eqs = [eq for d, eq in chart.divisor_eqs.items() if d != did]
+    loci = [locus.gens for locus in avoid_loci]
+    free = [i for i in range(n) if i != chart.pivot]
+    for combo in itertools.product(_value_stream(dom), repeat=len(free)):
+        pt = [0] * n
+        for i, v in zip(free, combo):
+            pt[i] = v
+        if any(eq.evaluate(pt) == 0 for eq in eqs):
+            continue
+        if any(all(g.evaluate(pt) == 0 for g in gens) for gens in loci):
+            continue
+        return CenterSpec.make(chart.cid, dict(enumerate(pt)), dom)
+    raise GeneralPointNotFound(
+        f"no point on divisor {did} in chart {chart.cid} passes the "
+        f"{len(eqs) + len(loci)} avoidance predicates"
+    )
 
 
 def describe(t: Tower) -> dict:

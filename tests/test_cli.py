@@ -737,6 +737,21 @@ def test_a_toric_box_past_the_bound_exits_three_quickly(tmp_path):
     )
 
 
+def test_a_tie_along_a_shifted_center_expands_only_the_degrees_it_reads(tmp_path):
+    # x1^E and x1 tie at order 0 along (1, 0), and degree 0 is decided by one
+    # binomial coefficient per term, however large E is
+    path = tmp_path / "script.tv"
+    path.write_text("ring N=2 p=5\nideal a: x1^100000000000000000000 + x1\n"
+                    "tower T: blowup chart=root point=(1,0)\nveval T a\n")
+    src = str(Path(towerval.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerval.cli", "--script", str(path)],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "# command 1: veval T a\ndivisor=1 v=0\n"
+
+
 @pytest.mark.parametrize("text", [
     "ring N=99999999999999999999 p=0\nideal a: x1\n",
     "ring N=2 p=0\nideal a: x1\njets a 99999999999999999999\n",

@@ -28,6 +28,7 @@ from towerval.polyring import (
     GF,
     QQ,
     Polynomial,
+    _center_plan,
     _chart_pullback,
     _order_on,
     grlex_key,
@@ -64,7 +65,7 @@ def blowup_pull(f, pivot, consts):
     """``f.substitute(blowup_images(...))`` through the chart-pullback kernel."""
     dom = f.domain
     center = tuple((j, dom.coerce(c)) for j, c in enumerate(consts))
-    return Polynomial(dom, f.nvars, _chart_pullback(dom, f.terms, pivot, center))
+    return Polynomial(dom, f.nvars, _chart_pullback(f.terms, pivot, _center_plan(dom, center)))
 
 
 def kernel_cases():
@@ -371,7 +372,7 @@ def chart_pullback_inputs(draw):
 def test_chart_pullback_equals_substitute_with_the_chart_images(data):
     f, pivot, center = data
     dom, n = f.domain, f.nvars
-    pulled = Polynomial(dom, n, _chart_pullback(dom, f.terms, pivot, center))
+    pulled = Polynomial(dom, n, _chart_pullback(f.terms, pivot, _center_plan(dom, center)))
     assert pulled == f.substitute(chart_images(dom, n, pivot, center))
     assert all(c != 0 for c in pulled.terms.values())
     if not f.is_zero():
@@ -403,6 +404,19 @@ def test_each_field_expands_the_same_power_by_its_own_row():
         assert pulled.text() == expected[dom]
 
 
+def test_a_steps_charts_share_one_center_plan():
+    # the center is split once, by blow_up, and each chart pulls through it
+    dom = GF(7)
+    t, _ = blow_up(new_tower(3, dom), CenterSpec.make(0, {0: 1, 1: 0, 2: 2}, dom))
+    charts = [t.chart(cid) for cid in t.divisor(1).chart_ids]
+    assert all(chart.plan is charts[0].plan for chart in charts)
+    assert charts[0].plan == _center_plan(dom, ((0, 1), (1, 0), (2, 2))) == (7, (1,), ((0, 1), (2, 2)))
+    f = parse_polynomial("x1^3*x3^2 + x1^3 + x2", dom, 3)
+    center = t.divisor(1).center.constraints
+    assert [chart.pull(f) for chart in charts] == [
+        f.substitute(chart_images(dom, 3, chart.pivot, center)) for chart in charts]
+
+
 @given(chart_pullback_inputs(), st.integers(0, 3))
 def test_order_on_the_center_equals_the_order_of_the_shifted_substitution(data, k):
     """And the order adds on products: times the k-th power of the sum of
@@ -411,14 +425,14 @@ def test_order_on_the_center_equals_the_order_of_the_shifted_substitution(data, 
     dom, n = f.domain, f.nvars
     if f.is_zero():
         with pytest.raises(errors.ZeroPolynomial):
-            _order_on(dom, f.terms, center)
+            _order_on(f.terms, _center_plan(dom, center))
         return
     order = order_along(f, center)
-    assert _order_on(dom, f.terms, center) == order
+    assert _order_on(f.terms, _center_plan(dom, center)) == order
     line = Polynomial.zero(dom, n)
     for j, c in center:
         line = line + Polynomial.variable(dom, n, j) - Polynomial.constant(dom, n, c)
-    assert _order_on(dom, (f * line**k).terms, center) == order + k
+    assert _order_on((f * line**k).terms, _center_plan(dom, center)) == order + k
 
 
 @given(chart_pullback_inputs())
@@ -429,9 +443,9 @@ def test_vanishing_on_the_center_equals_the_center_substitution(data):
     if f.is_zero():  # the zero map has no order, and vanishes everywhere
         assert on_center.is_zero()
         with pytest.raises(errors.ZeroPolynomial):
-            _order_on(dom, f.terms, center)
+            _order_on(f.terms, _center_plan(dom, center))
     else:
-        assert (_order_on(dom, f.terms, center) >= 1) == on_center.is_zero()
+        assert (_order_on(f.terms, _center_plan(dom, center)) >= 1) == on_center.is_zero()
 
 
 @pytest.mark.parametrize("dom, text, center, vanishes", [
@@ -446,7 +460,7 @@ def test_vanishing_on_the_center_equals_the_center_substitution(data):
 ])
 def test_vanishing_on_the_center_examples(dom, text, center, vanishes):
     f = parse_polynomial(text, dom, 3)
-    assert (_order_on(dom, f.terms, center) >= 1) is vanishes
+    assert (_order_on(f.terms, _center_plan(dom, center)) >= 1) is vanishes
     assert f.substitute(center_images(dom, 3, center)).is_zero() is vanishes
 
 

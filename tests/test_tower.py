@@ -63,6 +63,30 @@ def test_unknown_chart_rejected():
         blow_up(t, CenterSpec.make(5, origin(2), QQ))
 
 
+def test_bools_are_not_chart_divisor_or_variable_ids():
+    # True and False are ints to isinstance; as ids they are refused, as
+    # Domain.coerce refuses them as constants
+    t = chain_tower(GF(5), 2, 2)
+    for bad in (True, False):
+        with pytest.raises(errors.UnknownChart) as info:
+            t.chart(bad)
+        assert str(info.value) == f"no chart {bad!r} (tower has charts 0..4)"
+        with pytest.raises(errors.UnknownDivisor) as info:
+            t.divisor(bad)
+        assert str(info.value) == f"no divisor {bad!r} (tower has divisors 1..2)"
+        with pytest.raises(errors.UnknownChart):
+            blow_up(t, CenterSpec(bad, ((0, 0), (1, 0))))
+        with pytest.raises(errors.UnknownDivisor):
+            point_on_divisor_avoiding(t, bad)
+        with pytest.raises(errors.UnknownChart):
+            weak_transform(t, coordinate_ideal(GF(5), 2), bad)
+    for center in (((False, 0), (1, 0)), ((0, 0), (True, 0))):
+        with pytest.raises(ValueError, match="out of range"):
+            blow_up(t, CenterSpec(1, center))
+    t1, _ = blow_up(t, CenterSpec(1, ((0, 0), (1, 0))))
+    assert (t1.steps[-1].center.chart, t1.steps[-1].center.constraints) == (1, ((0, 0), (1, 0)))
+
+
 def test_constants_checked_against_field():
     t = new_tower(2, GF(5))
     from fractions import Fraction
@@ -367,6 +391,19 @@ def test_point_search_over_a_prime_field_stops_at_the_radius(monkeypatch):
         point_on_divisor_avoiding(t, 1, avoid_loci=[blocked])
     monkeypatch.setattr(tower, "_RADIUS", 2)
     assert point_on_divisor_avoiding(t, 1, avoid_loci=[blocked]).as_dict() == {0: 0, 1: 3}
+
+
+def test_point_search_steps_past_a_blocked_line_without_evaluating(monkeypatch):
+    # the locus x2 blocks every point with x2 = 0; the plain walk tried
+    # the 101^3 of them first, one evaluate per point
+    dom = GF(101)
+    t = chain_tower(dom, 5, 1)
+    calls = []
+    real = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate", lambda *a: calls.append(1) or real(*a))
+    spec = point_on_divisor_avoiding(t, 1, avoid_loci=[Ideal(dom, 5, [P("x2", dom, 5)])])
+    assert (spec.chart, spec.as_dict()) == (1, {0: 0, 1: 1, 2: 0, 3: 0, 4: 0})
+    assert calls == []
 
 
 # -- suspension ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from towerval.tower import (
     blow_up,
     discrepancy_via_jacobian,
     new_tower,
+    point_on_divisor_avoiding,
     suspend,
     valuation,
     valuation_of_poly,
@@ -35,6 +36,7 @@ from oracles import (
     chart_chain,
     chart_images,
     equivalent_center_specs,
+    walked_point_on_divisor,
     walked_weak_transform,
 )
 
@@ -58,13 +60,13 @@ def points_on_divisors(t, cid):
 
 
 @st.composite
-def towers(draw):
-    """Random towers: point and subspace centers with constants from
-    ``center_constants``, in any chart built so far (so often not the
-    first chart of a step).  Some centers are drawn from
+def towers(draw, domains=DOMAINS):
+    """Random towers over one of ``domains``: point and subspace centers
+    with constants from ``center_constants``, in any chart built so far
+    (so often not the first chart of a step).  Some centers are drawn from
     ``points_on_divisors``, and some towers end in a chain of a few dozen
     blow-ups at the origin of the newest chart."""
-    dom = draw(st.sampled_from(DOMAINS))
+    dom = draw(st.sampled_from(domains))
     n = draw(st.integers(2, 3))
     t = new_tower(n, dom)
     for _ in range(draw(st.integers(1, 4))):
@@ -97,7 +99,7 @@ def chart_origins(t):
 
 def pullback_images(t, cid):
     chart = t.chart(cid)
-    return tuple(chart_images(t.domain, t.n, chart.pivot, chart.constraints))
+    return tuple(chart_images(t.domain, t.n, chart.pivot, t.divisor(chart.step).center.constraints))
 
 
 def composite_frame(t, cid, origins):
@@ -309,10 +311,36 @@ def test_a_point_blows_up_alike_in_every_chart_that_sees_it(data):
             assert valuation(t_alt, did_alt, a) == valuation(t_main, did_main, a) > 0
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_the_pruned_point_search_finds_the_walks_point(data):
+    """The search against the plain walk of ``oracles``: the same point, or
+    GeneralPointNotFound with the same message.  Random loci in the home
+    chart's coordinates over F_2, F_3 and F_5, and a radius of 1 or 2 as
+    well as 50 over Q and F_101, make exhaustion real."""
+    t = data.draw(towers(DOMAINS + (GF(101),)))
+    dom, n = t.domain, t.n
+    did = data.draw(st.integers(1, len(t.steps)))
+    gens = st.lists(sparse_polys(dom, n), min_size=1, max_size=2)
+    loci = [Ideal(dom, n, g) for g in data.draw(st.lists(gens, max_size=3))]
+    radius = data.draw(st.sampled_from((1, 2, tower._RADIUS)))
+    saved, tower._RADIUS = tower._RADIUS, radius
+    try:
+        outcomes = []
+        for search in (point_on_divisor_avoiding, walked_point_on_divisor):
+            try:
+                outcomes.append(search(t, did, loci))
+            except errors.GeneralPointNotFound as exc:
+                outcomes.append(str(exc))
+    finally:
+        tower._RADIUS = saved
+    assert outcomes[0] == outcomes[1]
+
+
 def test_chart_attributes_are_read_only():
     t, _ = blow_up(new_tower(2, GF(5)), CenterSpec.make(0, {0: 0, 1: 0}, GF(5)))
     chart = t.chart(1)
-    for name in ("cid", "parent", "pivot", "step", "constraints", "frame", "divisor_eqs"):
+    for name in ("cid", "parent", "pivot", "step", "plan", "frame", "divisor_eqs"):
         with pytest.raises(AttributeError):
             setattr(chart, name, None)
 
