@@ -12,8 +12,9 @@ dividing.  It returns the basis its pair loop leaves, never interreduced,
 and the dimension reads only that basis's leading monomials.  A power
 x_l(t)^e of a jet series is built by repeated squaring, and along arcs
 through the origin a monomial of degree above the level is skipped, so a
-large exponent costs O(log e) products or none.  Most contact cells take a
-closed form over the Newton strata that builds no jets, and the rest take the
+large exponent costs O(log e) products or none.  A contact cell takes a
+closed form over the Newton strata that builds no jets wherever every face
+it needs cuts a smooth complete intersection of the torus, and otherwise the
 Groebner route, which the tests also run alone as an independent oracle.
 
 Estimates produced here are upper bounds by construction: enlarging the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul, neg
 
@@ -70,9 +72,10 @@ class StepBudget:
     multiple of a basis element to cancel a leading term).  Pairs that the
     criteria of ``groebner_basis`` drop cost nothing, and so does the
     dimension path's cut of the coordinates a generator is a power of.
-    The strata route spends only the steps of its nondegeneracy tests, on
-    the faces it meets before its walk stops (``_strata_codim``); the walk
-    itself costs nothing.  Steps do not count coefficient size, which over
+    The strata route spends only the steps of its face tests, on the faces
+    it meets before its walk stops (``_strata_codim``); the walk itself
+    costs nothing, and a face verdict the process already holds spends the
+    steps its test cost.  Steps do not count coefficient size, which over
     Q grows with them.
     """
 
@@ -493,34 +496,41 @@ def _by_total(lo: int, caps):
 
 
 def _strata_codim(factors, budget: StepBudget):
-    """Codim of a cell with at most one non-monomial factor, principal
-    (f, level mf), or None for another cell or a degenerate face of f.
+    """Codim of a contact cell by its Newton strata, or None where a face
+    the walk meets neither misses the torus nor cuts a smooth complete
+    intersection there.
 
     The arcs through the origin with coordinate orders a in {1..L}^N (a_l = L
     for order at least L) have codim sum(a), and x^w has order <a, w> on
-    them, so a monomial factor keeps all of them or none.  So does f when
-    its order o = min <a, w> is at least mf.  Otherwise in_a f, the terms of
-    weight o, must vanish on the arcs' leading coefficients, which lie in
-    the torus: a monomial never does, and a nondegenerate one spends one
-    codim more on each of the mf - o conditions (Kouchnirenko 1976; Ein,
-    Lazarsfeld & Mustata 2004).  The codim is the least score.
+    them, so a single-term generator keeps all of them or none.  Every other
+    generator g, at the largest level m its factors give it, keeps them all
+    when its order o = min <a, w> is at least m.  Otherwise in_a g, the
+    terms of weight o, must vanish on the arcs' leading coefficients, which
+    lie in the torus: a single term never does, and the stratum is empty.
+    The remaining initial forms go to one face test (``_face_test``).  When
+    they have no common zero in the torus the stratum is empty; when they
+    cut a smooth complete intersection there, each of g's m - o conditions
+    costs one codim more (Kouchnirenko 1976; Ein, Lazarsfeld & Mustata
+    2004).  The codim is the least score.  Two generators stay apart even
+    when their initial forms are equal, so that such a pair fails the test.
 
     The walk visits the order vectors by increasing sum(a), and
     lexicographically within one sum, and stops at the first sum that is at
     least the best score so far.  That is exact: a stratum scores at least
-    sum(a), and its part of the locus has codim at least sum(a) whether or
-    not its face is degenerate, so no stratum left unvisited can go below
-    the best.  Only the faces met before the stop are tested, and a
-    degenerate one among them returns None.
+    sum(a), and its part of the locus has codim at least sum(a) whatever
+    its faces, so no stratum left unvisited can go below the best.  Only
+    the faces met before the stop are tested, each once per process
+    (``_face_memo``), and one that fails the test returns None.
     """
-    others = [(a.gens, m) for a, m in factors if not a.is_monomial()]
-    if len(others) > 1 or others and len(others[0][0]) > 1:
-        return None
-    f, mf = (others[0][0][0].terms, others[0][1]) if others else ({}, 0)
-    constraints = [(w, m) for a, m in factors if a.is_monomial() for g in a.gens for w in g.terms]
+    constraints = [(w, m) for a, m in factors for g in a.gens if len(g.terms) == 1 for w in g.terms]
+    levels: dict = {}  # generator with two or more terms -> its largest level
+    for a, m in factors:
+        for g in a.gens:
+            if len(g.terms) > 1:
+                levels[g] = max(m, levels.get(g, 0))
     dom, n = factors[0][0].domain, factors[0][0].nvars
     L = max(m for _, m in factors)
-    faces: dict = {}  # initial form -> whether it is nondegenerate
+    faces: dict = {}  # ((generator, face), ...) -> the face test's verdict
     best = None
     for vec in _by_total(1, (L,) * n):
         score = sum(vec)
@@ -528,80 +538,130 @@ def _strata_codim(factors, budget: StepBudget):
             break
         if any(sum(map(mul, vec, w)) < m for w, m in constraints):
             continue
-        if f:
-            weight = {w: sum(map(mul, vec, w)) for w in f}
-            o = min(weight.values())
-            if o < mf:
-                face = frozenset(w for w in f if weight[w] == o)
+        met = ()
+        for g, m in levels.items():
+            weight = [sum(map(mul, vec, w)) for w in g.terms]
+            o = min(weight)
+            if o < m:
+                face = frozenset(w for w, d in zip(g.terms, weight) if d == o)
                 if len(face) == 1:
-                    continue
-                if face not in faces:
-                    faces[face] = _nondegenerate(dom, f, face, budget)
-                if not faces[face]:
+                    break
+                met += ((g, face),)
+                score += m - o
+        else:
+            if met:
+                if met not in faces:
+                    forms = [{w: g.terms[w] for w in face} for g, face in met]
+                    key = (dom, tuple(frozenset(f.items()) for f in forms))
+                    faces[met] = _memoised(_face_memo, key, budget, lambda: _face_test(dom, forms, budget))
+                if faces[met] is None:
                     return None
-                score += mf - o
-        if best is None or score < best:
-            best = score
+                if not faces[met]:
+                    continue
+            if best is None or score < best:
+                best = score
     if best is None:
         raise UnitIdeal("contact conditions are unsatisfiable")
     return best
 
 
-def _nondegenerate(dom, f: dict, face, budget: StepBudget) -> bool:
-    """Whether g, the terms of f on ``face``, and its partials have no common
-    zero in the torus over ``dom``: (g, dg/dx_l, 1 - y * prod x_l) is (1)."""
-    n = len(next(iter(face)))
-    g = Polynomial(dom, n + 1, {w + (0,): f[w] for w in face})
-    torus = tuple(int(any(w[l] for w in face)) for l in range(n)) + (1,)
-    try:
-        ideal_dimension([g] + [g.derivative(l) for l in range(n)]
-                        + [Polynomial(dom, n + 1, {(0,) * (n + 1): 1, torus: -1})], budget)
-    except UnitIdeal:
-        return True
-    return False
+def _face_test(dom, forms, budget: StepBudget):
+    """Whether the initial forms G cut the torus over ``dom`` in a smooth
+    complete intersection (True), miss it (False), or neither (None).
+
+    Each test asks ``ideal_dimension`` whether an ideal in the N variables
+    and one more, y, is the unit ideal.  For two or more forms the first is
+    (G, 1 - y * prod x_l), whose unit ideal says G has no common zero in the
+    torus.  The second adds the |G| x |G| minors of G's Jacobian, whose unit
+    ideal says the Jacobian has full rank at every such zero.  A single form
+    always has a zero there, so it takes the second test alone, with its
+    partials as the minors.  The product runs over the variables the forms
+    hold, and so do the Jacobian's columns."""
+    held = tuple(int(any(e)) for e in zip(*(w for f in forms for w in f)))
+    n = len(held)
+    gs = [Polynomial(dom, n + 1, {w + (0,): c for w, c in f.items()}) for f in forms]
+    torus = Polynomial(dom, n + 1, {(0,) * (n + 1): 1, held + (1,): -1})
+
+    def unit(extra) -> bool:
+        try:
+            ideal_dimension(gs + extra + [torus], budget)
+        except UnitIdeal:
+            return True
+        return False
+
+    if len(gs) > 1 and unit([]):
+        return False
+    columns = [[g.derivative(l) for g in gs] for l in range(n) if held[l]]
+    minors = [_det(list(zip(*cols))) for cols in combinations(columns, len(gs))]
+    return True if unit(minors) else None
+
+
+def _det(rows) -> Polynomial:
+    """The determinant of a square matrix of polynomials, expanded along its
+    first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = term if total is None else total - term if j % 2 else total + term
+    return total
 
 
 # A CLI session folds lct, mld, notlc and crosschar over the same ideals, so
-# contact cells, a pure function of their factors, are kept once per process.
-# The memo holds at most _MEMO_SIZE entries and drops its oldest one when full,
-# so a long-lived process does not grow without limit.
+# contact cells, a pure function of their factors, are kept once per process,
+# and so are face verdicts, which neighbouring levels of one ideal share.
+# Each memo holds at most _MEMO_SIZE entries and drops its oldest one when
+# full, so a long-lived process does not grow without limit.
 _MEMO_SIZE = 256
 _cell_memo: dict = {}  # factors -> (codim, steps)
+_face_memo: dict = {}  # (domain, initial forms) -> (verdict, steps)
+
+
+def _memoised(memo: dict, key, budget: StepBudget, compute):
+    """``compute()``, kept in ``memo`` under ``key`` with the steps it spent
+    on ``budget``.  A hit returns the stored value and spends those steps
+    on ``budget``, so the result, ``budget.used`` and the point where a
+    budget runs out are as if it were recomputed.  A computation that
+    raises is not stored."""
+    hit = memo.get(key)
+    if hit is not None:
+        budget.spend(hit[1])
+        return hit[0]
+    before = budget.used
+    value = compute()
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = (value, budget.used - before)
+    return value
 
 
 def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET) -> int:
     """Codimension of the intersection of the contact loci with the arcs
     through the origin, evaluated at truncation level max(m_i).
 
-    A cell of monomial factors and at most one principal factor takes the
-    strata route (``_strata_codim``), which expands no jets and spends only
-    the steps of its nondegeneracy tests; an all-monomial cell spends none.
-    Any other cell, or one whose walk meets a degenerate face before it
-    stops, takes the Groebner route (``groebner_contact_codim``).  Such a
-    face has already spent its test's steps, so the cell spends those
-    before the Groebner route's.
+    Every cell first takes the strata route (``_strata_codim``), which
+    expands no jets and spends only the steps of its face tests; an
+    all-monomial cell spends none.  A cell whose walk, before it stops,
+    meets a face that neither misses the torus nor cuts a smooth complete
+    intersection there takes the Groebner route
+    (``groebner_contact_codim``).  The faces met so far have already spent
+    their tests' steps, and the Groebner route's come on top: one budget
+    counts all the work the cell did, wasted tests included.
 
-    Cells are memoised per process, keyed by the factors.  A new cell runs
-    on ``budget`` itself and is stored with the steps it spent there.  A
-    repeat returns the stored codim and spends those steps on ``budget``,
-    so the result, ``budget.used`` and the point where a budget runs out
-    are as if the cell were recomputed.  A cell that raises is not stored.
+    Cells are memoised per process, keyed by the factors (``_memoised``).
+    A new cell runs on ``budget`` itself and is stored with the steps it
+    spent there; a repeat spends those steps again.
     """
     budget = _as_budget(budget)
     factors = tuple((a, m) for a, m in factors)
     _check_factors(factors)
-    hit = _cell_memo.get(factors)
-    if hit is not None:
-        budget.spend(hit[1])
-        return hit[0]
-    before = budget.used
-    codim = _strata_codim(factors, budget)
-    if codim is None:
-        codim = groebner_contact_codim(factors, budget)
-    if len(_cell_memo) >= _MEMO_SIZE:
-        del _cell_memo[next(iter(_cell_memo))]
-    _cell_memo[factors] = (codim, budget.used - before)
-    return codim
+
+    def codim():
+        strata = _strata_codim(factors, budget)
+        return groebner_contact_codim(factors, budget) if strata is None else strata
+
+    return _memoised(_cell_memo, factors, budget, codim)
 
 
 def groebner_contact_codim(factors, budget=DEFAULT_GB_BUDGET) -> int:

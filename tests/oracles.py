@@ -16,10 +16,10 @@ from towerval.errors import GeneralPointNotFound, UnitIdeal, ZeroPolynomial
 from towerval.jets import (
     DEFAULT_GB_BUDGET,
     _as_budget,
+    _face_test,
     _min_hitting_set_size,
     _minimal_supports,
     _monic,
-    _nondegenerate,
     _spoly,
     grevlex_key,
     groebner_basis,
@@ -128,33 +128,42 @@ def dimension_by_groebner(gens, budget=DEFAULT_GB_BUDGET) -> int:
 def box_strata_codim(factors, budget):
     """The strata route scored over the whole box {1..L}^N in
     lexicographic order, with no stop: what ``jets._strata_codim`` returns
-    when no stratum is left unvisited.  Every non-monomial face of f in the
-    box is tested, and the first degenerate one returns None."""
-    others = [(a.gens, m) for a, m in factors if not a.is_monomial()]
-    if len(others) > 1 or others and len(others[0][0]) > 1:
-        return None
-    f, mf = (others[0][0][0].terms, others[0][1]) if others else ({}, 0)
+    when no stratum is left unvisited.  Monomial factors are constraints;
+    every generator of another factor counts once, at its largest level,
+    and one whose initial form is a single term empties the stratum.  Every
+    set of initial forms in the box goes to the face test once, and the
+    first that fails it returns None."""
     constraints = [(w, m) for a, m in factors if a.is_monomial() for g in a.gens for w in g.terms]
+    levels: dict = {}
+    for a, m in factors:
+        if not a.is_monomial():
+            for g in a.gens:
+                levels[g] = max(m, levels.get(g, 0))
     dom, n = factors[0][0].domain, factors[0][0].nvars
     L = max(m for _, m in factors)
-    faces: dict = {}
+    verdicts: dict = {}  # ((generator, face), ...) -> the face test's verdict
     best = None
     for vec in itertools.product(range(1, L + 1), repeat=n):
         if any(sum(map(mul, vec, w)) < m for w, m in constraints):
             continue
-        score = sum(vec)
-        if f:
-            weight = {w: sum(map(mul, vec, w)) for w in f}
+        met, need = [], 0
+        for g, m in levels.items():
+            weight = {w: sum(map(mul, vec, w)) for w in g.terms}
             o = min(weight.values())
-            if o < mf:
-                face = frozenset(w for w in f if weight[w] == o)
-                if len(face) == 1:
-                    continue
-                if face not in faces:
-                    faces[face] = _nondegenerate(dom, f, face, budget)
-                if not faces[face]:
-                    return None
-                score += mf - o
+            if o < m:
+                met.append((g, frozenset(w for w in g.terms if weight[w] == o)))
+                need += m - o
+        if any(len(face) == 1 for _, face in met):
+            continue
+        if met:
+            key = tuple(met)
+            if key not in verdicts:
+                verdicts[key] = _face_test(dom, [{w: g.terms[w] for w in face} for g, face in met], budget)
+            if verdicts[key] is None:
+                return None
+            if not verdicts[key]:
+                continue
+        score = sum(vec) + need
         if best is None or score < best:
             best = score
     if best is None:

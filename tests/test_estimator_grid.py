@@ -31,9 +31,11 @@ MONO = ("x1^2", "x2^3")
 # cell spends 3 steps on its face test and then falls back to Groebner, where
 # the cusp's cells spend none.  The budget rows run out on it.
 FERMAT = ("x1^3 + x2^3",)
-# Two generators always take Groebner: at depth 4 over F_3 the cell spends
-# 40 steps and its lift 70, at depth 5 68 and 916.
-PAIR = ("x1^2 + x2*x3", "x2^2 + x1*x3")
+# The cusp after a linear change: its face (x1 + x2)^2 is degenerate in
+# every characteristic, so from depth 3 on both sides fall back to
+# Groebner.  Over F_3 the cells at depths 5 and 6 spend 3 and 23 steps, and
+# their lifts 278 and more than 3 000.
+SHIFTED_CUSP = ("(x1 + x2)^2 + x2^3",)
 OFF = ("x1 + 1",)  # misses the origin
 
 
@@ -122,9 +124,9 @@ CASES = {
     "crosschar-off-alone-F7": ("crosschar", "F7", 2, [(OFF, 1)], 2, B),
     "crosschar-budget-F3": ("crosschar", "F3", 2, [(FERMAT, 1)], 6, 1),
     "crosschar-budget-cusp-F5": ("crosschar", "F5", 2, [(CUSP, 1)], 6, 1),
-    # from depth 4 on the F_3 side finishes within the budget and its lift
+    # from depth 5 on the F_3 side finishes within the budget and its lift
     # does not
-    "crosschar-budget-lift-F3": ("crosschar", "F3", 3, [(PAIR, 1)], 5, 69),
+    "crosschar-budget-lift-F3": ("crosschar", "F3", 2, [(SHIFTED_CUSP, 1)], 6, 30),
     "crosschar-budget-lift-N1-F2": ("crosschar", "F2", 1, [(("x1^2 + x1^4",), 1)], 5, 0),
     "crosschar-budget-pair-F3": ("crosschar", "F3", 2, [(CUSP, 1), (NODE, 1)], 2, 1),
     "crosschar-caps-mismatch-F5": ("crosschar", "F5", 2, [(CUSP, 1)], (1, 2), B),
@@ -135,7 +137,7 @@ CASES = {
 EXPECTED = {
     'crosschar-budget-F3': '(1,):2:2:None;(2,):2:2:None;(3,):2:2:None;(4,):None:None:budget;(5,):None:None:budget;(6,):None:None:budget|mld=-1,-1|lct=2/3,2/3',
     'crosschar-budget-cusp-F5': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None;(5,):5:5:None;(6,):5:5:None|mld=-1,-1|lct=5/6,5/6',
-    'crosschar-budget-lift-F3': '(1,):3:3:None;(2,):3:3:None;(3,):5:5:None;(4,):6:None:budget;(5,):7:None:budget|mld=1,1|lct=3/2,3/2',
+    'crosschar-budget-lift-F3': '(1,):2:2:None;(2,):2:2:None;(3,):3:3:None;(4,):4:4:None;(5,):5:None:budget;(6,):5:None:budget|mld=0,0|lct=1,1',
     'crosschar-budget-lift-N1-F2': '(1,):1:1:None;(2,):1:1:None;(3,):2:2:None;(4,):2:2:None;(5,):3:3:None|mld=-2,-2|lct=1/2,1/2',
     'crosschar-budget-pair-F3': '(0, 1):2:2:None;(1, 0):2:2:None;(0, 2):2:2:None;(1, 1):2:2:None;(2, 0):2:2:None;(1, 2):2:2:None;(2, 1):2:2:None;(2, 2):2:2:None|mld=-2,-2|lct=None,None',
     'crosschar-cap0-F5': '|mld=2,2|lct=None,None',

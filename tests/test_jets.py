@@ -468,11 +468,12 @@ def test_fast_path_agrees_with_groebner_path():
 
 @st.composite
 def strata_cells(draw):
-    """A sparse polynomial through the origin in N <= 3 variables at level
-    L <= 5, and sometimes a monomial factor beside it.  Where N > 1, two or
-    more of its terms share the least weight d under some a in {1, 2}^N,
-    and the level is mostly above d, so that most draws meet a face that is
-    not a monomial."""
+    """Sparse polynomials through the origin in N <= 3 variables at levels
+    L <= 5: an ideal of one or two generators, and sometimes a second
+    principal factor and a monomial factor beside it.  Where N > 1, two or
+    more terms of each polynomial share the least weight d under one a in
+    {1, 2}^N, and the first level is mostly above d, so that most draws meet
+    a face that is not a monomial, and many test two forms at once."""
     dom = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]))
     n = draw(st.integers(1, 3))
     a = draw(st.tuples(*[st.integers(1, 2)] * n))
@@ -482,12 +483,17 @@ def strata_cells(draw):
     face = [w for w in monos if weight[w] == d]
     above = [w for w in monos if weight[w] > d]
     coeffs = st.integers(-3, 3).filter(bool)
-    terms = draw(st.dictionaries(st.sampled_from(face), coeffs, min_size=min(2, len(face)), max_size=3))
-    terms.update(draw(st.dictionaries(st.sampled_from(above), coeffs, max_size=2)))
-    f = Polynomial.from_terms(dom, n, terms.items())
-    if f.is_zero():
-        f = Polynomial.variable(dom, n, 0)
-    cell = [(Ideal(dom, n, [f]), draw(st.one_of(st.integers(d + 1, 5), st.integers(1, 5))))]
+
+    def polynomial():
+        terms = draw(st.dictionaries(st.sampled_from(face), coeffs, min_size=min(2, len(face)), max_size=3))
+        terms.update(draw(st.dictionaries(st.sampled_from(above), coeffs, max_size=2)))
+        f = Polynomial.from_terms(dom, n, terms.items())
+        return Polynomial.variable(dom, n, 0) if f.is_zero() else f
+
+    gens = [polynomial() for _ in range(draw(st.integers(1, 2)))]
+    cell = [(Ideal(dom, n, gens), draw(st.one_of(st.integers(d + 1, 5), st.integers(1, 5))))]
+    if draw(st.booleans()):
+        cell.append((Ideal(dom, n, [polynomial()]), draw(st.integers(1, 5))))
     if draw(st.booleans()):
         gens = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=2))
         cell.append((Ideal(dom, n, [Polynomial.from_terms(dom, n, [(w, 1)]) for w in gens]),
@@ -584,6 +590,76 @@ def test_a_degenerate_face_sends_the_cell_to_groebner(
         assert contact_codim_at_origin(cell) == codim
         assert bool(expansions) == (dom in degenerate), dom
         assert groebner_contact_codim(cell) == codim
+
+
+PAIR = ("x1^2 + x2*x3", "x2^2 + x1*x3")
+
+
+# (field, level, codim, steps) of the pair.  At orders (1, 1, 1) both of its
+# forms are the whole generators.  Over Q and F_5 they meet the torus
+# in three lines, x1 = z*x2 with z^3 = 1, along which the Jacobian has full
+# rank: a smooth complete intersection.  The face's two tests spend 37
+# steps, and the walk needs no other face up to L8; the Groebner route runs
+# out of the default budget at L6.
+PAIR_CELLS = (
+    (QQ, 6, 9, 37),
+    (QQ, 7, 11, 37),
+    (QQ, 8, 12, 37),
+    (GF(5), 2, 3, 0),
+    (GF(5), 3, 5, 37),
+    (GF(5), 4, 6, 37),
+    (GF(5), 5, 8, 37),
+)
+
+
+@pytest.mark.parametrize("dom, level, codim, steps", PAIR_CELLS)
+def test_faces_that_cut_a_smooth_complete_intersection_take_the_strata_route(monkeypatch, dom, level, codim, steps):
+    expansions = []
+    real = jets.jet_equations
+    monkeypatch.setattr(jets, "jet_equations", lambda *a, **k: expansions.append(1) or real(*a, **k))
+    cell = [(I(dom, 3, *PAIR), level)]
+    budget = StepBudget(10**6)
+    assert contact_codim_at_origin(cell, budget=budget) == codim
+    assert budget.used == steps and not expansions
+    if level <= 5:
+        assert groebner_contact_codim(cell) == codim
+
+
+# (field, generators, levels, codims).  Over F_3 the pair's three lines are
+# one, x1 = x2, where x1^3 = x2^3 has a triple root.  The second
+# pair has two different generators with the same initial form x1^2 - x2^2,
+# which stay apart, so its Jacobian has rank one; so does the third's, whose
+# second generator is twice the first's form with another tail.  The walk
+# meets these faces from L3 (the first) and L4 on, and each cell falls back.
+FALLBACK_CELLS = (
+    (GF(3), PAIR, (3, 4, 5), (5, 6, 7)),
+    (QQ, ("x1^2 - x2^2 + x3^3", "x1^2 - x2^2 + x3^5"), (4, 5, 6), (6, 7, 8)),
+    (QQ, ("x1^2 - x2^2 + x3^3", "2*x1^2 - 2*x2^2 + x3^4"), (4, 5, 6), (6, 7, 8)),
+)
+
+
+@pytest.mark.parametrize("dom, gens, levels, codims", FALLBACK_CELLS)
+def test_faces_that_cut_no_smooth_complete_intersection_fall_back(dom, gens, levels, codims):
+    a = I(dom, 3, *gens)
+    for level, codim in zip(levels, codims):
+        assert jets._strata_codim([(a, level)], StepBudget(10**6)) is None
+        assert contact_codim_at_origin([(a, level)]) == codim == groebner_contact_codim([(a, level)])
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(5)])
+def test_a_generator_shared_by_two_factors_counts_once_at_its_larger_level(dom):
+    # Counted twice, its two forms would make the Jacobian rank-deficient
+    # and send the cell to Groebner; counted at its smaller level, the
+    # score would come out too low.
+    for cell in ([(I(dom, 3, *PAIR), 3), (I(dom, 3, PAIR[0]), 5)],
+                 [(I(dom, 2, "x1^2 + x2^3"), 2), (I(dom, 2, "x1^2 + x2^3"), 6)]):
+        codim = jets._strata_codim(cell, StepBudget(10**6))
+        assert codim is not None and codim == groebner_contact_codim(cell)
+
+
+def test_the_pair_has_lct_three_halves():
+    # Its L6 cell ran out of the default budget while it took the Groebner route.
+    assert lct_estimate_at_origin(I(QQ, 3, *PAIR), 8) == (Fraction(3, 2), 2)
 
 
 TWO_BRANCH = "(x1^2 - x2^3)*(x1 - x2^2)"
@@ -697,9 +773,10 @@ def counting_groebner(monkeypatch):
     return calls
 
 
-# Two generators send the cell to Groebner, where it spends 70 steps in one
-# basis; a principal nondegenerate cell such as the cusp's spends none.
-SPENDING_CELL = [(I(QQ, 3, "x1^2 + x2*x3", "x2^2 + x1*x3"), 4)]
+# Over F_3 the pair's face is degenerate, so the cell spends 25 steps on its
+# face tests and 40 more in Groebner; a principal nondegenerate cell such as
+# the cusp's spends none.
+SPENDING_CELL = [(I(GF(3), 3, *PAIR), 4)]
 
 
 def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
@@ -707,9 +784,10 @@ def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
     factors = SPENDING_CELL
     cold, warm = StepBudget(10**6), StepBudget(10**6)
     codim = contact_codim_at_origin(factors, budget=cold)
+    cold_calls = len(calls)
     assert contact_codim_at_origin(factors, budget=warm) == codim
-    assert warm.used == cold.used > 0
-    assert len(calls) == 1  # the warm call was served by the memo
+    assert warm.used == cold.used == 65
+    assert len(calls) == cold_calls  # the warm call was served by the memo
 
 
 def test_a_memoised_cell_still_runs_out_of_a_smaller_budget():
@@ -741,6 +819,36 @@ def test_a_memoised_strata_cell_runs_no_groebner_and_the_oracle_agrees(monkeypat
     assert calls == []
     assert groebner_contact_codim(factors) == fast
     assert len(calls) == 1
+
+
+def test_a_face_verdict_is_kept_across_cells_and_spends_its_steps(monkeypatch):
+    calls = counting_groebner(monkeypatch)
+    a = I(QQ, 3, *PAIR)
+    cold, warm = StepBudget(10**6), StepBudget(10**6)
+    assert contact_codim_at_origin([(a, 3)], budget=cold) == 5
+    cold_calls = len(calls)
+    assert contact_codim_at_origin([(a, 4)], budget=warm) == 6
+    assert cold.used == warm.used == 37
+    assert len(jets._face_memo) == 1 and len(calls) == cold_calls
+
+
+def test_a_face_test_that_runs_out_is_not_stored():
+    a = I(QQ, 3, *PAIR)
+    with pytest.raises(errors.BudgetExceeded, match="budget of 10 exhausted"):
+        contact_codim_at_origin([(a, 3)], budget=10)
+    assert not jets._face_memo and not jets._cell_memo
+    budget = StepBudget(10**6)
+    assert contact_codim_at_origin([(a, 3)], budget=budget) == 5
+    assert budget.used == 37
+
+
+def test_the_face_memo_drops_its_oldest_entry_when_full(monkeypatch):
+    monkeypatch.setattr(jets, "_MEMO_SIZE", 2)
+    for c in (1, 2, 3):
+        contact_codim_at_origin([(I(QQ, 2, f"x1^2 + {c}*x2^2"), 3)])
+    assert [forms for _, forms in jets._face_memo] == [
+        (frozenset({((2, 0), 1), ((0, 2), c)}),) for c in (2, 3)
+    ]
 
 
 def test_a_memo_drops_its_oldest_entry_when_full(monkeypatch):
