@@ -14,7 +14,8 @@ x_l(t)^e of a jet series is built by repeated squaring, and along arcs
 through the origin a monomial of degree above the level is skipped, so a
 large exponent costs O(log e) products or none.  A contact cell takes a
 closed form over the Newton strata that builds no jets wherever every face
-it needs cuts a smooth complete intersection of the torus, and otherwise the
+it needs passes one unit-ideal test, which holds where the face cuts a
+smooth complete intersection of the torus or misses it, and otherwise the
 Groebner route, which the tests also run alone as an independent oracle.
 
 Estimates produced here are upper bounds by construction: enlarging the
@@ -42,6 +43,7 @@ from .polyring import (
     Polynomial,
     _add_multiple,
     _mul_terms,
+    det,
     lift_to_q,
     mono_div,
     mono_divides,
@@ -497,8 +499,7 @@ def _by_total(lo: int, caps):
 
 def _strata_codim(factors, budget: StepBudget):
     """Codim of a contact cell by its Newton strata, or None where a face
-    the walk meets neither misses the torus nor cuts a smooth complete
-    intersection there.
+    the walk meets fails the face test.
 
     The arcs through the origin with coordinate orders a in {1..L}^N (a_l = L
     for order at least L) have codim sum(a), and x^w has order <a, w> on
@@ -508,11 +509,16 @@ def _strata_codim(factors, budget: StepBudget):
     terms of weight o, must vanish on the arcs' leading coefficients, which
     lie in the torus: a single term never does, and the stratum is empty.
     The remaining initial forms go to one face test (``_face_test``).  When
-    they have no common zero in the torus the stratum is empty; when they
-    cut a smooth complete intersection there, each of g's m - o conditions
-    costs one codim more (Kouchnirenko 1976; Ein, Lazarsfeld & Mustata
-    2004).  The codim is the least score.  Two generators stay apart even
-    when their initial forms are equal, so that such a pair fails the test.
+    they cut a smooth complete intersection there, each of g's m - o
+    conditions costs one codim more (Kouchnirenko 1976; Ein, Lazarsfeld &
+    Mustata 2004).  The codim is the least score.  Forms that miss the
+    torus pass too, and their empty stratum scores alike, never below the
+    cell's codim: the arcs of orders at least a that meet the conditions
+    are cut from a linear space of codim sum(a) by that many equations and
+    hold the zero arc, so Krull's height theorem bounds their codim by the
+    score.  A unit multiple of an earlier generator counts as that one; two
+    others stay apart even when their initial forms are equal, so that
+    such a pair fails the test.
 
     The walk visits the order vectors by increasing sum(a), and
     lexicographically within one sum, and stops at the first sum that is at
@@ -523,14 +529,15 @@ def _strata_codim(factors, budget: StepBudget):
     (``_face_memo``), and one that fails the test returns None.
     """
     constraints = [(w, m) for a, m in factors for g in a.gens if len(g.terms) == 1 for w in g.terms]
+    dom, n = factors[0][0].domain, factors[0][0].nvars
     levels: dict = {}  # generator with two or more terms -> its largest level
     for a, m in factors:
         for g in a.gens:
             if len(g.terms) > 1:
+                g = next((h for h in levels if _unit_multiple(dom, h.terms, g.terms)), g)
                 levels[g] = max(m, levels.get(g, 0))
-    dom, n = factors[0][0].domain, factors[0][0].nvars
     L = max(m for _, m in factors)
-    faces: dict = {}  # ((generator, face), ...) -> the face test's verdict
+    passed: set = set()  # the (generator, face) tuples whose forms passed the face test
     best = None
     for vec in _by_total(1, (L,) * n):
         score = sum(vec)
@@ -549,15 +556,12 @@ def _strata_codim(factors, budget: StepBudget):
                 met += ((g, face),)
                 score += m - o
         else:
-            if met:
-                if met not in faces:
-                    forms = [{w: g.terms[w] for w in face} for g, face in met]
-                    key = (dom, tuple(frozenset(f.items()) for f in forms))
-                    faces[met] = _memoised(_face_memo, key, budget, lambda: _face_test(dom, forms, budget))
-                if faces[met] is None:
+            if met and met not in passed:
+                forms = [{w: g.terms[w] for w in face} for g, face in met]
+                key = (dom, tuple(frozenset(f.items()) for f in forms))
+                if _memoised(_face_memo, key, budget, lambda: _face_test(dom, forms, budget)) is None:
                     return None
-                if not faces[met]:
-                    continue
+                passed.add(met)
             if best is None or score < best:
                 best = score
     if best is None:
@@ -565,47 +569,35 @@ def _strata_codim(factors, budget: StepBudget):
     return best
 
 
-def _face_test(dom, forms, budget: StepBudget):
-    """Whether the initial forms G cut the torus over ``dom`` in a smooth
-    complete intersection (True), miss it (False), or neither (None).
+def _unit_multiple(dom, f: dict, g: dict) -> bool:
+    """Whether the term maps f and g differ by a unit factor: the same
+    monomials, and every coefficient's cross product with the first
+    monomial's equal, so that nothing is divided."""
+    if f.keys() != g.keys():
+        return False
+    w = next(iter(f))
+    return not any(dom.coerce(f[m] * g[w] - g[m] * f[w]) for m in f)
 
-    Each test asks ``ideal_dimension`` whether an ideal in the N variables
-    and one more, y, is the unit ideal.  For two or more forms the first is
-    (G, 1 - y * prod x_l), whose unit ideal says G has no common zero in the
-    torus.  The second adds the |G| x |G| minors of G's Jacobian, whose unit
-    ideal says the Jacobian has full rank at every such zero.  A single form
-    always has a zero there, so it takes the second test alone, with its
-    partials as the minors.  The product runs over the variables the forms
-    hold, and so do the Jacobian's columns."""
+
+def _face_test(dom, forms, budget: StepBudget):
+    """True where the initial forms G cut the torus over ``dom`` in a smooth
+    complete intersection or miss it, else None.
+
+    One ``ideal_dimension`` call asks whether G, the |G| x |G| minors of
+    G's Jacobian (for one form, its partials) and 1 - y * prod x_l, in the
+    N variables and one more, y, span the unit ideal.  The product runs
+    over the variables the forms hold, and so do the Jacobian's columns."""
     held = tuple(int(any(e)) for e in zip(*(w for f in forms for w in f)))
     n = len(held)
     gs = [Polynomial(dom, n + 1, {w + (0,): c for w, c in f.items()}) for f in forms]
     torus = Polynomial(dom, n + 1, {(0,) * (n + 1): 1, held + (1,): -1})
-
-    def unit(extra) -> bool:
-        try:
-            ideal_dimension(gs + extra + [torus], budget)
-        except UnitIdeal:
-            return True
-        return False
-
-    if len(gs) > 1 and unit([]):
-        return False
     columns = [[g.derivative(l) for g in gs] for l in range(n) if held[l]]
-    minors = [_det(list(zip(*cols))) for cols in combinations(columns, len(gs))]
-    return True if unit(minors) else None
-
-
-def _det(rows) -> Polynomial:
-    """The determinant of a square matrix of polynomials, expanded along its
-    first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = None
-    for j, entry in enumerate(rows[0]):
-        term = entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        total = term if total is None else total - term if j % 2 else total + term
-    return total
+    minors = [det(list(zip(*cols))) for cols in combinations(columns, len(gs))]
+    try:
+        ideal_dimension(gs + minors + [torus], budget)
+    except UnitIdeal:
+        return True
+    return None
 
 
 # A CLI session folds lct, mld, notlc and crosschar over the same ideals, so
@@ -643,11 +635,11 @@ def contact_codim_at_origin(factors, budget=DEFAULT_GB_BUDGET) -> int:
     Every cell first takes the strata route (``_strata_codim``), which
     expands no jets and spends only the steps of its face tests; an
     all-monomial cell spends none.  A cell whose walk, before it stops,
-    meets a face that neither misses the torus nor cuts a smooth complete
-    intersection there takes the Groebner route
-    (``groebner_contact_codim``).  The faces met so far have already spent
-    their tests' steps, and the Groebner route's come on top: one budget
-    counts all the work the cell did, wasted tests included.
+    meets a face that fails its test takes the Groebner route
+    (``groebner_contact_codim``).  Such a degenerate face pays for its one
+    test, and the faces met before it for theirs, and the Groebner route's
+    steps come on top: one budget counts all the work the cell did, wasted
+    tests included.
 
     Cells are memoised per process, keyed by the factors (``_memoised``).
     A new cell runs on ``budget`` itself and is stored with the steps it

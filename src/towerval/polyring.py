@@ -36,7 +36,9 @@ whose constant is not.  The pullback kernel is the one pullback of
 the package: frames, divisor equations, weak and total transforms all go
 through ``tower.Chart.pull``.  ``_specialize`` sets one coordinate of a
 map to a constant for the general-point search of ``tower``; at a nonzero
-constant it is a loop of ``_add_multiple`` calls.  ``substitute``, the
+constant it is a loop of ``_add_multiple`` calls.  ``det`` is the one
+determinant, for the Jacobian check of ``tower`` and the face minors of
+``jets``.  ``substitute``, the
 general ring map, is the reference the tests check both kernels against;
 nothing else in the package calls it.  ``Domain`` is a namedtuple of one
 field, ``p``, and keeps only ``coerce``, the one canonicaliser
@@ -614,6 +616,19 @@ def _specialize(dom: Domain, terms: dict, j: int, v) -> dict:
     for m, c in terms.items():  # c * v^e is nonzero: v is a unit
         _add_multiple(dom, acc, c * pow(v, m[j], dom.p), (0,) * len(m), {m[:j] + (0,) + m[j + 1:]: 1})
     return acc
+
+
+def det(rows) -> Polynomial:
+    """The determinant of a square matrix of polynomials, expanded along its
+    first row; a zero entry's cofactor is never expanded."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Polynomial.zero(rows[0][0].domain, rows[0][0].nvars)
+    for j, entry in enumerate(rows[0]):
+        if entry.terms:
+            piece = entry * det([row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total + (piece if j % 2 == 0 else -piece)
+    return total
 
 
 class Ideal(namedtuple("Ideal", "domain nvars gens")):

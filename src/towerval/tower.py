@@ -73,6 +73,7 @@ from .polyring import (
     _order_on,
     _specialize,
     clip,
+    det,
 )
 
 
@@ -481,20 +482,6 @@ def suspend(t: Tower, a: Ideal | None = None):
 # -- cross-checks and views -------------------------------------------------------
 
 
-def _det(matrix, dom, n):
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = Polynomial.zero(dom, n)
-    for j in range(size):
-        if matrix[0][j].is_zero():  # its cofactor term is zero
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        piece = matrix[0][j] * _det(minor, dom, n)
-        total = total + (piece if j % 2 == 0 else -piece)
-    return total
-
-
 def discrepancy_via_jacobian(t: Tower, did: int) -> int:
     """Order of the frame's Jacobian determinant along the divisor.
 
@@ -506,5 +493,5 @@ def discrepancy_via_jacobian(t: Tower, did: int) -> int:
     n = t.n
     frame = chart.frame
     matrix = [[frame[i].derivative(j) for j in range(n)] for i in range(n)]
-    jac = _det(matrix, t.domain, n)
+    jac = det(matrix)
     return jac.var_min_exponent(chart.pivot)

@@ -23,6 +23,7 @@ from towerval.jets import (
     _spoly,
     grevlex_key,
     groebner_basis,
+    ideal_dimension,
     normal_form,
 )
 from towerval.polyring import Ideal, Polynomial, default_names, mono_deg, mono_divides
@@ -125,24 +126,24 @@ def dimension_by_groebner(gens, budget=DEFAULT_GB_BUDGET) -> int:
     return nvars - _min_hitting_set_size(_minimal_supports(lms))
 
 
-def box_strata_codim(factors, budget):
-    """The strata route scored over the whole box {1..L}^N in
-    lexicographic order, with no stop: what ``jets._strata_codim`` returns
-    when no stratum is left unvisited.  Monomial factors are constraints;
-    every generator of another factor counts once, at its largest level,
-    and one whose initial form is a single term empties the stratum.  Every
-    set of initial forms in the box goes to the face test once, and the
-    first that fails it returns None."""
+def box_strata(factors):
+    """The strata of the whole box {1..L}^N in lexicographic order, with no
+    stop, as (score, met): sum(a) plus the needs, and the (generator, face)
+    pairs of the initial forms below their levels.  Monomial factors are
+    constraints; every generator of another factor counts once, at its
+    largest level, and so does a unit multiple of an earlier one.  A
+    stratum that a constraint or a single-term initial form empties is
+    left out."""
     constraints = [(w, m) for a, m in factors if a.is_monomial() for g in a.gens for w in g.terms]
+    dom, n = factors[0][0].domain, factors[0][0].nvars
+    first: dict = {}  # generator made monic at its largest monomial -> the first generator it came as
     levels: dict = {}
     for a, m in factors:
         if not a.is_monomial():
             for g in a.gens:
+                g = first.setdefault(g.scale(dom.inv(g.terms[max(g.terms)])), g)
                 levels[g] = max(m, levels.get(g, 0))
-    dom, n = factors[0][0].domain, factors[0][0].nvars
     L = max(m for _, m in factors)
-    verdicts: dict = {}  # ((generator, face), ...) -> the face test's verdict
-    best = None
     for vec in itertools.product(range(1, L + 1), repeat=n):
         if any(sum(map(mul, vec, w)) < m for w, m in constraints):
             continue
@@ -153,22 +154,50 @@ def box_strata_codim(factors, budget):
             if o < m:
                 met.append((g, frozenset(w for w in g.terms if weight[w] == o)))
                 need += m - o
-        if any(len(face) == 1 for _, face in met):
-            continue
+        if not any(len(face) == 1 for _, face in met):
+            yield sum(vec) + need, tuple(met)
+
+
+def face_forms(met) -> list:
+    """The initial forms of a stratum's (generator, face) pairs, as term maps."""
+    return [{w: g.terms[w] for w in face} for g, face in met]
+
+
+def box_strata_codim(factors, budget):
+    """The strata route scored over the whole box (``box_strata``): what
+    ``jets._strata_codim`` returns when no stratum is left unvisited.
+    Every set of initial forms in the box goes to the face test once, and
+    the first that fails it returns None."""
+    dom = factors[0][0].domain
+    verdicts: dict = {}  # ((generator, face), ...) -> the face test's verdict
+    best = None
+    for score, met in box_strata(factors):
         if met:
-            key = tuple(met)
-            if key not in verdicts:
-                verdicts[key] = _face_test(dom, [{w: g.terms[w] for w in face} for g, face in met], budget)
-            if verdicts[key] is None:
+            if met not in verdicts:
+                verdicts[met] = _face_test(dom, face_forms(met), budget)
+            if verdicts[met] is None:
                 return None
-            if not verdicts[key]:
-                continue
-        score = sum(vec) + need
         if best is None or score < best:
             best = score
     if best is None:
         raise UnitIdeal("contact conditions are unsatisfiable")
     return best
+
+
+def face_misses_torus(dom, forms, budget) -> bool:
+    """Whether the forms have no common zero in the torus: whether they and
+    1 - y * prod x_l, in the N variables and one more, y, span the unit
+    ideal.  The product runs over the variables the forms hold.  The face
+    test passes such forms without asking this."""
+    held = tuple(int(any(e)) for e in zip(*(w for f in forms for w in f)))
+    n = len(held)
+    gs = [Polynomial(dom, n + 1, {w + (0,): c for w, c in f.items()}) for f in forms]
+    torus = Polynomial(dom, n + 1, {(0,) * (n + 1): 1, held + (1,): -1})
+    try:
+        ideal_dimension(gs + [torus], budget)
+    except UnitIdeal:
+        return True
+    return False
 
 
 def order_at_origin(f) -> int:

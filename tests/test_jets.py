@@ -39,8 +39,11 @@ from towerval.polyring import (
 )
 
 from oracles import (
+    box_strata,
     box_strata_codim,
     dimension_by_groebner,
+    face_forms,
+    face_misses_torus,
     fraction_normal_form,
     reduced_basis,
     sympy_groebner,
@@ -535,6 +538,25 @@ def test_the_walk_answers_what_the_box_answers(cell):
         assert codim == groebner
 
 
+@settings(max_examples=300)
+@given(strata_cells())
+def test_a_stratum_whose_forms_miss_the_torus_scores_no_less_than_the_codim(cell):
+    # The face test passes forms with no common zero in the torus, and their
+    # empty stratum scores sum(a) plus the needs as if it were smooth.  By
+    # Krull's height theorem that score is at least the cell's codim, so
+    # the least score stays the codim.
+    try:
+        codim = groebner_contact_codim(cell, budget=2000)
+    except errors.BudgetExceeded:
+        return
+    dom, misses = cell[0][0].domain, {}
+    for score, met in box_strata(cell):
+        if met:
+            if met not in misses:
+                misses[met] = face_misses_torus(dom, face_forms(met), StepBudget(10**6))
+            assert score >= codim or not misses[met]
+
+
 # (field, cell text, N, level, monomial factor and its level or None, the
 # walk's codim and steps, the box's answer and steps).  In the first two
 # the box meets a degenerate face past the walk's stop, (x1 - x2)^2 at
@@ -598,17 +620,17 @@ PAIR = ("x1^2 + x2*x3", "x2^2 + x1*x3")
 # (field, level, codim, steps) of the pair.  At orders (1, 1, 1) both of its
 # forms are the whole generators.  Over Q and F_5 they meet the torus
 # in three lines, x1 = z*x2 with z^3 = 1, along which the Jacobian has full
-# rank: a smooth complete intersection.  The face's two tests spend 37
+# rank: a smooth complete intersection.  The face's one test spends 17
 # steps, and the walk needs no other face up to L8; the Groebner route runs
 # out of the default budget at L6.
 PAIR_CELLS = (
-    (QQ, 6, 9, 37),
-    (QQ, 7, 11, 37),
-    (QQ, 8, 12, 37),
+    (QQ, 6, 9, 17),
+    (QQ, 7, 11, 17),
+    (QQ, 8, 12, 17),
     (GF(5), 2, 3, 0),
-    (GF(5), 3, 5, 37),
-    (GF(5), 4, 6, 37),
-    (GF(5), 5, 8, 37),
+    (GF(5), 3, 5, 17),
+    (GF(5), 4, 6, 17),
+    (GF(5), 5, 8, 17),
 )
 
 
@@ -646,6 +668,29 @@ def test_faces_that_cut_no_smooth_complete_intersection_fall_back(dom, gens, lev
         assert contact_codim_at_origin([(a, level)]) == codim == groebner_contact_codim([(a, level)])
 
 
+# (field, initial forms, verdict).  Each face pays for one unit-ideal test,
+# whatever its size: the pair over Q and F_3, two forms and three forms
+# with no common zero in the torus, which pass, and three forms whose
+# Jacobian has rank two.
+ONE_TEST_FACES = (
+    (QQ, [{(2, 0, 0): 1, (0, 1, 1): 1}], True),
+    (QQ, [{(2, 0, 0): 1, (0, 1, 1): 1}, {(0, 2, 0): 1, (1, 0, 1): 1}], True),
+    (GF(3), [{(2, 0, 0): 1, (0, 1, 1): 1}, {(0, 2, 0): 1, (1, 0, 1): 1}], None),
+    (QQ, [{(2, 0): 1, (0, 2): 1}, {(2, 0): 1, (0, 2): 2}], True),
+    (QQ, [{(2, 0, 0): 1, (0, 1, 1): 1}, {(0, 2, 0): 1, (1, 0, 1): 1}, {(0, 0, 2): 1, (1, 1, 0): 1}], True),
+    (QQ, [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 1, 0): 1, (0, 0, 1): 1}, {(1, 0, 0): 1, (0, 0, 1): -1}], None),
+)
+
+
+@pytest.mark.parametrize("dom, forms, verdict", ONE_TEST_FACES)
+def test_a_face_test_makes_one_unit_ideal_call(monkeypatch, dom, forms, verdict):
+    calls = []
+    real = jets.ideal_dimension
+    monkeypatch.setattr(jets, "ideal_dimension", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert jets._face_test(dom, forms, StepBudget(10**6)) is verdict
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("dom", [QQ, GF(5)])
 def test_a_generator_shared_by_two_factors_counts_once_at_its_larger_level(dom):
     # Counted twice, its two forms would make the Jacobian rank-deficient
@@ -655,6 +700,25 @@ def test_a_generator_shared_by_two_factors_counts_once_at_its_larger_level(dom):
                  [(I(dom, 2, "x1^2 + x2^3"), 2), (I(dom, 2, "x1^2 + x2^3"), 6)]):
         codim = jets._strata_codim(cell, StepBudget(10**6))
         assert codim is not None and codim == groebner_contact_codim(cell)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(7)])
+def test_a_unit_multiple_of_a_generator_counts_once(monkeypatch, dom):
+    # Counted apart, the two generators would make the Jacobian of their
+    # forms rank-deficient from L7 on and send the cell to Groebner.  The
+    # first generator's coefficients are kept, so the principal cell meets
+    # the same face memo entries.
+    fallbacks = []
+    real = jets.groebner_contact_codim
+    monkeypatch.setattr(jets, "groebner_contact_codim", lambda *a, **k: fallbacks.append(1) or real(*a, **k))
+    for level, codim in zip((6, 7, 8), (5, 6, 7)):
+        budget = StepBudget(10**6)
+        cell = [(I(dom, 2, "x1^2 + x2^3", "2*x1^2 + 2*x2^3"), level)]
+        assert contact_codim_at_origin(cell, budget=budget) == codim and budget.used == 0
+        faces = len(jets._face_memo)
+        assert contact_codim_at_origin([(I(dom, 2, "x1^2 + x2^3"), level)]) == codim
+        assert len(jets._face_memo) == faces
+    assert not fallbacks
 
 
 def test_the_pair_has_lct_three_halves():
@@ -773,8 +837,8 @@ def counting_groebner(monkeypatch):
     return calls
 
 
-# Over F_3 the pair's face is degenerate, so the cell spends 25 steps on its
-# face tests and 40 more in Groebner; a principal nondegenerate cell such as
+# Over F_3 the pair's face is degenerate, so the cell spends 5 steps on its
+# face test and 40 more in Groebner; a principal nondegenerate cell such as
 # the cusp's spends none.
 SPENDING_CELL = [(I(GF(3), 3, *PAIR), 4)]
 
@@ -786,7 +850,7 @@ def test_a_memoised_cell_spends_the_steps_it_cost(monkeypatch):
     codim = contact_codim_at_origin(factors, budget=cold)
     cold_calls = len(calls)
     assert contact_codim_at_origin(factors, budget=warm) == codim
-    assert warm.used == cold.used == 65
+    assert warm.used == cold.used == 45
     assert len(calls) == cold_calls  # the warm call was served by the memo
 
 
@@ -828,7 +892,7 @@ def test_a_face_verdict_is_kept_across_cells_and_spends_its_steps(monkeypatch):
     assert contact_codim_at_origin([(a, 3)], budget=cold) == 5
     cold_calls = len(calls)
     assert contact_codim_at_origin([(a, 4)], budget=warm) == 6
-    assert cold.used == warm.used == 37
+    assert cold.used == warm.used == 17
     assert len(jets._face_memo) == 1 and len(calls) == cold_calls
 
 
@@ -839,7 +903,7 @@ def test_a_face_test_that_runs_out_is_not_stored():
     assert not jets._face_memo and not jets._cell_memo
     budget = StepBudget(10**6)
     assert contact_codim_at_origin([(a, 3)], budget=budget) == 5
-    assert budget.used == 37
+    assert budget.used == 17
 
 
 def test_the_face_memo_drops_its_oldest_entry_when_full(monkeypatch):

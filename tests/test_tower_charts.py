@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from towerval import errors, invariants, tower
 from towerval.invariants import LctWitness, realize_toric_weight, toric_weight_search
-from towerval.polyring import GF, QQ, Ideal, Polynomial, parse_polynomial
+from towerval.polyring import GF, QQ, Ideal, Polynomial, det, parse_polynomial
 from towerval.tower import (
     CenterSpec,
-    _det,
     blow_up,
     discrepancy_via_jacobian,
     new_tower,
@@ -205,7 +204,7 @@ def test_cofactor_determinant_matches_the_permutation_sum(data):
     size = data.draw(st.integers(1, 4))
     entry = st.one_of(st.just(Polynomial.zero(dom, n)), sparse_polys(dom, n))
     matrix = [[data.draw(entry) for _ in range(size)] for _ in range(size)]
-    assert _det(matrix, dom, n) == leibniz_det(matrix, dom, n)
+    assert det(matrix) == leibniz_det(matrix, dom, n)
 
 
 def sparse_polys(dom, n):
